@@ -72,16 +72,22 @@ def voxel_downsample(cloud: np.ndarray, voxel_size: float) -> np.ndarray:
     """Replace the points of each voxel by their centroid.
 
     Output order follows the first occurrence of each voxel in the input.
+    Each point's voxel key is the voxel's rank in a lexicographic sort of the
+    voxel indices, so keys are dense (< n) and distinct voxels never share one.
     """
     if voxel_size <= 0:
         raise ValueError("voxel_size must be > 0")
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     if len(cloud) == 0:
         return cloud
-    keys = np.floor(cloud / voxel_size).astype(np.int64)
-    _, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
+    cells = np.floor(cloud / voxel_size)
+    by_voxel = np.lexsort(cells.T)       # stable: equal voxels keep input order
+    sorted_cells = cells[by_voxel]
+    starts = np.ones(len(cloud), dtype=bool)
+    np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(cloud), dtype=np.intp)
+    inverse[by_voxel] = np.cumsum(starts) - 1
+    first = by_voxel[starts]
     sums = np.zeros((first.size, 3))
     np.add.at(sums, inverse, cloud)
     counts = np.bincount(inverse, minlength=first.size).astype(float)
@@ -97,11 +103,10 @@ def outlier_filter(cloud: np.ndarray, radius: float, min_neighbors: int) -> np.n
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     if len(cloud) == 0:
         return cloud
-    tree = cKDTree(cloud)
-    counts = tree.query_ball_point(cloud, radius, return_length=True)
-    # query counts the point itself
-    keep = (np.asarray(counts) - 1) >= min_neighbors
-    return cloud[keep]
+    pairs = cKDTree(cloud).query_pairs(radius, output_type="ndarray")
+    # each pair (i < j) is a neighbour of both ends; a point is never its own
+    counts = np.bincount(pairs.ravel(), minlength=len(cloud))
+    return cloud[counts >= min_neighbors]
 
 
 def body_to_earth(cloud: np.ndarray, pose: Pose) -> np.ndarray:

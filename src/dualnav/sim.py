@@ -7,6 +7,7 @@ replay bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -131,29 +132,55 @@ class DroneState:
     time: float = 0.0
 
 
-def _ray_directions(sensor: SensorParams, yaw: float) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _fan(sensor: SensorParams):
+    """Yaw-independent parts of the ray fan: the azimuths and the cos/sin of
+    the elevations (read-only, shared by every call with these params)."""
     az = np.linspace(-sensor.h_fov / 2.0, sensor.h_fov / 2.0, sensor.h_rays)
     el = np.linspace(-sensor.v_fov / 2.0, sensor.v_fov / 2.0, sensor.v_rays)
-    azg, elg = np.meshgrid(az + yaw, el, indexing="ij")
-    dirs = np.stack([
-        np.cos(elg) * np.cos(azg),
-        np.cos(elg) * np.sin(azg),
-        np.sin(elg),
-    ], axis=-1)
-    return dirs.reshape(-1, 3)
+    parts = (az, np.cos(el), np.sin(el))
+    for a in parts:
+        a.flags.writeable = False
+    return parts
 
 
-def _ray_box_hits(origin, dirs, box: Box):
-    """Entry distance of each ray into the box (inf when missed)."""
-    lo, hi = box.arrays()
+def _ray_directions(sensor: SensorParams, yaw: float) -> np.ndarray:
+    """Unit ray directions, axis-major (3, h_rays * v_rays); ray i * v_rays
+    + j has azimuth i and elevation j."""
+    az, cos_el, sin_el = _fan(sensor)
+    azy = az + yaw
+    dirs = np.empty((3, sensor.h_rays, sensor.v_rays))
+    np.multiply.outer(np.cos(azy), cos_el, out=dirs[0])
+    np.multiply.outer(np.sin(azy), cos_el, out=dirs[1])
+    dirs[2] = sin_el
+    return dirs.reshape(3, -1)
+
+
+def _first_hits(origin, dirs, boxes, max_range: float) -> np.ndarray:
+    """Entry distance of each ray into the nearest box (inf when it misses
+    every box), as one slab test over (axis, box, ray).
+
+    Boxes whose nearest point lies beyond max_range are left out, since no
+    hit of theirs is kept; the small slack keeps rounding from ever dropping
+    a box that the slab test would put in range. A ray starting on a box face
+    gives 0 * inf = NaN on that axis, which the pairwise fmax/fmin pass over
+    like nanmax/nanmin.
+    """
+    lo = np.array([b.lo for b in boxes], dtype=float).reshape(-1, 3)
+    hi = np.array([b.hi for b in boxes], dtype=float).reshape(-1, 3)
+    gap = origin - np.clip(origin, lo, hi)
+    near = np.sqrt(np.einsum("ij,ij->i", gap, gap)) <= max_range * (1.0 + 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-        t0 = (lo - origin) * inv
-        t1 = (hi - origin) * inv
-    tmin = np.nanmax(np.minimum(t0, t1), axis=1)
-    tmax = np.nanmin(np.maximum(t0, t1), axis=1)
-    t_ent = np.where((tmax >= tmin) & (tmax >= 0.0), np.maximum(tmin, 0.0), np.inf)
-    return t_ent
+        inv = (1.0 / dirs)[:, None, :]
+        t0 = (lo[near] - origin).T[:, :, None] * inv
+        t1 = (hi[near] - origin).T[:, :, None] * inv
+    t_lo = np.minimum(t0, t1)
+    t_hi = np.maximum(t0, t1, out=t0)
+    tmin = np.fmax(np.fmax(t_lo[0], t_lo[1]), t_lo[2])
+    tmax = np.fmin(np.fmin(t_hi[0], t_hi[1]), t_hi[2])
+    t_ent = np.where((tmax >= tmin) & (tmax >= 0.0), np.maximum(tmin, 0.0),
+                     np.inf)
+    return np.minimum.reduce(t_ent, axis=0, initial=np.inf)
 
 
 def sense(world: World, position, yaw: float, sensor: SensorParams,
@@ -167,11 +194,9 @@ def sense(world: World, position, yaw: float, sensor: SensorParams,
     """
     origin = np.asarray(position, dtype=float)
     dirs = _ray_directions(sensor, yaw)
-    t_hit = np.full(len(dirs), np.inf)
-    for box in world.boxes_at(time):
-        t_hit = np.minimum(t_hit, _ray_box_hits(origin, dirs, box))
+    t_hit = _first_hits(origin, dirs, world.boxes_at(time), sensor.max_range)
     if world.ground_z is not None:
-        dz = dirs[:, 2]
+        dz = dirs[2]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_pl = (world.ground_z - origin[2]) / dz
         t_pl = np.where((dz != 0.0) & (t_pl >= 0.0), t_pl, np.inf)
@@ -184,7 +209,7 @@ def sense(world: World, position, yaw: float, sensor: SensorParams,
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), int(round(time * 1e6))]))
         t = t + rng.normal(0.0, sensor.noise_coeff * t)
-    pts_e = origin + t[:, None] * dirs[hit]
+    pts_e = origin + t[:, None] * dirs[:, hit].T
     # back to the yaw-aligned body frame
     rel = pts_e - origin
     c, s = math.cos(yaw), math.sin(yaw)
@@ -218,11 +243,6 @@ def check_collision(world: World, position, radius: float, time: float) -> bool:
         if np.linalg.norm(p - nearest) <= radius:
             return True
     return False
-
-
-def step_obstacles(world: World, time: float):
-    """Snapshot of all boxes present at the given time."""
-    return world.boxes_at(time)
 
 
 def scan_world(world: World, voxel_size: float = 0.2) -> np.ndarray:

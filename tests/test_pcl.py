@@ -25,6 +25,38 @@ def test_voxel_downsample_validates():
         voxel_downsample(np.zeros((1, 3)), 0.0)
 
 
+def test_voxel_downsample_keeps_far_apart_voxels_apart():
+    # voxel indices 4e12 apart on every axis
+    far = 1e12
+    corners = np.array([[x, y, z] for x in (-far, 0.0, far)
+                        for y in (-far, 0.0, far) for z in (-far, 0.0, far)])
+    cloud = np.concatenate([corners + 0.01, corners + 0.03])
+    out = voxel_downsample(cloud, 0.25)
+    assert len(out) == 27
+    assert np.allclose(out, corners + 0.02, rtol=0.0, atol=1e-3)
+
+
+def test_voxel_downsample_negative_voxel_boundaries():
+    # a voxel holds its lower faces: -0.5 shares a voxel with -0.25, while
+    # just below -0.5 (or -1.0) starts the next voxel down; -0.0 is 0
+    cloud = np.array([
+        [-0.5, -1.0, -0.5],
+        [-0.25, -0.75, -0.25],
+        [-0.5 - 1e-9, -1.0, -0.5],
+        [-1.0, -1.0 - 1e-9, -0.5],
+        [-0.0, 0.0, -0.5],
+        [0.0, -0.0, -0.5 + 1e-9],
+    ])
+    out = voxel_downsample(cloud, 0.5)
+    want = np.array([
+        (cloud[0] + cloud[1]) / 2.0,
+        cloud[2],
+        cloud[3],
+        (cloud[4] + cloud[5]) / 2.0,
+    ])
+    assert np.allclose(out, want, rtol=0.0, atol=1e-15)
+
+
 def test_outlier_filter_removes_lonely_points():
     cluster = np.tile([0.0, 0.0, 0.0], (5, 1)) + 0.01 * np.arange(5)[:, None]
     lonely = np.array([[10.0, 10.0, 10.0]])

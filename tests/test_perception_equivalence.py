@@ -1,0 +1,251 @@
+"""The perception kernels return the same bytes as the straightforward
+versions they replaced, over generated worlds and clouds.
+
+The oracles below are the earlier implementations of `sim.sense` (one slab
+test per box, nanmax/nanmin reductions, the fan rebuilt per call),
+`pcl.voxel_downsample` (`np.unique` over int64 rows) and
+`pcl.outlier_filter` (a `query_ball_point` count per point).
+"""
+import math
+
+import hypothesis.extra.numpy as hnp
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+
+from dualnav.pcl import outlier_filter, voxel_downsample
+from dualnav.sim import Box, DynamicObstacle, SensorParams, World, sense
+
+# -- oracles -----------------------------------------------------------------
+
+
+def _oracle_ray_directions(sensor, yaw):
+    az = np.linspace(-sensor.h_fov / 2.0, sensor.h_fov / 2.0, sensor.h_rays)
+    el = np.linspace(-sensor.v_fov / 2.0, sensor.v_fov / 2.0, sensor.v_rays)
+    azg, elg = np.meshgrid(az + yaw, el, indexing="ij")
+    dirs = np.stack([
+        np.cos(elg) * np.cos(azg),
+        np.cos(elg) * np.sin(azg),
+        np.sin(elg),
+    ], axis=-1)
+    return dirs.reshape(-1, 3)
+
+
+def _oracle_ray_box_hits(origin, dirs, box):
+    lo, hi = box.arrays()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t0 = (lo - origin) * inv
+        t1 = (hi - origin) * inv
+    tmin = np.nanmax(np.minimum(t0, t1), axis=1)
+    tmax = np.nanmin(np.maximum(t0, t1), axis=1)
+    return np.where((tmax >= tmin) & (tmax >= 0.0), np.maximum(tmin, 0.0),
+                    np.inf)
+
+
+def oracle_sense(world, position, yaw, sensor, time, seed):
+    origin = np.asarray(position, dtype=float)
+    dirs = _oracle_ray_directions(sensor, yaw)
+    t_hit = np.full(len(dirs), np.inf)
+    for box in world.boxes_at(time):
+        t_hit = np.minimum(t_hit, _oracle_ray_box_hits(origin, dirs, box))
+    if world.ground_z is not None:
+        dz = dirs[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_pl = (world.ground_z - origin[2]) / dz
+        t_pl = np.where((dz != 0.0) & (t_pl >= 0.0), t_pl, np.inf)
+        t_hit = np.minimum(t_hit, t_pl)
+    hit = t_hit <= sensor.max_range
+    if not np.any(hit):
+        return np.zeros((0, 3))
+    t = t_hit[hit]
+    if sensor.noise_coeff > 0.0:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(seed), int(round(time * 1e6))]))
+        t = t + rng.normal(0.0, sensor.noise_coeff * t)
+    pts_e = origin + t[:, None] * dirs[hit]
+    rel = pts_e - origin
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.stack([c * rel[:, 0] + s * rel[:, 1],
+                     -s * rel[:, 0] + c * rel[:, 1],
+                     rel[:, 2]], axis=1)
+
+
+def oracle_voxel_downsample(cloud, voxel_size):
+    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    if len(cloud) == 0:
+        return cloud
+    keys = np.floor(cloud / voxel_size).astype(np.int64)
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    sums = np.zeros((first.size, 3))
+    np.add.at(sums, inverse, cloud)
+    counts = np.bincount(inverse, minlength=first.size).astype(float)
+    centroids = sums / counts[:, None]
+    order = np.argsort(first, kind="stable")
+    return centroids[order]
+
+
+def oracle_outlier_filter(cloud, radius, min_neighbors):
+    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    if len(cloud) == 0:
+        return cloud
+    tree = cKDTree(cloud)
+    counts = tree.query_ball_point(cloud, radius, return_length=True)
+    keep = (np.asarray(counts) - 1) >= min_neighbors
+    return cloud[keep]
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def outcome(f, *args):
+    """The bytes a kernel returns, or the error it raises."""
+    try:
+        out = f(*args)
+    except ValueError as e:
+        return "raised", str(e)
+    return out.shape, out.dtype, out.tobytes()
+
+
+# -- sense -------------------------------------------------------------------
+
+# boxes up to 8 m from an origin near the centre, so that some lie within
+# the sensor's range and some beyond it
+points = st.tuples(*[st.floats(-8.0, 8.0)] * 3)
+origins = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+sizes = st.tuples(*[st.floats(0.05, 4.0)] * 3)
+
+# odd ray counts put a ray at elevation 0 (a zero z component), and a yaw
+# cancelling one azimuth puts one at a zero y component: with the origin on
+# a box face, those rays take the 0 * inf = NaN branch of the slab test
+sensors = st.one_of(
+    st.just(SensorParams()),
+    st.builds(SensorParams,
+              h_fov=st.floats(0.1, 3.0), v_fov=st.floats(0.1, 3.0),
+              max_range=st.floats(0.5, 8.0),
+              h_rays=st.integers(1, 24), v_rays=st.integers(1, 13),
+              noise_coeff=st.sampled_from([0.0, 0.005, 0.05])))
+
+
+@st.composite
+def boxes(draw):
+    lo = draw(points)
+    size = draw(sizes)
+    return Box(lo, tuple(a + d for a, d in zip(lo, size)))
+
+
+@st.composite
+def scenes(draw):
+    sensor = draw(sensors)
+    static = draw(st.lists(boxes(), max_size=10))
+    dynamic = []
+    if draw(st.booleans()):
+        t0 = draw(st.floats(0.0, 2.0))
+        dynamic.append(DynamicObstacle(draw(sizes), [t0, t0 + 1.0],
+                                       [draw(points), draw(points)]))
+    ground_z = draw(st.one_of(st.none(), st.floats(-3.0, 1.0)))
+    origin = list(draw(origins))
+    if static and draw(st.booleans()):
+        box = draw(st.sampled_from(static))
+        axis = draw(st.integers(0, 2))
+        origin[axis] = draw(st.sampled_from([box.lo[axis], box.hi[axis]]))
+    az = np.linspace(-sensor.h_fov / 2.0, sensor.h_fov / 2.0, sensor.h_rays)
+    yaw = draw(st.one_of(st.floats(-math.pi, math.pi),
+                         st.sampled_from([0.0] + [float(-a) for a in az])))
+    world = World(static=static, dynamic=dynamic, ground_z=ground_z)
+    return (world, tuple(origin), yaw, sensor, draw(st.floats(0.0, 4.0)),
+            draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=300)
+@given(scenes())
+def test_sense_matches_oracle(scene):
+    # An origin on the ground plane or a box face gives a hit at distance
+    # -0.0, whose noise scale -0.0 numpy's normal rejects; both versions
+    # raise then.
+    assert outcome(sense, *scene) == outcome(oracle_sense, *scene)
+
+
+@given(st.floats(-math.pi, math.pi), st.integers(0, 100))
+def test_sense_boxes_at_and_beyond_range_match_oracle(yaw, seed):
+    # one box face-on per side, its near face at max_range or just past it
+    r = 3.0
+    o = (0.0, 1e-12, 1e-6, 0.5)
+    world = World(static=[
+        Box((r + o[0], -0.5, -0.5), (r + o[0] + 1.0, 0.5, 0.5)),
+        Box((-0.5, r + o[1], -0.5), (0.5, r + o[1] + 1.0, 0.5)),
+        Box((-r - o[2] - 1.0, -0.5, -0.5), (-r - o[2], 0.5, 0.5)),
+        Box((-0.5, -r - o[3] - 1.0, -0.5), (0.5, -r - o[3], 0.5)),
+        Box((1.0, 1.0, -0.5), (1.5, 1.5, 0.5)),
+    ])
+    for noise in (0.0, 0.005):
+        sensor = SensorParams(max_range=r, noise_coeff=noise)
+        scene = (world, (0.0, 0.0, 0.0), yaw, sensor, 0.5, seed)
+        assert_same_bytes(sense(*scene), oracle_sense(*scene))
+
+
+def test_sense_origin_on_box_face_matches_oracle():
+    # rays at elevation 0 start in the box's z = 1 face plane: 0 * inf = NaN
+    sensor = SensorParams(h_rays=9, v_rays=7, noise_coeff=0.0)
+    world = World(static=[Box((1.0, -2.0, 1.0), (2.0, 2.0, 3.0)),
+                          Box((-3.0, 1.0, -1.0), (-2.0, 2.0, 1.0))])
+    for yaw in (0.0, 0.3, math.pi):
+        scene = (world, (0.0, 0.0, 1.0), yaw, sensor, 0.0, 0)
+        got = sense(*scene)
+        assert len(got) > 0
+        assert_same_bytes(got, oracle_sense(*scene))
+
+
+# -- voxel and outlier filters ----------------------------------------------
+
+@st.composite
+def clouds(draw, max_points=80):
+    n = draw(st.integers(0, max_points))
+    kind = draw(st.sampled_from(["float", "lattice"]))
+    if kind == "float":
+        cloud = draw(hnp.arrays(np.float64, (n, 3),
+                                elements=st.floats(-5.0, 5.0)))
+    else:
+        # points on a 0.1 m lattice: pairs sit exactly at 0.1 m multiples and
+        # points on voxel boundaries, negative ones included
+        cells = draw(hnp.arrays(np.int64, (n, 3),
+                                elements=st.integers(-20, 20)))
+        cloud = cells * 0.1
+    if n and draw(st.booleans()):
+        dup = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        cloud = np.concatenate([cloud, cloud[dup]])
+    return cloud
+
+
+voxel_sizes = st.one_of(st.sampled_from([0.1, 0.2, 0.25, 0.5]),
+                        st.floats(0.05, 2.0))
+radii = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.4]),
+                  st.floats(0.05, 2.0))
+
+
+@settings(max_examples=300)
+@given(clouds(), voxel_sizes)
+def test_voxel_downsample_matches_oracle(cloud, voxel_size):
+    assert_same_bytes(voxel_downsample(cloud, voxel_size),
+                      oracle_voxel_downsample(cloud, voxel_size))
+
+
+@settings(max_examples=300)
+@given(clouds(), radii, st.integers(1, 6))
+def test_outlier_filter_matches_oracle(cloud, radius, min_neighbors):
+    assert_same_bytes(outlier_filter(cloud, radius, min_neighbors),
+                      oracle_outlier_filter(cloud, radius, min_neighbors))
+
+
+def test_filters_on_empty_and_single_point_clouds():
+    for cloud in (np.zeros((0, 3)), np.array([[0.3, -0.2, 1.0]])):
+        assert_same_bytes(voxel_downsample(cloud, 0.2),
+                          oracle_voxel_downsample(cloud, 0.2))
+        assert_same_bytes(outlier_filter(cloud, 0.4, 1),
+                          oracle_outlier_filter(cloud, 0.4, 1))
