@@ -11,7 +11,6 @@ import json
 import math
 import os
 import time as time_mod
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -19,8 +18,9 @@ from scipy.sparse.csgraph import dijkstra
 
 from .geometry import path_length
 from .jps import jps_search
-from .map_planner import DagsParams, shortcut_cells, stitched_plan
-from .mapping import GridMap2D, LocalMapParams, downsample, inflate
+from .map_planner import (DagsParams, nearest_free_in_grid, segment_box_exit,
+                          shortcut_cells, stitched_plan)
+from .mapping import GridMap2D, LocalMapParams, cut_center, downsample
 from .pcp import PcpParams, plan_motion
 from .runtime import LoopRates, Scenario, run_episode
 from .sim import Box, DynamicObstacle, World
@@ -175,24 +175,12 @@ def _local_goal_cell(window: np.ndarray, center, goal_rel):
     if 0 <= gx < n and 0 <= gy < n:
         cell = (int(gx), int(gy))
     else:
-        cx, cy = center
-        dx, dy = gx - cx, gy - cy
-        t = 1.0
-        for p0, d, limit in ((cx, dx, n - 1), (cy, dy, n - 1)):
-            if d > 0:
-                t = min(t, (limit - p0) / d)
-            elif d < 0:
-                t = min(t, (0 - p0) / d)
-        cell = (int(round(cx + t * dx)), int(round(cy + t * dy)))
-        cell = (min(max(cell[0], 0), n - 1), min(max(cell[1], 0), n - 1))
+        x, y = segment_box_exit(center, goal_rel, 0, n - 1)
+        cell = (min(max(int(round(x)), 0), n - 1),
+                min(max(int(round(y)), 0), n - 1))
     if window[cell] == 0:
         return cell
-    free = np.argwhere(window == 0)
-    if len(free) == 0:
-        return None
-    d = np.sum((free - np.asarray(cell)) ** 2, axis=1)
-    x, y = free[int(np.argmin(d))]
-    return int(x), int(y)
+    return nearest_free_in_grid(window, cell)
 
 
 def _first_step(path_cells):
@@ -287,8 +275,7 @@ def _stitched_on_window(win, origin, start_cell, g_cell,
     lo = i // 2 - m // 2
     if cache.get("origin") != origin:
         map_1 = GridMap2D(origin=np.zeros(2), resolution=1.0, cells=win)
-        map_c = GridMap2D(origin=np.full(2, float(lo)), resolution=1.0,
-                          cells=win[lo:lo + m, lo:lo + m].copy())
+        map_c = cut_center(map_1, m)
         cache.clear()
         cache.update(origin=origin, map_c=map_c,
                      map_1b=downsample(map_1, h, params.s), plan={})

@@ -3,9 +3,8 @@ search, chord-shortcut optimization, the two-round discrete angular 3D search
 and the final path selection."""
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +35,6 @@ class PlanPath:
 
     def length(self) -> float:
         return path_length(self.waypoints)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "waypoints": [list(map(float, w)) for w in self.waypoints],
-        })
 
 
 @dataclass
@@ -228,7 +221,7 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
         prev_f = _coarse_to_fine_center(path_b[k - 1], h)
         if k < len(path_b):
             cur_f = _coarse_to_fine_center(path_b[k], h)
-            cross = _segment_box_exit(prev_f, cur_f, lo, lo + m)
+            cross = segment_box_exit(prev_f, cur_f, lo, lo + m)
         else:
             cross = prev_f
         cand = (min(max(int(round(cross[0] - lo)), 0), m - 1),
@@ -265,7 +258,7 @@ def _coarse_inside(cell, h, lo, m):
     return lo <= cx < lo + m and lo <= cy < lo + m
 
 
-def _segment_box_exit(a, b, lo, hi):
+def segment_box_exit(a, b, lo, hi):
     """Intersection of segment a->b (a inside) with the square [lo, hi]^2."""
     ax, ay = a
     bx, by = b
@@ -279,7 +272,9 @@ def _segment_box_exit(a, b, lo, hi):
     return ax + t * dx, ay + t * dy
 
 
-def _nearest_free_in_grid(cells: np.ndarray, ref):
+def nearest_free_in_grid(cells: np.ndarray, ref):
+    """Free cell nearest to ref, the first in index order on ties; None if
+    the grid has no free cell."""
     free = np.argwhere(cells == 0)
     if len(free) == 0:
         return None
@@ -345,13 +340,6 @@ class AngularGraph:
             if best_key is None or key < best_key:
                 best, best_key = cell, key
         return best
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "alpha_res": self.alpha_res,
-            "goal_angles": [self.az_g, self.el_g],
-            "occupied_cells": sorted(self.cells.keys()),
-        })
 
 
 def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,

@@ -62,14 +62,6 @@ class GridMap2D:
     def is_free(self, cell) -> bool:
         return self.in_bounds(cell) and self.cells[cell[0], cell[1]] == 0
 
-    def to_pgm(self) -> str:
-        """ASCII PGM dump for debugging."""
-        h, w = self.cells.shape
-        lines = ["P2", f"{w} {h}", "1"]
-        for row in self.cells:
-            lines.append(" ".join("1" if v else "0" for v in row))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class VoxelMap:

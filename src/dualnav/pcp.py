@@ -8,7 +8,7 @@ for the acceleration command. A safety backup covers the no-ray case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,8 +1,9 @@
 """Concurrent orchestration of the four planning loops plus the simulator.
 
-Virtual-time mode runs everything single-threaded on a deterministic event
-heap and is used for all correctness tests; wall-clock mode runs the same
-loop bodies on real threads for timing measurements only.
+One dispatch path, `_EpisodeCore.tick`, runs and times every loop tick under
+either of two clocks. Virtual-time mode runs everything single-threaded on a
+deterministic event heap and is used for all correctness tests; wall-clock
+mode paces each loop on its own thread for timing measurements only.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from .geometry import min_clearance, path_length
 from .map_planner import DagsParams, plan_final_path
 from .mapping import LocalMapParams, VoxelMap, local_map, project_2d
 from .pcl import FilterParams, Pose, filter_pipeline
-from .pcp import (MotionCommand, PcpParams, compute_goal, das_search,
-                  plan_motion, safety_backup, streamline)
+from .pcp import (PcpParams, _brake_accel, _finish, compute_goal, das_search,
+                  plan_motion, safety_backup, streamline, update_t_avs)
 from .sim import (DroneState, SensorParams, World, check_collision,
                   scan_world, sense, step_dynamics)
 
@@ -41,6 +42,15 @@ class LoopRates:
             raise ValueError("sim_dt must be positive")
         if self.pcp_hz < self.mp_hz:
             raise ValueError("pcp rate must be >= mp rate")
+
+    def periods(self):
+        """(loop, period) for the five loops, in the order simultaneous ticks
+        fire."""
+        return (("filter", 1.0 / self.filter_hz),
+                ("mapping", 1.0 / self.mapping_hz),
+                ("mp", 1.0 / self.mp_hz),
+                ("pcp", 1.0 / self.pcp_hz),
+                ("sim", self.sim_dt))
 
 
 class Blackboard:
@@ -118,16 +128,11 @@ def virtual_schedule(rates: LoopRates, duration: float):
     """Deterministic event sequence (time, loop) over a virtual duration.
 
     Loops fire at exact multiples of their periods; simultaneous events fire
-    in the fixed order filter, mapping, mp, pcp, sim.
+    in the order of `LoopRates.periods`.
     """
-    names = [("filter", 1.0 / rates.filter_hz),
-             ("mapping", 1.0 / rates.mapping_hz),
-             ("mp", 1.0 / rates.mp_hz),
-             ("pcp", 1.0 / rates.pcp_hz),
-             ("sim", rates.sim_dt)]
     # integer microsecond clock avoids float-accumulation drift
     heap = []
-    for order, (name, period) in enumerate(names):
+    for order, (name, period) in enumerate(rates.periods()):
         heapq.heappush(heap, (0, order, name, int(round(period * 1e6))))
     end_us = int(round(duration * 1e6))
     while heap:
@@ -162,9 +167,9 @@ class _EpisodeCore:
         self.pcp_steps = 0
         self.mp_replans = 0
         self.backup_count = 0
-        self.timing = {name: [] for name in
-                       ("filter", "mapping", "mp", "pcp")}
+        self.timing = {name: [] for name, _ in scenario.rates.periods()}
         self._lock = threading.Lock()
+        self.bb.publish("state", self.state)
 
     def _initial_yaw(self):
         d = np.asarray(self.sc.goal, dtype=float) - np.asarray(
@@ -174,10 +179,20 @@ class _EpisodeCore:
     def log(self, t, kind, payload=None):
         self.events.append((round(t, 6), kind, payload))
 
+    def tick(self, name, t, t_avs):
+        """Run one tick of loop `name` at time t and record its wall time;
+        t_avs is the PCP horizon, used by the pcp loop only."""
+        tic = time_mod.perf_counter()
+        if name == "pcp":
+            self.pcp_step(t, t_avs)
+        else:
+            getattr(self, name + "_step")(t)
+        self.timing[name].append(time_mod.perf_counter() - tic)
+
     # -- loop bodies --------------------------------------------------------
 
     def filter_step(self, t):
-        st = self.bb.read("state") or self.state
+        st = self.bb.read("state")
         cloud_body = sense(self.world, st.p, st.yaw, self.sc.sensor, t,
                            self.sc.seed)
         pose = Pose(position=tuple(st.p), yaw=st.yaw)
@@ -191,7 +206,7 @@ class _EpisodeCore:
 
     def mapping_step(self, t):
         pcl4 = self.bb.read("pcl4")
-        st = self.bb.read("state") or self.state
+        st = self.bb.read("state")
         if pcl4 is not None and len(pcl4) and not self.sc.freeze_map:
             self.vmap.integrate(pcl4)
         pcl_m = self.vmap.occupied_centers()
@@ -204,7 +219,7 @@ class _EpisodeCore:
         if snap is None:
             return
         pcl_m, pcl_lm, map_1 = snap
-        st = self.bb.read("state") or self.state
+        st = self.bb.read("state")
         current = self.bb.read("path")
         if current is not None:
             # replan only when the path actually intersects the map within the
@@ -238,11 +253,11 @@ class _EpisodeCore:
     def pcp_step(self, t, t_avs):
         sc = self.sc
         pp = sc.pcp_params
-        st = self.bb.read("state") or self.state
+        st = self.bb.read("state")
         path = self.bb.read("path")
         self.pcp_steps += 1
         if path is None:
-            self._publish_cmd(self._brake(st, t_avs), t)
+            self.bb.publish("cmd", self._brake(st, t_avs))
             return
         wp = path.waypoints
         with self._lock:
@@ -265,7 +280,7 @@ class _EpisodeCore:
                 and np.linalg.norm(end - self.goal) > sc.goal_tol):
             # local goal reached but not the global one: force a replan
             self.bb.publish("path", None)
-            self._publish_cmd(self._brake(st, t_avs), t)
+            self.bb.publish("cmd", self._brake(st, t_avs))
             return
         g_n = compute_goal(st.p, st.v, remaining, pp.kappa1, pp.kappa2)
         cloud = self._pcp_cloud(st.p, g_n)
@@ -285,7 +300,7 @@ class _EpisodeCore:
             cmd = plan_motion(st.p, st.v, w_pn, t_avs, pp)
             self.log(t, "pcp_ray", {"ray": ray_idx})
         self.prev_p = st.p.copy()
-        self._publish_cmd(cmd, t)
+        self.bb.publish("cmd", cmd)
 
     def _pcp_cloud(self, p, g_n):
         sc = self.sc
@@ -315,16 +330,14 @@ class _EpisodeCore:
         return cloud[order]
 
     def _brake(self, st, t_avs):
+        """Hold: brake to a stop within the horizon, at most at a_max."""
         nv = np.linalg.norm(st.v)
-        pp = self.sc.pcp_params
-        a = (-st.v / nv * min(pp.a_max, nv / t_avs)) if nv > 1e-9 else np.zeros(3)
-        return MotionCommand(a_n=a, p_next=st.p + st.v * t_avs + 0.5 * a * t_avs ** 2,
-                             v_next=st.v + a * t_avs, mode="hold")
+        a = (_brake_accel(st.v, min(self.sc.pcp_params.a_max, nv / t_avs))
+             if nv > 1e-9 else np.zeros(3))
+        return _finish(a, st.p, st.v, t_avs, "hold", True, 0)
 
-    def _publish_cmd(self, cmd, t):
-        self.bb.publish("cmd", cmd)
-
-    def sim_step(self, t, dt):
+    def sim_step(self, t):
+        dt = self.sc.rates.sim_dt
         cmd = self.bb.read("cmd")
         a = cmd.a_n if cmd is not None else np.zeros(3)
         mode = cmd.mode if cmd is not None else "hold"
@@ -370,109 +383,47 @@ class _EpisodeCore:
 
 
 def run_episode(scenario: Scenario, mode: str = "virtual_time") -> EpisodeResult:
-    if mode == "virtual_time":
-        return _run_virtual(scenario)
-    if mode == "wall_clock":
-        return _run_wall_clock(scenario)
-    raise ValueError("mode must be virtual_time or wall_clock")
-
-
-def _run_virtual(scenario: Scenario) -> EpisodeResult:
+    if mode not in ("virtual_time", "wall_clock"):
+        raise ValueError("mode must be virtual_time or wall_clock")
     core = _EpisodeCore(scenario)
-    core.bb.publish("state", core.state)
     timeout = scenario.timeout_or_default()
-    t_avs = scenario.pcp_step_duration
-    for t, name in virtual_schedule(scenario.rates, timeout):
-        tic = time_mod.perf_counter()
-        if name == "filter":
-            core.filter_step(t)
-        elif name == "mapping":
-            core.mapping_step(t)
-        elif name == "mp":
-            core.mp_step(t)
-        elif name == "pcp":
-            core.pcp_step(t, t_avs)
-        else:
-            core.sim_step(t, scenario.rates.sim_dt)
-        if name != "sim":
-            core.timing[name].append(time_mod.perf_counter() - tic)
-        if core.status is not None:
-            break
+    if mode == "virtual_time":
+        for t, name in virtual_schedule(scenario.rates, timeout):
+            core.tick(name, t, scenario.pcp_step_duration)
+            if core.status is not None:
+                break
+    else:
+        _run_wall_clock(core, timeout)
     return core.result()
 
 
-def _run_wall_clock(scenario: Scenario) -> EpisodeResult:
-    core = _EpisodeCore(scenario)
-    core.bb.publish("state", core.state)
-    timeout = scenario.timeout_or_default()
+def _run_wall_clock(core: _EpisodeCore, timeout: float) -> None:
+    """One thread per loop, each paced at its period on the host clock; a
+    tick that starts late moves the loop's next tick to one period on."""
     stop = threading.Event()
-    start_wall = time_mod.perf_counter()
-    t_hist = []
+    start = time_mod.perf_counter()
 
-    def now():
-        return time_mod.perf_counter() - start_wall
-
-    def loop(name, period, body):
+    def pace(name, period):
         next_t = 0.0
         while not stop.is_set():
-            t = now()
+            t = time_mod.perf_counter() - start
             if t >= timeout:
                 break
             if t < next_t:
                 time_mod.sleep(min(next_t - t, 0.002))
                 continue
-            tic = time_mod.perf_counter()
-            body(t)
-            dur = time_mod.perf_counter() - tic
-            core.timing[name].append(dur)
-            if name == "pcp":
-                t_hist.append(dur)
+            t_avs = (update_t_avs(core.timing["pcp"][-10:])
+                     if name == "pcp" else None)
+            core.tick(name, t, t_avs)
+            if core.status is not None:
+                stop.set()
             next_t += period
             if next_t < t:
                 next_t = t + period
 
-    from .pcp import update_t_avs
-
-    def pcp_body(t):
-        core.pcp_step(t, update_t_avs(t_hist))
-
-    def sim_body(t):
-        core.sim_step(t, scenario.rates.sim_dt)
-        if core.status is not None:
-            stop.set()
-
-    rates = scenario.rates
-    threads = [
-        threading.Thread(target=loop, args=("filter", 1.0 / rates.filter_hz,
-                                            core.filter_step)),
-        threading.Thread(target=loop, args=("mapping", 1.0 / rates.mapping_hz,
-                                            core.mapping_step)),
-        threading.Thread(target=loop, args=("mp", 1.0 / rates.mp_hz,
-                                            core.mp_step)),
-        threading.Thread(target=loop, args=("pcp", 1.0 / rates.pcp_hz,
-                                            pcp_body)),
-    ]
+    threads = [threading.Thread(target=pace, args=loop)
+               for loop in core.sc.rates.periods()]
     for th in threads:
         th.start()
-    sim_loop = threading.Thread(
-        target=lambda: _sim_driver(core, rates.sim_dt, now, timeout, stop,
-                                   sim_body))
-    sim_loop.start()
-    sim_loop.join()
-    stop.set()
     for th in threads:
         th.join()
-    return core.result()
-
-
-def _sim_driver(core, dt, now, timeout, stop, sim_body):
-    next_t = 0.0
-    while not stop.is_set():
-        t = now()
-        if t >= timeout:
-            break
-        if t < next_t:
-            time_mod.sleep(min(next_t - t, 0.002))
-            continue
-        sim_body(t)
-        next_t += dt

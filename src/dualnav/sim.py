@@ -127,7 +127,6 @@ class SensorParams:
 class DroneState:
     p: np.ndarray
     v: np.ndarray
-    a: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw: float = 0.0
     time: float = 0.0
 
@@ -208,7 +207,8 @@ def sense(world: World, position, yaw: float, sensor: SensorParams,
     if sensor.noise_coeff > 0.0:
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), int(round(time * 1e6))]))
-        t = t + rng.normal(0.0, sensor.noise_coeff * t)
+        # abs: a ray starting on a surface hits at -0.0, a scale numpy rejects
+        t = t + rng.normal(0.0, sensor.noise_coeff * np.abs(t))
     pts_e = origin + t[:, None] * dirs[:, hit].T
     # back to the yaw-aligned body frame
     rel = pts_e - origin
@@ -229,7 +229,7 @@ def step_dynamics(state: DroneState, a_n, dt: float, v_max: float) -> DroneState
     nv = np.linalg.norm(v)
     if nv > v_max:
         v = v * (v_max / nv)
-    return DroneState(p=p, v=v, a=a, yaw=state.yaw, time=state.time + dt)
+    return DroneState(p=p, v=v, yaw=state.yaw, time=state.time + dt)
 
 
 def check_collision(world: World, position, radius: float, time: float) -> bool:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -88,10 +90,13 @@ def test_collision_is_detected():
 
 def test_wall_clock_smoke():
     sc = empty_scenario(timeout=0.6)
+    threads_before = threading.active_count()
     res = run_episode(sc, mode="wall_clock")
+    assert threading.active_count() == threads_before
     assert res.status in ("goal_reached", "timeout")
     assert len(res.trajectory) > 0
-    assert res.timing["pcp"]["count"] > 0
+    for loop in ("filter", "mapping", "mp", "pcp", "sim"):
+        assert res.timing[loop]["count"] > 0
 
 
 def test_unknown_mode_rejected():

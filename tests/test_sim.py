@@ -69,6 +69,14 @@ def test_sense_ground_plane():
     assert np.allclose(cloud[:, 2], -1.0, atol=1e-9)
 
 
+def test_sense_origin_on_ground_plane_with_noise():
+    # every ray hits the plane at distance -0.0, and numpy's normal rejects
+    # a noise scale of -0.0
+    cloud = sense(World(ground_z=0.0), (0, 0, 0), 0.0, SensorParams(), 0.0, 0)
+    assert len(cloud) > 0
+    assert np.all(cloud == 0.0)
+
+
 def test_step_dynamics_exact_and_clamped():
     st = DroneState(p=np.zeros(3), v=np.array([1.0, 0, 0]))
     out = step_dynamics(st, np.array([2.0, 0, 0]), 0.5, v_max=10.0)
