@@ -190,20 +190,21 @@ def _first_step(path_cells):
     return x0 + dx, y0 + dy
 
 
-def _window(cells, center, half, align: int = 1):
-    """Window of side 2*half around the cell; outside the map counts as
-    occupied so local plans never step off the grid.
+def _window(cells, center, side, align: int = 1):
+    """Window of the given side with the cell at index side // 2, as in
+    Map_1; outside the map counts as occupied so local plans never step off
+    the grid.
 
     The origin is snapped down to a multiple of align so downsample blocks
     stay fixed in absolute map coordinates as the center moves.
     """
     size = cells.shape[0]
-    x0, y0 = center[0] - half, center[1] - half
+    x0, y0 = center[0] - side // 2, center[1] - side // 2
     x0 -= x0 % align
     y0 -= y0 % align
-    win = np.ones((2 * half, 2 * half), dtype=np.uint8)
+    win = np.ones((side, side), dtype=np.uint8)
     sx0, sy0 = max(x0, 0), max(y0, 0)
-    sx1, sy1 = min(x0 + 2 * half, size), min(y0 + 2 * half, size)
+    sx1, sy1 = min(x0 + side, size), min(y0 + side, size)
     win[sx0 - x0:sx1 - x0, sy0 - y0:sy1 - y0] = cells[sx0:sx1, sy0:sy1]
     return win, (x0, y0)
 
@@ -211,7 +212,6 @@ def _window(cells, center, half, align: int = 1):
 def _simulate_local(cells, start, goal, local_size, stitched: bool,
                     max_steps: int):
     """Move one cell per step along a freshly planned local path."""
-    half = local_size // 2
     pos = start
     visited = [start]
     times = []
@@ -233,7 +233,7 @@ def _simulate_local(cells, start, goal, local_size, stitched: bool,
         # align the window origin to the pooling stride so coarse blocks stay
         # fixed in map coordinates while the drone moves cell by cell
         align = params.h if stitched else 1
-        win, (x0, y0) = _window(cells, pos, half, align)
+        win, (x0, y0) = _window(cells, pos, local_size, align)
         center = (pos[0] - x0, pos[1] - y0)
         goal_rel = (goal[0] - x0, goal[1] - y0)
         tic = time_mod.perf_counter()

@@ -303,19 +303,37 @@ def _nearest_reachable(cells: np.ndarray, start, ref, boundary_only=False):
 
 
 class AngularGraph:
-    """Goal-relative discretized direction cells for one search round."""
+    """Goal-relative discretized direction cells for one search round.
+
+    Each point's direction from the origin is taken relative to the goal
+    direction: azimuth difference wrapped to (-pi, pi], elevation difference
+    as is. Both are floored in units of alpha_res to the integer cell key
+    (a, b). `cells` is the set of keys that hold at least one point, found
+    with one np.unique over a packed scalar key (the key stays inside int64
+    for any alpha_res above about 1e-9 rad); `members(cell)` gives the
+    indices of a cell's points in ascending order.
+    """
 
     def __init__(self, points: np.ndarray, origin, goal, alpha_res: float):
         self.alpha_res = alpha_res
         self.az_g, self.el_g = spherical_angles(np.asarray(goal) - np.asarray(origin))
-        self.cells: dict = {}
-        origin = np.asarray(origin, dtype=float)
-        for idx, p in enumerate(np.asarray(points, dtype=float).reshape(-1, 3)):
-            az, el = spherical_angles(p - origin)
-            rel = (wrap_angle(az - self.az_g), el - self.el_g)
-            key = (int(math.floor(rel[0] / alpha_res)),
-                   int(math.floor(rel[1] / alpha_res)))
-            self.cells.setdefault(key, []).append(idx)
+        d = (np.asarray(points, dtype=float).reshape(-1, 3)
+             - np.asarray(origin, dtype=float))
+        az = np.arctan2(d[:, 1], d[:, 0])
+        el = np.arctan2(d[:, 2], np.hypot(d[:, 0], d[:, 1]))
+        rel_az = wrap_angle(az - self.az_g)
+        self._ka = np.floor(rel_az / alpha_res).astype(np.int64)
+        self._kb = np.floor((el - self.el_g) / alpha_res).astype(np.int64)
+        self.cells: set = set()
+        if len(d):
+            a0, b0 = self._ka.min(), self._kb.min()
+            nb = self._kb.max() - b0 + 1
+            keys = np.unique((self._ka - a0) * nb + (self._kb - b0))
+            self.cells = set(zip((keys // nb + a0).tolist(),
+                                 (keys % nb + b0).tolist()))
+
+    def members(self, cell) -> np.ndarray:
+        return np.flatnonzero((self._ka == cell[0]) & (self._kb == cell[1]))
 
     def edge_cells(self):
         out = []
@@ -376,7 +394,7 @@ def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
         cell = graph.min_norm_edge_cell()
         if cell is None:
             continue
-        members = subset[graph.cells[cell]]
+        members = subset[graph.members(cell)]
         d_seg = segment_point_distances(origin, g_l, members)
         p_eg = members[int(np.argmax(d_seg))]
         range_origin = origin if params.range_from_origin else p_n
@@ -430,7 +448,6 @@ class MapPlanResult:
     used_3d: bool
     path_2d: PlanPath
     path_3d: PlanPath | None = None
-    stitched: StitchedPlan | None = None
 
 
 def plan_final_path(p_n, global_goal, pcl_lm, map_1: GridMap2D,
@@ -458,4 +475,4 @@ def plan_final_path(p_n, global_goal, pcl_lm, map_1: GridMap2D,
     final = select_final_path(path_2d, path_3d, p_n[2], g_l[2])
     return MapPlanResult(path=final, g_l=g_l, g_l_cell=g_cell,
                          used_3d=final is path_3d, path_2d=path_2d,
-                         path_3d=path_3d, stitched=st)
+                         path_3d=path_3d)

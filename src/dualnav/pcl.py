@@ -88,8 +88,10 @@ def voxel_downsample(cloud: np.ndarray, voxel_size: float) -> np.ndarray:
     inverse = np.empty(len(cloud), dtype=np.intp)
     inverse[by_voxel] = np.cumsum(starts) - 1
     first = by_voxel[starts]
-    sums = np.zeros((first.size, 3))
-    np.add.at(sums, inverse, cloud)
+    # bincount adds each voxel's points in input order, one axis at a time
+    sums = np.stack([np.bincount(inverse, weights=cloud[:, k],
+                                 minlength=first.size) for k in range(3)],
+                    axis=1)
     counts = np.bincount(inverse, minlength=first.size).astype(float)
     centroids = sums / counts[:, None]
     order = np.argsort(first, kind="stable")

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from dualnav.bench import (bench_optimizer, export_plots, intruder_world,
-                           oracle_shortest_path, random_map_2d,
-                           random_world_3d, wall_world)
+from dualnav.bench import (bench_map2d, bench_optimizer, export_plots,
+                           intruder_world, oracle_shortest_path,
+                           random_map_2d, random_world_3d, wall_world)
 from dualnav.sim import Box, World
 
 
@@ -70,6 +70,13 @@ def test_wall_and_intruder_fixtures():
     assert len(iworld.dynamic) == 1
     assert iworld.dynamic[0].center_at(5.0) is None
     assert np.allclose(iworld.dynamic[0].center_at(10.0), [2.9, 0.0, 0.8])
+
+
+def test_bench_map2d_odd_window():
+    # the window has the Map_1 side, so the stitched arm can pool it
+    out = bench_map2d(map_size=200, trials=1, local_size=61, min_dist=100)
+    assert len(out["rows"]) == 1
+    assert out["rows"][0]["len_stitched"] > 0
 
 
 def test_bench_optimizer_small():

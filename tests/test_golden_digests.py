@@ -1,20 +1,27 @@
-"""Behaviour lock: fixed flights and a small 2D study replay to the same bytes.
+"""Behaviour lock: fixed flights, map-planner queries and a small 2D study
+replay to the same bytes.
 
 Each flight digest is the sha256 of an episode's trajectory CSV plus its
 metrics JSON, for the worlds and configuration the benchmark flies (episode
-seed 0). The 2D-study digest covers the seed and length columns of
-`bench_map2d`'s rows; its time columns vary between runs and are left out.
+seed 0). The map-planner digest covers the plans of fixed `plan_final_path`
+queries with and without DAGS. The 2D-study digest covers the seed and length
+columns of `bench_map2d`'s rows; its time columns vary between runs and are
+left out.
 A change that claims to keep behaviour must keep these digests; one that
 changes behaviour on purpose updates them and says why.
 """
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from dualnav.bench import (bench_map2d, flight_scenario, intruder_world,
                            random_world_3d, wall_world)
+from dualnav.map_planner import DagsParams, plan_final_path
+from dualnav.mapping import LocalMapParams, VoxelMap, local_map, project_2d
 from dualnav.runtime import run_episode
+from dualnav.sim import scan_world
 
 GOLDEN = {
     "wall": "467d9471a43374d56603b09e77925ef93279cd652c7c1dd57ba12ac7aab6060b",
@@ -54,3 +61,41 @@ def test_map2d_lengths_digest():
             for r in out["rows"]]
     digest = hashlib.sha256(json.dumps(cols).encode()).hexdigest()
     assert digest == MAP2D_GOLDEN
+
+
+MP_GOLDEN = \
+    "8d2fa671d8ec5d17f9ee9cdc8aac83d793e6f673f2473f52632dc206808eb7a5"
+
+# (random_world_3d seed, drone position, global goal); the goals 21-30 m away
+# lie beyond the 20 m local map, and every query but the last builds at
+# least one DAGS angular graph
+MP_QUERIES = (
+    (0, (-4.0, 0.0, 1.8), (4.0, 0.5, 2.0)),
+    (0, (-3.0, 1.5, 0.8), (26.0, -4.0, 1.1)),
+    (0, (0.0, -3.2, 1.4), (3.0, 24.0, 1.5)),
+    (1, (-4.0, 0.0, 1.1), (4.0, 0.5, 2.0)),
+    (2, (0.0, -3.2, 1.4), (4.0, 0.5, 2.0)),
+    (2, (-4.0, 0.0, 1.1), (-25.0, 6.0, 1.1)),
+)
+
+
+def test_map_planner_plans_digest():
+    """The flight configuration's map planner on known local maps; the DAGS
+    candidate is hashed too, so a rejected one still locks the search."""
+    params, dags = LocalMapParams(k=7), DagsParams(z_min=0.3)
+    h = hashlib.sha256()
+    for seed, p_n, goal in MP_QUERIES:
+        world, _, _ = random_world_3d(seed)
+        vmap = VoxelMap(params.voxel_size)
+        vmap.integrate(scan_world(world, params.voxel_size))
+        pcl_lm = local_map(vmap, p_n, params)
+        map_1 = project_2d(pcl_lm, p_n, params)
+        for use_dags in (True, False):
+            res = plan_final_path(p_n, goal, pcl_lm, map_1, params, dags,
+                                  use_dags=use_dags)
+            assert res is not None
+            cand = res.path_3d.waypoints if res.path_3d else np.zeros(0)
+            h.update(res.path.kind.encode())
+            for arr in (res.path.waypoints, res.g_l, cand):
+                h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == MP_GOLDEN

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dualnav.geometry import min_clearance, path_length
+from dualnav.geometry import (min_clearance, path_length, spherical_angles,
+                              wrap_angle)
 from dualnav.jps import jps_search, line_is_free
-from dualnav.map_planner import (DagsParams, PlanPath, cast_local_goal,
-                                 dags_search, lift_path, plan_final_path,
-                                 select_final_path, shortcut_cells,
-                                 shortcut_path, stitched_plan)
+from dualnav.map_planner import (AngularGraph, DagsParams, PlanPath,
+                                 cast_local_goal, dags_search, lift_path,
+                                 plan_final_path, select_final_path,
+                                 shortcut_cells, shortcut_path, stitched_plan)
 from dualnav.mapping import (GridMap2D, LocalMapParams, cut_center,
                              downsample, inflate, local_map, project_2d,
                              VoxelMap)
@@ -129,6 +132,74 @@ def test_stitched_plan_cache_consistency():
             continue
         assert a.fine_cells == b.fine_cells
         assert a.coarse_cells == b.coarse_cells
+
+
+class _PerPointGraph(AngularGraph):
+    """Oracle: the per-point AngularGraph loop the whole-array one replaced.
+
+    `cells` maps each cell to its point indices in input order; edge cells
+    and their selection are inherited unchanged.
+    """
+
+    def __init__(self, points, origin, goal, alpha_res):
+        self.alpha_res = alpha_res
+        self.az_g, self.el_g = spherical_angles(
+            np.asarray(goal) - np.asarray(origin))
+        self.cells = {}
+        origin = np.asarray(origin, dtype=float)
+        for idx, p in enumerate(np.asarray(points, dtype=float).reshape(-1, 3)):
+            az, el = spherical_angles(p - origin)
+            rel = (wrap_angle(az - self.az_g), el - self.el_g)
+            key = (int(math.floor(rel[0] / alpha_res)),
+                   int(math.floor(rel[1] / alpha_res)))
+            self.cells.setdefault(key, []).append(idx)
+
+
+@st.composite
+def angular_scenes(draw, max_points=40):
+    """Clouds around an origin, with points on the origin, straight above or
+    below it (zero horizontal distance) and opposite the goal azimuth (the
+    wrap boundary), goals on the origin, and lattice coordinates that put
+    angles on exact cell boundaries."""
+    if draw(st.booleans()):
+        coord = st.integers(-30, 30).map(lambda i: i * 0.1)
+    else:
+        coord = st.floats(-5.0, 5.0)
+    origin = np.array(draw(st.tuples(coord, coord, coord)))
+    goal = origin.copy()
+    if draw(st.booleans()):
+        goal = np.array(draw(st.tuples(coord, coord, coord)))
+    back = origin - (goal - origin) * [1.0, 1.0, 0.0]
+    special = st.sampled_from([origin, back]).flatmap(
+        lambda p: coord.map(lambda dz: p + [0.0, 0.0, dz]))
+    free = st.tuples(coord, coord, coord).map(np.array)
+    pts = draw(st.lists(st.one_of(free, special, st.just(origin)),
+                        min_size=1, max_size=max_points))
+    alpha_res = draw(st.one_of(
+        st.sampled_from([math.radians(10.0), math.radians(5.0), math.pi / 4]),
+        st.floats(0.01, math.pi / 4)))
+    return np.array(pts), origin, goal, alpha_res
+
+
+@settings(max_examples=300)
+@given(angular_scenes())
+# a relative azimuth of exactly -pi (y = -0.0 behind the goal) and of pi
+@example((np.array([[-1.0, -0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+          np.zeros(3), np.array([1.0, 0.0, 0.0]), math.radians(10.0)))
+# goal at azimuth pi, points at azimuth -pi and pi
+@example((np.array([[-2.0, -0.0, 0.5], [-2.0, 0.0, -0.5]]),
+          np.zeros(3), np.array([-1.0, 0.0, 0.0]), math.radians(10.0)))
+# one point, on the origin, with the goal on the origin too
+@example((np.zeros((1, 3)), np.zeros(3), np.zeros(3), math.radians(10.0)))
+def test_angular_graph_matches_per_point_loop(scene):
+    points, origin, goal, alpha_res = scene
+    graph = AngularGraph(points, origin, goal, alpha_res)
+    oracle = _PerPointGraph(points, origin, goal, alpha_res)
+    assert (graph.az_g, graph.el_g) == (oracle.az_g, oracle.el_g)
+    assert graph.cells == set(oracle.cells)
+    for cell, idx in oracle.cells.items():
+        assert graph.members(cell).tolist() == idx
+    assert graph.min_norm_edge_cell() == oracle.min_norm_edge_cell()
 
 
 def _wall_points():
