@@ -219,10 +219,8 @@ def _simulate_local(cells, start, goal, local_size, stitched: bool,
     # fine window about 35 percent of the full one gives a 4x pooling stride,
     # which keeps the coarse search small and the aligned window reusable
     m = int(local_size * 0.35)
-    h = int(round(local_size * local_size / (2.0 * m * m)))
     params = LocalMapParams(l_ms=float(local_size), h_ms=6.0,
-                            i=local_size, m=m, k=1,
-                            s=(-local_size) % h, voxel_size=1.0)
+                            i=local_size, m=m, k=1, voxel_size=1.0)
     for _ in range(max_steps):
         if pos == goal:
             # smooth the realized cell path the same way the global baseline
@@ -278,7 +276,7 @@ def _stitched_on_window(win, origin, start_cell, g_cell,
         map_c = cut_center(map_1, m)
         cache.clear()
         cache.update(origin=origin, map_c=map_c,
-                     map_1b=downsample(map_1, h, params.s), plan={})
+                     map_1b=downsample(map_1, h), plan={})
     sp = stitched_plan(cache["map_1b"], cache["map_c"], g_cell, params,
                        start_cell_fine=start_cell, cache=cache["plan"])
     if sp is None:
@@ -413,7 +411,6 @@ def flight_scenario(world, start, goal, seed: int, use_dags: bool = True,
         map_params=LocalMapParams(k=7),
         rates=LoopRates(filter_hz=30.0, mapping_hz=10.0, mp_hz=5.0,
                         pcp_hz=10.0, sim_dt=0.05),
-        pcp_step_duration=0.1,
         dags_params=DagsParams(z_min=0.3),
         use_dags=use_dags, known_world=known_world, freeze_map=freeze_map,
     )

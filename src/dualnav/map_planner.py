@@ -42,7 +42,6 @@ class DagsParams:
     alpha_res: float = math.radians(10.0)
     r_safe: float = 0.5
     z_min: float | None = None            # minimum allowed flight altitude
-    range_from_origin: bool = False       # measure l_tp from p_sr, not p_n
 
     def __post_init__(self):
         if not (0.0 < self.alpha_res <= math.pi / 4):
@@ -114,15 +113,6 @@ def shortcut_cells(path: list, cells: np.ndarray) -> list:
     return path
 
 
-def shortcut_path(path: PlanPath, grid: GridMap2D) -> PlanPath:
-    """Grid-space shortcut of a 2D path whose waypoints lie on cell centers."""
-    cells = [grid.world_to_cell(w[:2]) for w in path.waypoints]
-    kept = shortcut_cells(cells, grid.cells)
-    z = path.waypoints[0][2]
-    wps = [np.append(grid.cell_center(c), z) for c in kept]
-    return PlanPath(np.array(wps), kind=path.kind)
-
-
 @dataclass
 class StitchedPlan:
     path: PlanPath              # Earth XY waypoints, z = 0
@@ -155,6 +145,23 @@ def _exempt_start(cells: np.ndarray, start, cache: dict | None, key: str):
     return cells, grid
 
 
+def _search_with_fallback(cells: np.ndarray, grid, start, goal, ref=None,
+                          boundary_only=False):
+    """JPS cells from start to goal when the goal is free and reachable,
+    else to the free cell nearest ref (default: the goal) that start can
+    reach, on the grid boundary only if asked; None when there is none."""
+    res = None
+    if cells[goal[0], goal[1]] == 0:
+        res = jps_search(cells, start, goal, grid)
+    if res is None:
+        goal = _nearest_reachable(cells, start, goal if ref is None else ref,
+                                  boundary_only=boundary_only)
+        if goal is None:
+            return None
+        res = jps_search(cells, start, goal, grid)
+    return None if res is None else res[0]
+
+
 def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
                   goal_cell_fine, params: LocalMapParams,
                   start_cell_fine=None, cache: dict | None = None):
@@ -162,7 +169,11 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
 
     Plans the coarse path on Map_1b, cuts it at the Map_c boundary, replans
     the inside portion at full resolution and concatenates, shortcutting each
-    portion on its own grid. Returns a StitchedPlan or None on failure.
+    portion on its own grid. A search whose goal is blocked or unreachable
+    plans to the nearest free cell the start can reach instead (conservative
+    pooling can block or isolate the coarse goal cell while the fine goal
+    cell is free); the crossing g_ist falls back to the nearest reachable
+    Map_c boundary cell. Returns a StitchedPlan or None on failure.
 
     A cache dict owned by the caller amortizes the jump tables over repeated
     calls with the same two maps; pass a fresh dict after any map update.
@@ -181,36 +192,17 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
     coarse_rest: list = []
     g_ist = None
     if inside:
-        goal_c = (gx - lo, gy - lo)
-        res_a = None
-        if cells_c[goal_c[0], goal_c[1]] == 0:
-            res_a = jps_search(cells_c, start_c, goal_c, grid_c)
-        if res_a is None:
-            goal_c = _nearest_reachable(cells_c, start_c, goal_c)
-            if goal_c is None:
-                return None
-            res_a = jps_search(cells_c, start_c, goal_c, grid_c)
-        if res_a is None:
+        fine_path = _search_with_fallback(cells_c, grid_c, start_c,
+                                          (gx - lo, gy - lo))
+        if fine_path is None:
             return None
-        fine_path = res_a[0]
     else:
         start_b = (start_fine[0] // h, start_fine[1] // h)
         cells_b, grid_b = _exempt_start(map_1b.cells, start_b, cache, "grid_b")
-        goal_b = (gx // h, gy // h)
-        # conservative pooling can block or isolate the coarse goal cell even
-        # when the fine goal cell is free; snap to the nearest free coarse
-        # cell reachable from the start
-        res_b = None
-        if cells_b[goal_b[0], goal_b[1]] == 0:
-            res_b = jps_search(cells_b, start_b, goal_b, grid_b)
-        if res_b is None:
-            goal_b = _nearest_reachable(cells_b, start_b, goal_b)
-            if goal_b is None:
-                return None
-            res_b = jps_search(cells_b, start_b, goal_b, grid_b)
-        if res_b is None:
+        path_b = _search_with_fallback(cells_b, grid_b, start_b,
+                                       (gx // h, gy // h))
+        if path_b is None:
             return None
-        path_b = res_b[0]
         k = next((idx for idx, c in enumerate(path_b)
                   if not _coarse_inside(c, h, lo, m)), None)
         if k is None:
@@ -226,20 +218,12 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
             cross = prev_f
         cand = (min(max(int(round(cross[0] - lo)), 0), m - 1),
                 min(max(int(round(cross[1] - lo)), 0), m - 1))
-        res_a = None
-        if cells_c[cand[0], cand[1]] == 0:
-            g_ist = cand
-            res_a = jps_search(cells_c, start_c, g_ist, grid_c)
-        if res_a is None:
-            g_ist = _nearest_reachable(cells_c, start_c,
-                                       (cross[0] - lo, cross[1] - lo),
-                                       boundary_only=True)
-            if g_ist is None:
-                return None
-            res_a = jps_search(cells_c, start_c, g_ist, grid_c)
-        if res_a is None:
+        fine_path = _search_with_fallback(
+            cells_c, grid_c, start_c, cand, ref=(cross[0] - lo, cross[1] - lo),
+            boundary_only=True)
+        if fine_path is None:
             return None
-        fine_path = res_a[0]
+        g_ist = fine_path[-1]
         coarse_rest = path_b[k:]
 
     fine_sc = shortcut_cells(fine_path, cells_c)
@@ -397,8 +381,7 @@ def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
         members = subset[graph.members(cell)]
         d_seg = segment_point_distances(origin, g_l, members)
         p_eg = members[int(np.argmax(d_seg))]
-        range_origin = origin if params.range_from_origin else p_n
-        l_tp = float(np.linalg.norm(range_origin - p_eg))
+        l_tp = float(np.linalg.norm(p_n - p_eg))
         if params.r_safe > l_tp:
             return None
         alpha_safe = math.asin(params.r_safe / l_tp)
@@ -459,7 +442,7 @@ def plan_final_path(p_n, global_goal, pcl_lm, map_1: GridMap2D,
     map_1_infl = inflate(map_1, params.k)
     g_l, g_cell = cast_local_goal(p_n, global_goal, params, map_1_infl)
     map_c = inflate(cut_center(map_1, params.m), params.k)
-    map_1b = downsample(map_1, params.h, params.s)
+    map_1b = downsample(map_1, params.h)
     st = stitched_plan(map_1b, map_c, g_cell, params)
     if st is None:
         return None

@@ -20,14 +20,11 @@ class LocalMapParams:
     i: int = 100            # Map_1 cells per side (i == j)
     m: int = 50             # Map_c cells per side (m == n)
     k: int = 3              # inflation kernel, cells (odd)
-    s: int = 0              # zero padding rows/cols for downsampling
     voxel_size: float = 0.2
 
     def __post_init__(self):
         if self.i * self.i <= 3 * self.m * self.m:
             raise ValueError("need i*j > 3*m*n")
-        if (self.i + self.s) % self.h != 0:
-            raise ValueError("(i + s) must be divisible by h")
         if self.k % 2 == 0 or self.k < 1:
             raise ValueError("inflation kernel k must be odd and >= 1")
         if abs(self.l_ms / self.i - self.voxel_size) > 1e-9:
@@ -67,13 +64,6 @@ class GridMap2D:
 class VoxelMap:
     voxel_size: float = 0.2
     occupied: dict = field(default_factory=dict)   # index tuple -> hit count
-
-    def point_to_index(self, p) -> tuple[int, int, int]:
-        idx = np.floor(np.asarray(p, dtype=float) / self.voxel_size).astype(int)
-        return int(idx[0]), int(idx[1]), int(idx[2])
-
-    def index_to_center(self, idx) -> np.ndarray:
-        return (np.asarray(idx, dtype=float) + 0.5) * self.voxel_size
 
     def integrate(self, cloud: np.ndarray) -> None:
         """Mark the voxel of every point occupied. Occupied never clears."""
@@ -160,17 +150,16 @@ def inflate(grid: GridMap2D, k: int) -> GridMap2D:
                      cells=cells.astype(np.uint8))
 
 
-def downsample(grid: GridMap2D, h: int, s: int = 0) -> GridMap2D:
+def downsample(grid: GridMap2D, h: int) -> GridMap2D:
     """Map_1b: h x h mean pooling with round-half-away-from-zero.
 
-    The input is zero-padded by s rows/columns at the high-index side first.
+    The input is first zero-padded at the high-index side of each axis to
+    the next multiple of h.
     """
     i, j = grid.cells.shape
-    if (i + s) % h != 0 or (j + s) % h != 0:
-        raise ValueError("(size + s) must be divisible by h")
-    padded = np.zeros((i + s, j + s), dtype=np.uint8)
+    ni, nj = -(-i // h), -(-j // h)
+    padded = np.zeros((ni * h, nj * h), dtype=np.uint8)
     padded[:i, :j] = grid.cells
-    ni, nj = (i + s) // h, (j + s) // h
     blocks = padded.reshape(ni, h, nj, h).astype(float)
     means = blocks.mean(axis=(1, 3))
     # half away from zero: a block with exactly half its cells occupied counts

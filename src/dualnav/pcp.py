@@ -363,14 +363,3 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
     cmd.mode = "backup_brake"
     return cmd
 
-
-# -- timing ------------------------------------------------------------------
-
-def update_t_avs(history, floor: float = 0.005, ceiling: float = 0.1) -> float:
-    """Mean of the last 10 step durations, clamped while the window fills."""
-    recent = list(history)[-10:]
-    if len(recent) >= 10:
-        return float(np.mean(recent))
-    if not recent:
-        return floor
-    return float(min(max(np.mean(recent), floor), ceiling))

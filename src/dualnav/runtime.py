@@ -3,7 +3,10 @@
 One dispatch path, `_EpisodeCore.tick`, runs and times every loop tick under
 either of two clocks. Virtual-time mode runs everything single-threaded on a
 deterministic event heap and is used for all correctness tests; wall-clock
-mode paces each loop on its own thread for timing measurements only.
+mode paces each loop on its own thread on the host clock, so its flights
+depend on thread timing and serve timing measurements. Under both clocks
+the PCP ticks once per PCP period and plans each command over that period,
+the time the simulator holds it.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .map_planner import DagsParams, plan_final_path
 from .mapping import LocalMapParams, VoxelMap, local_map, project_2d
 from .pcl import FilterParams, Pose, filter_pipeline
 from .pcp import (PcpParams, _brake_accel, _finish, compute_goal, das_search,
-                  plan_motion, safety_backup, streamline, update_t_avs)
+                  plan_motion, safety_backup, streamline)
 from .sim import (DroneState, SensorParams, World, check_collision,
                   scan_world, sense, step_dynamics)
 
@@ -91,7 +94,6 @@ class Scenario:
     freeze_map: bool = False      # skip in-flight map integration (known worlds)
     drone_radius: float = 0.15
     goal_tol: float = 0.3
-    pcp_step_duration: float = 0.016   # virtual-mode PCP horizon t_avs
     timeout: float | None = None       # default 10 * distance / v_max
 
     def timeout_or_default(self) -> float:
@@ -158,6 +160,8 @@ class _EpisodeCore:
             p=np.asarray(scenario.start, dtype=float).copy(),
             v=np.zeros(3), yaw=self._initial_yaw())
         self.goal = np.asarray(scenario.goal, dtype=float)
+        # PCP horizon t_avs: each command holds until the next PCP tick
+        self.t_avs = 1.0 / scenario.rates.pcp_hz
         self.events = []
         self.trajectory = []
         self.status = None
@@ -179,14 +183,10 @@ class _EpisodeCore:
     def log(self, t, kind, payload=None):
         self.events.append((round(t, 6), kind, payload))
 
-    def tick(self, name, t, t_avs):
-        """Run one tick of loop `name` at time t and record its wall time;
-        t_avs is the PCP horizon, used by the pcp loop only."""
+    def tick(self, name, t):
+        """Run one tick of loop `name` at time t and record its wall time."""
         tic = time_mod.perf_counter()
-        if name == "pcp":
-            self.pcp_step(t, t_avs)
-        else:
-            getattr(self, name + "_step")(t)
+        getattr(self, name + "_step")(t)
         self.timing[name].append(time_mod.perf_counter() - tic)
 
     # -- loop bodies --------------------------------------------------------
@@ -250,14 +250,14 @@ class _EpisodeCore:
         self.log(t, "mp_replan", {"reason": reason, "ok": True,
                                   "kind": result.path.kind})
 
-    def pcp_step(self, t, t_avs):
+    def pcp_step(self, t):
         sc = self.sc
         pp = sc.pcp_params
         st = self.bb.read("state")
         path = self.bb.read("path")
         self.pcp_steps += 1
         if path is None:
-            self.bb.publish("cmd", self._brake(st, t_avs))
+            self.bb.publish("cmd", self._brake(st))
             return
         wp = path.waypoints
         with self._lock:
@@ -280,7 +280,7 @@ class _EpisodeCore:
                 and np.linalg.norm(end - self.goal) > sc.goal_tol):
             # local goal reached but not the global one: force a replan
             self.bb.publish("path", None)
-            self.bb.publish("cmd", self._brake(st, t_avs))
+            self.bb.publish("cmd", self._brake(st))
             return
         g_n = compute_goal(st.p, st.v, remaining, pp.kappa1, pp.kappa2)
         cloud = self._pcp_cloud(st.p, g_n)
@@ -297,7 +297,7 @@ class _EpisodeCore:
                 self.blocked_rays.add(0)
         else:
             w_pn, ray_idx = found
-            cmd = plan_motion(st.p, st.v, w_pn, t_avs, pp)
+            cmd = plan_motion(st.p, st.v, w_pn, self.t_avs, pp)
             self.log(t, "pcp_ray", {"ray": ray_idx})
         self.prev_p = st.p.copy()
         self.bb.publish("cmd", cmd)
@@ -329,12 +329,12 @@ class _EpisodeCore:
         order = np.argsort(np.linalg.norm(cloud - p, axis=1), kind="stable")
         return cloud[order]
 
-    def _brake(self, st, t_avs):
+    def _brake(self, st):
         """Hold: brake to a stop within the horizon, at most at a_max."""
         nv = np.linalg.norm(st.v)
-        a = (_brake_accel(st.v, min(self.sc.pcp_params.a_max, nv / t_avs))
-             if nv > 1e-9 else np.zeros(3))
-        return _finish(a, st.p, st.v, t_avs, "hold", True, 0)
+        a_max = min(self.sc.pcp_params.a_max, nv / self.t_avs)
+        a = _brake_accel(st.v, a_max) if nv > 1e-9 else np.zeros(3)
+        return _finish(a, st.p, st.v, self.t_avs, "hold", True, 0)
 
     def sim_step(self, t):
         dt = self.sc.rates.sim_dt
@@ -389,7 +389,7 @@ def run_episode(scenario: Scenario, mode: str = "virtual_time") -> EpisodeResult
     timeout = scenario.timeout_or_default()
     if mode == "virtual_time":
         for t, name in virtual_schedule(scenario.rates, timeout):
-            core.tick(name, t, scenario.pcp_step_duration)
+            core.tick(name, t)
             if core.status is not None:
                 break
     else:
@@ -412,9 +412,7 @@ def _run_wall_clock(core: _EpisodeCore, timeout: float) -> None:
             if t < next_t:
                 time_mod.sleep(min(next_t - t, 0.002))
                 continue
-            t_avs = (update_t_avs(core.timing["pcp"][-10:])
-                     if name == "pcp" else None)
-            core.tick(name, t, t_avs)
+            core.tick(name, t)
             if core.status is not None:
                 stop.set()
             next_t += period

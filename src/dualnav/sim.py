@@ -114,7 +114,6 @@ class SensorParams:
     h_rays: int = 64
     v_rays: int = 36
     noise_coeff: float = 0.005    # radial noise std per meter of range
-    rate_hz: float = 30.0
 
     def __post_init__(self):
         if not (0.0 < self.h_fov < math.pi and 0.0 < self.v_fov < math.pi):

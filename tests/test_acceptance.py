@@ -19,7 +19,7 @@ from dualnav.map_planner import (DagsParams, PlanPath, plan_final_path,
                                  shortcut_cells)
 from dualnav.mapping import LocalMapParams, VoxelMap, local_map, project_2d
 from dualnav.pcp import PcpParams, fermat_point
-from dualnav.runtime import Scenario, _EpisodeCore, run_episode
+from dualnav.runtime import LoopRates, Scenario, _EpisodeCore, run_episode
 from dualnav.sim import World, scan_world
 
 
@@ -308,7 +308,7 @@ def test_criterion_08_intruder_reaction():
 def _trapped_core(speed):
     sc = Scenario(world=World(), start=(0.0, 0.0, 1.0), goal=(5.0, 0.0, 1.0),
                   seed=3, pcp_params=PcpParams(v_max=1.35, a_max=2.0),
-                  pcp_step_duration=0.05)
+                  rates=LoopRates(pcp_hz=20.0))
     core = _EpisodeCore(sc)
     core.state.v = np.array([speed, 0.0, 0.0])
     core.prev_p = np.array([-0.1, 0.0, 1.0])
@@ -322,7 +322,7 @@ def _trapped_core(speed):
                                        sc.map_params)))
     core.bb.publish("path",
                     PlanPath(np.array([[0.0, 0.0, 1.0], [5.0, 0.0, 1.0]])))
-    core.pcp_step(0.0, 0.05)
+    core.pcp_step(0.0)
     return core
 
 

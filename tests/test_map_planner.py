@@ -11,7 +11,7 @@ from dualnav.jps import jps_search, line_is_free
 from dualnav.map_planner import (AngularGraph, DagsParams, PlanPath,
                                  cast_local_goal, dags_search, lift_path,
                                  plan_final_path, select_final_path,
-                                 shortcut_cells, shortcut_path, stitched_plan)
+                                 shortcut_cells, stitched_plan)
 from dualnav.mapping import (GridMap2D, LocalMapParams, cut_center,
                              downsample, inflate, local_map, project_2d,
                              VoxelMap)
@@ -54,15 +54,6 @@ def test_shortcut_soundness_random():
         assert len_out <= len_in + 1e-9
 
 
-def test_shortcut_path_wrapper():
-    cells, path = zigzag_fixture()
-    grid = GridMap2D(origin=np.zeros(2), resolution=0.5, cells=cells)
-    wp = np.array([[*grid.cell_center(c), 1.0] for c in path])
-    out = shortcut_path(PlanPath(wp), grid)
-    assert len(out.waypoints) == 4
-    assert out.waypoints[0][2] == pytest.approx(1.0)
-
-
 def test_plan_path_dedupes_and_validates():
     with pytest.raises(ValueError):
         PlanPath(np.zeros((0, 3)))
@@ -90,7 +81,7 @@ def _stitch_maps(cells, params):
                     params.i // 2 + (params.m + 1) // 2,
                     params.i // 2 - params.m // 2:
                     params.i // 2 + (params.m + 1) // 2].copy())
-    return downsample(grid, params.h, params.s), map_c
+    return downsample(grid, params.h), map_c
 
 
 def test_stitched_plan_goal_inside_fine_map():

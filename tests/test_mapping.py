@@ -84,7 +84,7 @@ def test_downsample_half_rounds_up():
 def test_downsample_padding():
     g = GridMap2D(origin=np.zeros(2), resolution=1.0,
                   cells=np.ones((3, 3), dtype=np.uint8))
-    out = downsample(g, 2, s=1)
+    out = downsample(g, 2)
     assert out.cells.shape == (2, 2)
     assert out.cells[0, 0] == 1
     # the padded corner block holds a single occupied cell out of four

@@ -6,7 +6,7 @@ import pytest
 from dualnav.pcp import (MotionCommand, PcpParams, braking_distance,
                          candidate_rays, collision_check_segment,
                          compute_goal, das_search, fermat_point, plan_motion,
-                         safety_backup, streamline, update_t_avs)
+                         safety_backup, streamline)
 
 
 def brute_median_cost(V, point):
@@ -165,10 +165,3 @@ def test_safety_backup_brake_branch():
     assert cmd.mode == "backup_brake"
     # braking opposes the velocity
     assert cmd.a_n[0] < 0
-
-
-def test_update_t_avs():
-    assert update_t_avs([]) == pytest.approx(0.005)
-    assert update_t_avs([0.5]) == pytest.approx(0.1)
-    assert update_t_avs([0.02] * 10) == pytest.approx(0.02)
-    assert update_t_avs([9.0] + [0.03] * 10) == pytest.approx(0.03)

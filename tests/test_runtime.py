@@ -13,8 +13,7 @@ def empty_scenario(**overrides):
     kwargs = dict(world=World(), start=(0.0, 0.0, 1.0), goal=(1.5, 0.0, 1.0),
                   seed=7, known_world=True, freeze_map=True,
                   rates=LoopRates(filter_hz=30.0, mapping_hz=10.0, mp_hz=5.0,
-                                  pcp_hz=10.0, sim_dt=0.05),
-                  pcp_step_duration=0.1)
+                                  pcp_hz=10.0, sim_dt=0.05))
     kwargs.update(overrides)
     return Scenario(**kwargs)
 
@@ -89,11 +88,12 @@ def test_collision_is_detected():
 
 
 def test_wall_clock_smoke():
-    sc = empty_scenario(timeout=0.6)
+    # the 1.5 m hop takes about 5 s of flight at these rates
+    sc = empty_scenario(timeout=10.0)
     threads_before = threading.active_count()
     res = run_episode(sc, mode="wall_clock")
     assert threading.active_count() == threads_before
-    assert res.status in ("goal_reached", "timeout")
+    assert res.status == "goal_reached"
     assert len(res.trajectory) > 0
     for loop in ("filter", "mapping", "mp", "pcp", "sim"):
         assert res.timing[loop]["count"] > 0
