@@ -1,12 +1,23 @@
 """Shared vector geometry helpers used across the planners and the simulator."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def norm(v) -> float:
+    """Euclidean norm of a 1-D float array, bit-equal to `np.linalg.norm(v)`.
+
+    numpy computes that norm as sqrt(v.dot(v)) as well; this skips its
+    argument handling, which costs more than the sum on a 3-vector.
+    """
+    return math.sqrt(float(v.dot(v)))
 
 
 def unit(v):
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    n = norm(v)
     if n == 0.0:
         return np.zeros_like(v)
     return v / n

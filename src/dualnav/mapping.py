@@ -64,6 +64,8 @@ class GridMap2D:
 class VoxelMap:
     voxel_size: float = 0.2
     occupied: dict = field(default_factory=dict)   # index tuple -> hit count
+    _centers: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def integrate(self, cloud: np.ndarray) -> None:
         """Mark the voxel of every point occupied. Occupied never clears."""
@@ -77,11 +79,21 @@ class VoxelMap:
             occ[key] = occ.get(key, 0) + 1
 
     def occupied_centers(self) -> np.ndarray:
-        """Pcl_m: centers of all occupied voxels, in insertion order."""
-        if not self.occupied:
-            return np.zeros((0, 3))
-        idx = np.array(list(self.occupied.keys()), dtype=float)
-        return (idx + 0.5) * self.voxel_size
+        """Pcl_m: centers of all occupied voxels, in insertion order.
+
+        The array is read-only and cached until the number of occupied
+        voxels changes; no voxel is ever removed, so that count changes
+        exactly when the set does.
+        """
+        if self._centers is None or len(self._centers) != len(self.occupied):
+            if self.occupied:
+                idx = np.array(list(self.occupied.keys()), dtype=float)
+                centers = (idx + 0.5) * self.voxel_size
+            else:
+                centers = np.zeros((0, 3))
+            centers.flags.writeable = False
+            self._centers = centers
+        return self._centers
 
     def to_json(self) -> str:
         return json.dumps({

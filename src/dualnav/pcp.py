@@ -4,15 +4,24 @@ Every step: derive the instantaneous goal from the reference path via the
 Fermat point of a weighted triangle, streamline the nearby cloud, search a fan
 of candidate rays for a safe waypoint, and solve a small constrained problem
 for the acceleration command. A safety backup covers the no-ray case.
+
+The planner runs at the framework's highest rate, so its 3-vector arithmetic
+runs on Python floats wherever that gives the bits of the numpy expression it
+stands for: an elementwise +, -, * or / and a comparison are the same IEEE
+operation either way. Two rules keep every command byte-equal: a 3-vector
+norm is sqrt(x.dot(x)), which is what `np.linalg.norm` computes, and a float
+shortcut decides a comparison only outside a proven guard band
+(`_norm_bound`).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import segment_point_distances, unit
+from .geometry import norm, unit
 
 
 @dataclass
@@ -51,74 +60,144 @@ class MotionCommand:
     iterations: int = 0
 
 
+# -- same-bytes 3-vector arithmetic on floats ---------------------------------
+
+_GUARD = 1e-12   # relative half-width of the guard band around a squared bound
+_TINY = 1e-300   # absolute slack for squares that round in the subnormal range
+
+
+def _dot(a, b) -> float:
+    """np.dot of two vectors given as float sequences."""
+    return float(np.array(a).dot(np.array(b)))
+
+
+def _sq(v) -> float:
+    """x.dot(x) for x = np.array(v); `x @ x` computes the same dot."""
+    x = np.array(v)
+    return float(x.dot(x))
+
+
+def _vnorm(v) -> float:
+    """`norm(np.array(v))`: np.linalg.norm of a float sequence."""
+    return math.sqrt(_sq(v))
+
+
+def _band(r):
+    """Bounds below and above r*r outside which `_norm_bound` decides."""
+    r2 = r * r
+    return r2 * (1.0 - _GUARD) - _TINY, r2 * (1.0 + _GUARD) + _TINY
+
+
+def _norm_bound(x, y, z, r) -> float:
+    """A stand-in for `_vnorm((x, y, z))` that compares with r as it does.
+
+    The naive s = x*x + y*y + z*z and numpy's dot both add three rounded
+    non-negative squares of the same components, so each lies within about
+    3 * 2**-53 (relative) of the exact sum of squares, plus at most
+    3 * 2**-1075 from squares that round in the subnormal range. When s lies
+    below r*r by more than the guard band (1e-12 relative plus 1e-300), the
+    dot lies below r*r * (1 - 1e-12 / 2), so its rounded square root stays
+    below r: the stand-in is 0.0. Above the band it is inf, by the same
+    argument. Inside the band, and for NaN, it is the exact norm.
+    """
+    s = x * x + y * y + z * z
+    below, above = _band(r)
+    if s < below:
+        return 0.0
+    if s > above:
+        return math.inf
+    return _vnorm((x, y, z))
+
+
+def _cross(a, b):
+    """np.cross of two 3-vectors, as numpy's products and differences."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _allclose(a, b) -> bool:
+    """np.allclose(a, b) of two 3-vectors, with its default tolerances."""
+    return all((abs(x - y) <= 1e-8 + 1e-5 * abs(y) and math.isfinite(y))
+               or x == y for x, y in zip(a, b))
+
+
 # -- goal extraction ---------------------------------------------------------
 
-def _fermat_point_2d(P: np.ndarray) -> np.ndarray:
-    """Geometric median of a planar triangle (classical case analysis)."""
-    sides = np.array([np.linalg.norm(P[(i + 1) % 3] - P[(i + 2) % 3])
-                      for i in range(3)])
+def _fermat_point_2d(P):
+    """Geometric median of a planar triangle (classical case analysis).
+
+    P holds three (x, y) pairs; so does the result.
+    """
+    (x0, y0), (x1, y1), (x2, y2) = P
+    # B[i] = P[i+2] - P[i]: side i, opposite vertex i, is |B[i+2]|, and the
+    # angle at vertex i spans A[i] = P[i+1] - P[i] = -B[i+1] and B[i]
+    B = ((x2 - x0, y2 - y0), (x0 - x1, y0 - y1), (x1 - x2, y1 - y2))
+    nb = [_vnorm(b) for b in B]
+    sides = [nb[2], nb[0], nb[1]]
     # degenerate: collinear or coincident vertices -> middle vertex
-    area2 = abs((P[1, 0] - P[0, 0]) * (P[2, 1] - P[0, 1])
-                - (P[2, 0] - P[0, 0]) * (P[1, 1] - P[0, 1]))
-    if area2 < 1e-12 * max(1.0, float(sides.max()) ** 2):
-        sums = [sum(np.linalg.norm(P[i] - P[j]) for j in range(3))
-                for i in range(3)]
-        return P[int(np.argmin(sums))].copy()
+    area2 = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+    if area2 < 1e-12 * max(1.0, max(sides) ** 2):
+        sums = [sum(_vnorm((xi - xj, yi - yj)) for xj, yj in P)
+                for xi, yi in P]
+        return P[sums.index(min(sums))]
+    A = ((x1 - x0, y1 - y0), (x2 - x1, y2 - y1), (x0 - x2, y0 - y2))
     angles = []
     for i in range(3):
-        a = P[(i + 1) % 3] - P[i]
-        b = P[(i + 2) % 3] - P[i]
-        cosang = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        cosang = _dot(A[i], B[i]) / (nb[(i + 1) % 3] * nb[i])
         angles.append(math.acos(min(1.0, max(-1.0, cosang))))
-    imax = int(np.argmax(angles))
+    imax = angles.index(max(angles))
     if angles[imax] >= 2.0 * math.pi / 3.0:
-        return P[imax].copy()
+        return P[imax]
     # isogonic point: barycentric weights a_i / sin(A_i + 60 deg)
-    w = sides / np.sin(np.array(angles) + math.pi / 3.0)
-    return (w[:, None] * P).sum(axis=0) / w.sum()
+    w = np.array(sides) / np.sin(np.array(angles) + math.pi / 3.0)
+    return ((w[:, None] * np.array(P)).sum(axis=0) / w.sum()).tolist()
 
 
-def fermat_point(vertices: np.ndarray) -> np.ndarray:
+def fermat_point(vertices) -> np.ndarray:
     """Point minimizing the sum of distances to three 3D vertices."""
     V = np.asarray(vertices, dtype=float).reshape(3, 3)
-    e1 = V[1] - V[0]
-    n1 = np.linalg.norm(e1)
+    v0, v1, v2 = V.tolist()
+    e1 = [b - a for a, b in zip(v0, v1)]
+    n1 = _vnorm(e1)
     if n1 < 1e-15:
-        e1 = V[2] - V[0]
-        n1 = np.linalg.norm(e1)
+        e1 = [b - a for a, b in zip(v0, v2)]
+        n1 = _vnorm(e1)
         if n1 < 1e-15:
             return V[0].copy()
-    u = e1 / n1
-    e2 = V[2] - V[0]
-    e2p = e2 - np.dot(e2, u) * u
-    n2 = np.linalg.norm(e2p)
-    v = e2p / n2 if n2 > 1e-15 else _any_orthogonal(u)
-    plane = np.stack([(V - V[0]) @ u, (V - V[0]) @ v], axis=1)
-    f2 = _fermat_point_2d(plane)
-    return V[0] + f2[0] * u + f2[1] * v
+    u = [x / n1 for x in e1]
+    e2 = [b - a for a, b in zip(v0, v2)]
+    k = _dot(e2, u)
+    e2p = [x - k * y for x, y in zip(e2, u)]
+    n2 = _vnorm(e2p)
+    v = [x / n2 for x in e2p] if n2 > 1e-15 else _any_orthogonal(u)
+    D = V - V[0]
+    plane = zip((D @ np.array(u)).tolist(), (D @ np.array(v)).tolist())
+    f0, f1 = _fermat_point_2d(tuple(plane))
+    return np.array([a + f0 * b + f1 * c for a, b, c in zip(v0, u, v)])
 
 
 def _any_orthogonal(u):
-    ref = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    w = np.cross(u, ref)
-    return w / np.linalg.norm(w)
+    ref = (1.0, 0.0, 0.0) if abs(u[0]) < 0.9 else (0.0, 1.0, 0.0)
+    w = _cross(u, ref)
+    n = _vnorm(w)
+    return [x / n for x in w]
 
 
 def compute_goal(p_n, v_0, path_waypoints, kappa1: float, kappa2: float):
     """Current PCP goal: Fermat point of the weighted waypoint triangle."""
-    p_n = np.asarray(p_n, dtype=float)
-    v_0 = np.asarray(v_0, dtype=float)
     wp = np.asarray(path_waypoints, dtype=float).reshape(-1, 3)
     if len(wp) == 0:
         raise ValueError("path must contain at least one waypoint")
-    pt1 = wp[0]
-    pt2 = wp[1] if len(wp) > 1 else wp[0]
-    verts = np.array([
-        kappa1 * (pt1 - p_n) + p_n,
-        kappa2 * (pt2 - p_n) + p_n,
-        v_0 + p_n,
+    p = np.asarray(p_n, dtype=float).tolist()
+    v = np.asarray(v_0, dtype=float).tolist()
+    pt1 = wp[0].tolist()
+    pt2 = wp[1].tolist() if len(wp) > 1 else pt1
+    return fermat_point([
+        [kappa1 * (a - b) + b for a, b in zip(pt1, p)],
+        [kappa2 * (a - b) + b for a, b in zip(pt2, p)],
+        [a + b for a, b in zip(v, p)],
     ])
-    return fermat_point(verts)
 
 
 # -- point-cloud streamlining ------------------------------------------------
@@ -157,16 +236,50 @@ def streamline(pcl_sorted: np.ndarray, p_n, g_n, n_use: int, d_ft: float,
 
 # -- collision checking and waypoint search ----------------------------------
 
-def collision_check_segment(a, b, cloud_sorted: np.ndarray, r_safe: float):
-    """First point (in sorted order) closer than r_safe to segment a-b."""
-    pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
-        return None
-    d = segment_point_distances(a, b, pts)
-    hits = np.flatnonzero(d < r_safe)
-    if len(hits) == 0:
-        return None
-    return pts[hits[0]]
+def _ray_distances(p_n, ray, r_det, pts, rel):
+    """`segment_point_distances(p_n, p_n + r_det * ray, pts)`, given
+    rel = pts - p_n, which every ray of a fan shares."""
+    ab = (p_n + r_det * ray) - p_n
+    denom = float(ab.dot(ab))
+    if denom == 0.0:
+        diff = rel
+    else:
+        t = np.clip(rel @ ab / denom, 0.0, 1.0)
+        diff = pts - (p_n + t[:, None] * ab)
+    # np.linalg.norm(diff, axis=1) without its argument handling: for real
+    # entries numpy computes the same sqrt(add.reduce(diff * diff, axis=1))
+    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+
+@functools.lru_cache(maxsize=8)
+def _fan_rounds(angle_step: float) -> tuple:
+    """(cos, sin) of the offset angle of each DAS round after round 0."""
+    rounds = []
+    q = 1
+    while q * angle_step <= math.pi / 2.0 + 1e-12:
+        ang = q * angle_step
+        rounds.append((math.cos(ang), math.sin(ang)))
+        q += 1
+    return tuple(rounds)
+
+
+def _rays(direction, angle_step: float):
+    """The rays of `candidate_rays`, built one at a time."""
+    d = unit(direction)
+    horiz = unit(np.array([d[0], d[1], 0.0]))
+    if norm(horiz) == 0.0:
+        horiz = np.array([1.0, 0.0, 0.0])
+    dx, dy, dz = d.tolist()
+    hx, hy, _ = horiz.tolist()
+    side = (-hy, hx, 0.0)                              # horizontal-plane normal
+    vert = unit(np.array(_cross(side, (dx, dy, dz))))  # vertical-plane axis
+    yield d
+    for c, s in _fan_rounds(angle_step):
+        cx, cy, cz = c * dx, c * dy, c * dz
+        for ox, oy, oz in (side, vert.tolist()):
+            sx, sy, sz = s * ox, s * oy, s * oz
+            yield unit(np.array((cx + sx, cy + sy, cz + sz)))
+            yield unit(np.array((cx - sx, cy - sy, cz - sz)))
 
 
 def candidate_rays(direction, angle_step: float):
@@ -175,23 +288,7 @@ def candidate_rays(direction, angle_step: float):
     Round 0 is the goal direction; each later round adds the two horizontal
     then the two vertical symmetric offsets, stopping past 90 degrees.
     """
-    d = unit(direction)
-    horiz = unit(np.array([d[0], d[1], 0.0]))
-    if np.linalg.norm(horiz) == 0.0:
-        horiz = np.array([1.0, 0.0, 0.0])
-    side = np.array([-horiz[1], horiz[0], 0.0])        # horizontal-plane normal
-    vert = unit(np.cross(side, d))                     # vertical-plane axis
-    rays = [d]
-    q = 1
-    while q * angle_step <= math.pi / 2.0 + 1e-12:
-        ang = q * angle_step
-        c, s = math.cos(ang), math.sin(ang)
-        rays.append(unit(c * d + s * side))
-        rays.append(unit(c * d - s * side))
-        rays.append(unit(c * d + s * vert))
-        rays.append(unit(c * d - s * vert))
-        q += 1
-    return rays
+    return list(_rays(direction, angle_step))
 
 
 def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
@@ -201,81 +298,115 @@ def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
     p_n = np.asarray(p_n, dtype=float)
     g_n = np.asarray(g_n, dtype=float)
     d = g_n - p_n
-    if np.linalg.norm(d) == 0.0:
+    if norm(d) == 0.0:
         return None
     wd = params.waypoint_dist if waypoint_dist is None else waypoint_dist
-    for idx, ray in enumerate(candidate_rays(d, params.das_angle_step)):
+    pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
+    rel = pts - p_n
+    for idx, ray in enumerate(_rays(d, params.das_angle_step)):
         if excluded and idx in excluded:
             continue
-        end = p_n + params.r_det * ray
-        if collision_check_segment(p_n, end, cloud_sorted, params.r_safe) is None:
+        if not (_ray_distances(p_n, ray, params.r_det, pts, rel)
+                < params.r_safe).any():
             return p_n + wd * ray, idx
     return None
 
 
 # -- motion optimization -----------------------------------------------------
 
-def _motion_cost_grad(a, p_n, v_n, w, t, eta1, eta2):
-    p1 = p_n + v_n * t + 0.5 * a * t * t
-    e1 = w - p1
-    n1 = np.linalg.norm(e1)
-    cost = float(a @ a) + eta1 * n1
-    grad = 2.0 * a
-    if n1 > 1e-12:
-        grad -= eta1 * (0.5 * t * t) * e1 / n1
-    dw = np.linalg.norm(w - p_n)
-    if dw > 1e-12:
-        u = 2.0 * v_n * t + 2.0 * a * t * t      # p*_{n+1} - p_n
-        c = np.cross(u, w - p_n)                 # u x (w - p*) == u x (w - p_n)
-        nc = np.linalg.norm(c)
-        cost += eta2 * nc / dw
-        if nc > 1e-12:
-            grad += eta2 * (2.0 * t * t) * np.cross(w - p_n, c / nc) / dw
-    return cost, grad
-
-
-def _project_feasible(a, v_n, t, v_max, a_max):
-    na = np.linalg.norm(a)
-    if na > a_max:
-        a = a * (a_max / na)
-    v1 = v_n + a * t
-    if np.linalg.norm(v1) > v_max:
-        # shrink a along itself until the predicted speed is feasible
+def _feasible(ax, ay, az, vx, vy, vz, t, v_max, a_max):
+    """`_project_feasible` on floats: the projected (ax, ay, az)."""
+    if _norm_bound(ax, ay, az, a_max) > a_max:
+        k = a_max / _vnorm((ax, ay, az))
+        ax, ay, az = ax * k, ay * k, az * k
+    if _norm_bound(vx + ax * t, vy + ay * t, vz + az * t, v_max) > v_max:
+        if _norm_bound(vx, vy, vz, v_max) > v_max:   # cannot fix by scaling: brake
+            return tuple(_brake_accel(np.array((vx, vy, vz)), a_max).tolist())
+        # shrink a along itself until the predicted speed is feasible; each
+        # step decides |v_n + mid * a * t| <= v_max as `_norm_bound` does
+        below, above = _band(v_max)
         lo, hi = 0.0, 1.0
-        if np.linalg.norm(v_n) > v_max:          # cannot fix by scaling: brake
-            return _brake_accel(v_n, a_max)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if np.linalg.norm(v_n + mid * a * t) <= v_max:
+            x = vx + mid * ax * t
+            y = vy + mid * ay * t
+            z = vz + mid * az * t
+            s = x * x + y * y + z * z
+            if below <= s <= above:
+                feasible = _vnorm((x, y, z)) <= v_max
+            else:
+                feasible = s < below
+            if feasible:
                 lo = mid
             else:
                 hi = mid
-        a = lo * a
-    return a
+        ax, ay, az = lo * ax, lo * ay, lo * az
+    return ax, ay, az
+
+
+def _project_feasible(a, v_n, t, v_max, a_max):
+    """Clip a to a_max, then shrink it along itself until |v_n + a t| <= v_max
+    (60 bisection steps); brake when |v_n| alone exceeds v_max."""
+    return np.array(_feasible(*a.tolist(), *v_n.tolist(), t, v_max, a_max))
 
 
 def _brake_accel(v_n, a_max):
-    nv = np.linalg.norm(v_n)
+    nv = norm(v_n)
     if nv == 0.0:
         return np.zeros(3)
     return -v_n / nv * a_max
 
 
 def plan_motion(p_n, v_n, w_pn, t_avs: float, params: PcpParams) -> MotionCommand:
-    """Projected-gradient solve of the fixed-horizon motion problem."""
+    """Projected-gradient solve of the fixed-horizon motion problem.
+
+    The cost of an acceleration a is |a|^2 + eta1 |w - p1| + eta2 |u x r| / |r|
+    with p1 = p_n + v_n t + a t^2 / 2, u = 2 v_n t + 2 a t^2 and r = w - p_n.
+    """
     if t_avs <= 0:
         raise ValueError("t_avs must be > 0")
     p_n = np.asarray(p_n, dtype=float)
     v_n = np.asarray(v_n, dtype=float)
     w = np.asarray(w_pn, dtype=float)
-    if np.linalg.norm(w - p_n) < 1e-12:
+    r = w - p_n
+    dw = norm(r)
+    if dw < 1e-12:
         a = _project_feasible(_brake_accel(v_n, params.a_max), v_n, t_avs,
                               params.v_max, params.a_max)
         return _finish(a, p_n, v_n, t_avs, "normal", True, 0)
 
-    a = np.zeros(3)
-    cost, grad = _motion_cost_grad(a, p_n, v_n, w, t_avs,
-                                   params.eta1, params.eta2)
+    t, eta1, eta2 = t_avs, params.eta1, params.eta2
+    v_max, a_max = params.v_max, params.a_max
+    vx, vy, vz = v_n.tolist()
+    rx, ry, rz = r.tolist()
+    wx, wy, wz = w.tolist()
+    # the a-independent terms of p1 and u, and the gradient factors
+    px, py, pz = (p_n + v_n * t).tolist()
+    ux, uy, uz = (2.0 * v_n * t).tolist()
+    k1 = eta1 * (0.5 * t * t)
+    k2 = eta2 * (2.0 * t * t)
+
+    def cost_grad(ax, ay, az):
+        e1x = wx - (px + 0.5 * ax * t * t)
+        e1y = wy - (py + 0.5 * ay * t * t)
+        e1z = wz - (pz + 0.5 * az * t * t)
+        n1 = _vnorm((e1x, e1y, e1z))
+        cost = _sq((ax, ay, az)) + eta1 * n1
+        gx, gy, gz = 2.0 * ax, 2.0 * ay, 2.0 * az
+        if n1 > 1e-12:
+            gx, gy, gz = gx - k1 * e1x / n1, gy - k1 * e1y / n1, gz - k1 * e1z / n1
+        if dw > 1e-12:
+            c = _cross((ux + 2.0 * ax * t * t, uy + 2.0 * ay * t * t,
+                        uz + 2.0 * az * t * t), (rx, ry, rz))
+            nc = _vnorm(c)
+            cost += eta2 * nc / dw
+            if nc > 1e-12:
+                xx, xy, xz = _cross((rx, ry, rz), (c[0] / nc, c[1] / nc, c[2] / nc))
+                gx, gy, gz = gx + k2 * xx / dw, gy + k2 * xy / dw, gz + k2 * xz / dw
+        return cost, (gx, gy, gz)
+
+    a = (0.0, 0.0, 0.0)
+    cost, grad = cost_grad(*a)
     converged = False
     it = 0
     step = 0.25
@@ -283,11 +414,12 @@ def plan_motion(p_n, v_n, w_pn, t_avs: float, params: PcpParams) -> MotionComman
         trial_step = step
         new_a = a
         for _ in range(12):
-            cand = _project_feasible(a - trial_step * grad, v_n, t_avs,
-                                     params.v_max, params.a_max)
-            c2, g2 = _motion_cost_grad(cand, p_n, v_n, w, t_avs,
-                                       params.eta1, params.eta2)
-            if c2 <= cost - 1e-12 * abs(cost) or np.allclose(cand, a):
+            cand = _feasible(a[0] - trial_step * grad[0],
+                             a[1] - trial_step * grad[1],
+                             a[2] - trial_step * grad[2],
+                             vx, vy, vz, t, v_max, a_max)
+            c2, g2 = cost_grad(*cand)
+            if c2 <= cost - 1e-12 * abs(cost) or _allclose(cand, a):
                 new_a, cost, grad = cand, c2, g2
                 step = trial_step * 1.5
                 break
@@ -295,13 +427,14 @@ def plan_motion(p_n, v_n, w_pn, t_avs: float, params: PcpParams) -> MotionComman
         else:
             converged = True
             break
-        moved = np.linalg.norm(new_a - a)
+        moved = _norm_bound(new_a[0] - a[0], new_a[1] - a[1], new_a[2] - a[2],
+                            params.opt_tol)
         a = new_a
         if moved <= params.opt_tol:
             converged = True
             break
-    a = _project_feasible(a, v_n, t_avs, params.v_max, params.a_max)
-    return _finish(a, p_n, v_n, t_avs, "normal", converged, it)
+    a = _feasible(*a, vx, vy, vz, t, v_max, a_max)
+    return _finish(np.array(a), p_n, v_n, t_avs, "normal", converged, it)
 
 
 def _finish(a, p_n, v_n, t, mode, converged, iters):
@@ -318,7 +451,7 @@ def _finish(a, p_n, v_n, t, mode, converged, iters):
 # -- safety backup -----------------------------------------------------------
 
 def braking_distance(v_n, a_max: float) -> float:
-    return float(np.linalg.norm(v_n) ** 2 / (2.0 * a_max))
+    return float(norm(np.asarray(v_n, dtype=float)) ** 2 / (2.0 * a_max))
 
 
 def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
@@ -333,18 +466,19 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
     v_n = np.asarray(v_n, dtype=float)
     pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
     d_bkd = braking_distance(v_n, params.a_max)
-    min_obs = (float(np.min(np.linalg.norm(pts - p_n, axis=1)))
+    rel = pts - p_n
+    min_obs = (float(np.min(np.linalg.norm(rel, axis=1)))
                if len(pts) else math.inf)
     if min_obs > d_bkd:
         goal_dir = unit(np.asarray(p_prev, dtype=float) - p_n)
-        if np.linalg.norm(goal_dir) == 0.0:
-            goal_dir = unit(v_n) if np.linalg.norm(v_n) else np.array([1.0, 0, 0])
+        if norm(goal_dir) == 0.0:
+            goal_dir = unit(v_n) if norm(v_n) else np.array([1.0, 0, 0])
         best_ray, best_clear = None, -1.0
-        for idx, ray in enumerate(candidate_rays(goal_dir, params.das_angle_step)):
+        for idx, ray in enumerate(_rays(goal_dir, params.das_angle_step)):
             if idx in blocked_rays:
                 continue
-            end = p_n + params.r_det * ray
-            clear = (float(np.min(segment_point_distances(p_n, end, pts)))
+            clear = (float(np.min(_ray_distances(p_n, ray, params.r_det,
+                                                 pts, rel)))
                      if len(pts) else math.inf)
             if clear > best_clear:
                 best_ray, best_clear = ray, clear
@@ -353,7 +487,7 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
                           params)
         cmd.mode = "backup_steer"
         return cmd
-    if np.linalg.norm(v_n) > 1e-6:
+    if norm(v_n) > 1e-6:
         a = _brake_accel(v_n, params.a_max)
         cmd = _finish(a, p_n, v_n, 1e-2, "backup_brake", True, 0)
         return cmd

@@ -7,12 +7,11 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from dualnav.bench import (bench_flight3d, bench_map2d, bench_optimizer,
-                           flight_scenario, intruder_world, wall_world)
+from dualnav.bench import (bench_map2d, bench_optimizer, flight_scenario,
+                           intruder_world, wall_world)
 from dualnav.geometry import min_clearance, path_length
 from dualnav.jps import SQRT2, jps_search, line_is_free
 from dualnav.map_planner import (DagsParams, PlanPath, plan_final_path,
@@ -29,13 +28,6 @@ def report(num, name, ok, detail=""):
         line += f"  [{detail}]"
     print(line)
     assert ok, line
-
-
-# -- shared fixtures ---------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def flight3d():
-    return bench_flight3d(n_worlds=10, seed=0)
 
 
 # -- criterion 1: search optimality ------------------------------------------

@@ -6,7 +6,8 @@ metrics JSON, for the worlds and configuration the benchmark flies (episode
 seed 0). The map-planner digest covers the plans of fixed `plan_final_path`
 queries with and without DAGS. The 2D-study digest covers the seed and length
 columns of `bench_map2d`'s rows; its time columns vary between runs and are
-left out.
+left out. The flight3d digest covers the reports of the wall world and
+random-0..9, each flown with and without DAGS, less their `timing` entries.
 A change that claims to keep behaviour must keep these digests; one that
 changes behaviour on purpose updates them and says why.
 """
@@ -99,3 +100,18 @@ def test_map_planner_plans_digest():
             for arr in (res.path.waypoints, res.g_l, cand):
                 h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == MP_GOLDEN
+
+
+FLIGHT3D_GOLDEN = \
+    "8d84b29b99d1d72b68aecde6ca9d0230f0b2f134d2707f0816e2345c069159e4"
+
+
+def test_flight3d_reports_digest(flight3d):
+    """Status, length, collisions, backups and replans of every flight3d
+    run; worlds 3, 5, 8 and 9 lean on the safety backup."""
+    reports = [{key: ({k: v for k, v in val.items() if k != "timing"}
+                      if isinstance(val, dict) else val)
+                for key, val in report.items()}
+               for report in flight3d["reports"]]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == FLIGHT3D_GOLDEN

@@ -25,6 +25,21 @@ def test_voxel_map_integrate_and_centers():
     assert vm.occupied[(0, 0, 0)] == 2
 
 
+def test_occupied_centers_cached_until_a_voxel_is_added():
+    vm = VoxelMap(0.2)
+    assert vm.occupied_centers().shape == (0, 3)
+    vm.integrate(np.array([[0.05, 0.05, 0.05], [1.0, 1.0, 1.0]]))
+    first = vm.occupied_centers()
+    assert not first.flags.writeable
+    vm.integrate(np.array([[0.06, 0.06, 0.06]]))     # same voxel: no change
+    assert vm.occupied_centers() is first
+    vm.integrate(np.array([[-1.0, 0.0, 0.0]]))
+    grown = vm.occupied_centers()
+    idx = np.array(list(vm.occupied.keys()), dtype=float)
+    assert grown.tobytes() == ((idx + 0.5) * 0.2).tobytes()
+    assert len(grown) == 3 and not grown.flags.writeable
+
+
 def test_voxel_map_json_roundtrip():
     vm = VoxelMap(voxel_size=0.25)
     vm.integrate(np.array([[0.3, 0.3, 0.3]]))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dualnav.pcp import (MotionCommand, PcpParams, braking_distance,
-                         candidate_rays, collision_check_segment,
-                         compute_goal, das_search, fermat_point, plan_motion,
-                         safety_backup, streamline)
+                         candidate_rays, compute_goal, das_search,
+                         fermat_point, plan_motion, safety_backup, streamline)
 
 
 def brute_median_cost(V, point):
@@ -78,13 +77,6 @@ def test_streamline_short_input_passthrough():
     pts = np.ones((5, 3))
     out = streamline(pts, np.zeros(3), np.ones(3), 70, 1.0)
     assert len(out) == 5
-
-
-def test_collision_check_segment():
-    cloud = np.array([[1.0, 0.3, 0.0], [2.0, 5.0, 0.0]])
-    hit = collision_check_segment([0, 0, 0], [3, 0, 0], cloud, 0.5)
-    assert np.allclose(hit, cloud[0])
-    assert collision_check_segment([0, 0, 0], [3, 0, 0], cloud, 0.2) is None
 
 
 def test_candidate_rays_structure():
