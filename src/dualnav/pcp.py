@@ -202,21 +202,21 @@ def compute_goal(p_n, v_0, path_waypoints, kappa1: float, kappa2: float):
 
 # -- point-cloud streamlining ------------------------------------------------
 
-def streamline(pcl_sorted: np.ndarray, p_n, g_n, n_use: int, d_ft: float,
-               seed: int = 0) -> np.ndarray:
-    """Cap the sorted collision-check cloud at n_use points.
+def streamline(pcl_sorted: np.ndarray, dist: np.ndarray, p_n, g_n,
+               n_use: int, d_ft: float, seed: int = 0) -> np.ndarray:
+    """Cap the sorted collision-check cloud at n_use points: the ascending
+    indices of the points kept. `dist` holds the points' distances to p_n.
 
     Priority points lie within half the far distance or within 90 degrees of
     the goal direction; surplus is removed by evenly spaced thinning, deficits
-    topped up by seeded sampling from the complement. Output stays sorted.
+    topped up by seeded sampling from the complement.
     """
     pts = np.asarray(pcl_sorted, dtype=float).reshape(-1, 3)
     if len(pts) <= n_use:
-        return pts
+        return np.arange(len(pts))
     p_n = np.asarray(p_n, dtype=float)
     g_dir = np.asarray(g_n, dtype=float) - p_n
     rel = pts - p_n
-    dist = np.linalg.norm(rel, axis=1)
     ahead = rel @ g_dir >= 0.0          # angle to goal direction <= 90 deg
     priority = (dist <= 0.5 * d_ft) | ahead
     pri_idx = np.flatnonzero(priority)
@@ -230,8 +230,8 @@ def streamline(pcl_sorted: np.ndarray, p_n, g_n, n_use: int, d_ft: float,
         rest = np.flatnonzero(~priority)
         rng = np.random.default_rng(seed)
         extra = rng.choice(rest, size=n_use - len(pri_idx), replace=False)
-        chosen = np.sort(np.concatenate([pri_idx, extra]))
-    return pts[np.sort(chosen)]
+        chosen = np.concatenate([pri_idx, extra])
+    return np.sort(chosen)
 
 
 # -- collision checking and waypoint search ----------------------------------

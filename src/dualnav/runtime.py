@@ -7,6 +7,14 @@ mode paces each loop on its own thread on the host clock, so its flights
 depend on thread timing and serve timing measurements. Under both clocks
 the PCP ticks once per PCP period and plans each command over that period,
 the time the simulator holds it.
+
+Virtual time leaves out the filter ticks whose frame no loop reads: a frame
+that the next filter tick replaces before any mapping or PCP tick would
+read it is never made (see `virtual_schedule`). The flights are the same to
+the byte, but under this clock the filter's tick count in
+`EpisodeResult.timing` and the `pcl4` version on the `Blackboard` count
+frames made, not filter periods; a frame's age is the reader's time minus
+the time of the filter tick that made it.
 """
 from __future__ import annotations
 
@@ -130,7 +138,13 @@ def virtual_schedule(rates: LoopRates, duration: float):
     """Deterministic event sequence (time, loop) over a virtual duration.
 
     Loops fire at exact multiples of their periods; simultaneous events fire
-    in the order of `LoopRates.periods`.
+    in the order of `LoopRates.periods`. A filter tick is left out when the
+    filter's next tick comes no later than the next mapping or PCP tick, the
+    only loops that read its frame: no loop would read that frame before it
+    is replaced. The filter fires first at equal times, so a reader always
+    sees the frame of the last filter period at or before it, as if every
+    filter tick ran; the frame is a pure function of the published state,
+    the time and the seed, so the reader gets the same bytes.
     """
     # integer microsecond clock avoids float-accumulation drift
     heap = []
@@ -141,8 +155,11 @@ def virtual_schedule(rates: LoopRates, duration: float):
         t_us, order, name, period_us = heapq.heappop(heap)
         if t_us > end_us:
             continue
-        yield t_us / 1e6, name
         heapq.heappush(heap, (t_us + period_us, order, name, period_us))
+        if name == "filter" and t_us + period_us <= min(
+                e[0] for e in heap if e[2] in ("mapping", "pcp")):
+            continue
+        yield t_us / 1e6, name
 
 
 class _EpisodeCore:
@@ -303,31 +320,43 @@ class _EpisodeCore:
         self.bb.publish("cmd", cmd)
 
     def _pcp_cloud(self, p, g_n):
+        """The PCP's collision-check cloud: the frame's points within r_det,
+        streamlined, and the map's, sorted by distance to p.
+
+        Each point's distance is computed once, row-wise; a row's norm does
+        not depend on the other rows, so every cut and sort sees the bytes
+        it would get from the rows it keeps.
+        """
         sc = self.sc
         pp = sc.pcp_params
-        parts = []
+        parts, dists = [], []
         pcl4 = self.bb.read("pcl4")
         if pcl4 is not None and len(pcl4):
             d = np.linalg.norm(pcl4 - p, axis=1)
-            near = pcl4[d <= pp.r_det]
+            keep = d <= pp.r_det
+            near, d = pcl4[keep], d[keep]
             if len(near):
-                near = near[np.argsort(np.linalg.norm(near - p, axis=1),
-                                       kind="stable")]
+                order = np.argsort(d, kind="stable")
+                near, d = near[order], d[order]
+                # a single 3-vector's norm is a dot product, whose last bit
+                # can differ from the row-wise norm's, so it is not d[-1]
                 d_ft = float(np.linalg.norm(near[-1] - p))
-                near = streamline(near, p, g_n, pp.n_use, d_ft,
+                kept = streamline(near, d, p, g_n, pp.n_use, d_ft,
                                   seed=sc.seed + self.pcp_steps)
-                parts.append(near)
+                parts.append(near[kept])
+                dists.append(d[kept])
         snap = self.bb.read("map")
         if snap is not None:
             pcl_m = snap[0]
             if len(pcl_m):
                 d = np.linalg.norm(pcl_m - p, axis=1)
-                parts.append(pcl_m[d <= pp.r_det])
+                keep = d <= pp.r_det
+                parts.append(pcl_m[keep])
+                dists.append(d[keep])
         if not parts:
             return np.zeros((0, 3))
-        cloud = np.vstack(parts)
-        order = np.argsort(np.linalg.norm(cloud - p, axis=1), kind="stable")
-        return cloud[order]
+        order = np.argsort(np.concatenate(dists), kind="stable")
+        return np.vstack(parts)[order]
 
     def _brake(self, st):
         """Hold: brake to a stop within the horizon, at most at a_max."""

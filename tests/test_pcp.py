@@ -67,7 +67,8 @@ def test_streamline_caps_and_sorts():
     p = np.zeros(3)
     pts = rng.uniform(-2, 2, size=(300, 3))
     pts = pts[np.argsort(np.linalg.norm(pts, axis=1))]
-    out = streamline(pts, p, [2.0, 0, 0], 70, 2.0, seed=1)
+    out = pts[streamline(pts, np.linalg.norm(pts - p, axis=1), p, [2.0, 0, 0],
+                          70, 2.0, seed=1)]
     assert len(out) == 70
     d = np.linalg.norm(out - p, axis=1)
     assert np.all(np.diff(d) >= -1e-12)
@@ -75,7 +76,8 @@ def test_streamline_caps_and_sorts():
 
 def test_streamline_short_input_passthrough():
     pts = np.ones((5, 3))
-    out = streamline(pts, np.zeros(3), np.ones(3), 70, 1.0)
+    out = pts[streamline(pts, np.full(5, math.sqrt(3.0)), np.zeros(3),
+                          np.ones(3), 70, 1.0)]
     assert len(out) == 5
 
 

@@ -3,8 +3,9 @@ version it replaced, over generated inputs.
 
 The oracles below are the earlier implementations: every 3-vector norm a
 `np.linalg.norm` call, cross products by `np.cross`, the closeness test by
-`np.allclose`, the feasibility bisection on numpy arrays and the DAS fan
-built whole on every call.
+`np.allclose`, the feasibility bisection on numpy arrays, the DAS fan built
+whole on every call, and a collision-check cloud that computes each point's
+distance anew for every cut and sort.
 """
 import math
 
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from dualnav.geometry import norm, segment_point_distances, unit
 from dualnav.pcp import (PcpParams, _project_feasible, candidate_rays,
                          compute_goal, das_search, plan_motion, safety_backup)
+from dualnav.runtime import Scenario, _EpisodeCore
+from dualnav.sim import World
 
 # -- oracles -----------------------------------------------------------------
 
@@ -260,6 +263,56 @@ def oracle_safety_backup(p_n, v_n, p_prev, cloud_sorted, params, blocked_rays):
         "backup_brake",)
 
 
+def oracle_streamline(pcl_sorted, p_n, g_n, n_use, d_ft, seed=0):
+    pts = np.asarray(pcl_sorted, dtype=float).reshape(-1, 3)
+    if len(pts) <= n_use:
+        return pts
+    p_n = np.asarray(p_n, dtype=float)
+    g_dir = np.asarray(g_n, dtype=float) - p_n
+    rel = pts - p_n
+    dist = np.linalg.norm(rel, axis=1)
+    ahead = rel @ g_dir >= 0.0
+    priority = (dist <= 0.5 * d_ft) | ahead
+    pri_idx = np.flatnonzero(priority)
+    if len(pri_idx) > n_use:
+        pick = np.unique(np.linspace(0, len(pri_idx) - 1, n_use).round().astype(int))
+        while len(pick) < n_use:
+            missing = np.setdiff1d(np.arange(len(pri_idx)), pick)
+            pick = np.sort(np.append(pick, missing[:n_use - len(pick)]))
+        chosen = pri_idx[pick]
+    else:
+        rest = np.flatnonzero(~priority)
+        rng = np.random.default_rng(seed)
+        extra = rng.choice(rest, size=n_use - len(pri_idx), replace=False)
+        chosen = np.sort(np.concatenate([pri_idx, extra]))
+    return pts[np.sort(chosen)]
+
+
+def oracle_pcp_cloud(pcl4, snap, p, g_n, pp, seed):
+    """`_EpisodeCore._pcp_cloud` with the frame, the map snapshot and the
+    streamline seed passed in."""
+    parts = []
+    if pcl4 is not None and len(pcl4):
+        d = np.linalg.norm(pcl4 - p, axis=1)
+        near = pcl4[d <= pp.r_det]
+        if len(near):
+            near = near[np.argsort(np.linalg.norm(near - p, axis=1),
+                                   kind="stable")]
+            d_ft = float(np.linalg.norm(near[-1] - p))
+            near = oracle_streamline(near, p, g_n, pp.n_use, d_ft, seed=seed)
+            parts.append(near)
+    if snap is not None:
+        pcl_m = snap[0]
+        if len(pcl_m):
+            d = np.linalg.norm(pcl_m - p, axis=1)
+            parts.append(pcl_m[d <= pp.r_det])
+    if not parts:
+        return np.zeros((0, 3))
+    cloud = np.vstack(parts)
+    order = np.argsort(np.linalg.norm(cloud - p, axis=1), kind="stable")
+    return cloud[order]
+
+
 def assert_same_bytes(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -442,6 +495,77 @@ def test_das_search_same_bytes(case):
     else:
         assert got[1] == want[1]
         assert_same_bytes(got[0], want[0])
+
+
+# -- the PCP's collision-check cloud ------------------------------------------
+
+@st.composite
+def scattered(draw, p, max_points):
+    """Points around p: uniform ones, some on a 0.1 m lattice (equal
+    distances and duplicates), some at exactly r_det along an axis."""
+    n = draw(st.integers(0, max_points))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rel = rng.uniform(-3.0, 3.0, size=(n, 3))
+    if draw(st.booleans()):
+        rel = np.round(rel, 1)
+    extra = draw(st.lists(st.sampled_from(
+        [(2.0, 0.0, 0.0), (0.0, -2.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0),
+         (0.0, 0.0, 0.0)]), max_size=4))
+    return np.vstack([rel, np.array(extra, dtype=float).reshape(-1, 3)]) + p
+
+
+@st.composite
+def pcp_cloud_cases(draw):
+    pp = PcpParams(r_det=draw(st.sampled_from([2.0, 1.0])),
+                   n_use=draw(st.sampled_from([70, 1]) | st.integers(2, 40)))
+    p = draw(vec3(-3.0, 3.0))
+    g = p + draw(vec3(-3.0, 3.0))
+    pcl4 = draw(st.none() | scattered(p, 150))
+    snap = draw(st.sampled_from(["none", "empty", "voxels", "frame"]))
+    if snap == "none":
+        snap = None
+    elif snap == "empty":
+        snap = (np.zeros((0, 3)), None, None)
+    else:
+        if snap == "voxels" or pcl4 is None:
+            centers = (np.floor(draw(scattered(p, 100)) / 0.1) + 0.5) * 0.1
+        else:
+            # map points that tie with frame points in the merged sort
+            centers = pcl4[::2].copy()
+        # read-only, as `VoxelMap.occupied_centers` gives them
+        centers.flags.writeable = False
+        snap = (centers, None, None)
+    return pcl4, snap, p, g, pp, draw(st.integers(0, 10_000))
+
+
+# points on the axes at five radii: many equal distances, so an unstable
+# sort of the frame or of the merged cloud would reorder them
+_SHELLS = np.array([np.eye(3)[k % 3] * (1 - 2 * (k % 6 // 3)) * 0.5 * (1 + k % 5)
+                    for k in range(60)])
+
+
+@settings(max_examples=300)
+@given(pcp_cloud_cases())
+@example((_SHELLS, (_SHELLS[::2], None, None), np.zeros(3), np.ones(3),
+          PcpParams(), 0))
+@example((None, None, np.zeros(3), np.ones(3), PcpParams(), 0))
+@example((np.zeros((0, 3)), (np.zeros((0, 3)), None, None), np.zeros(3),
+          np.ones(3), PcpParams(), 0))
+@example((np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [3.0, 0.0, 0.0]]),
+          (np.array([[0.0, 0.0, 2.0]]), None, None), np.zeros(3),
+          np.array([1.0, 0.0, 0.0]), PcpParams(n_use=1), 5))
+def test_pcp_cloud_same_bytes(case):
+    pcl4, snap, p, g, pp, steps = case
+    sc = Scenario(world=World(), start=(0.0, 0.0, 1.0), goal=(1.0, 0.0, 1.0),
+                  seed=3, pcp_params=pp)
+    core = _EpisodeCore(sc)
+    core.pcp_steps = steps
+    if pcl4 is not None:
+        core.bb.publish("pcl4", pcl4)
+    if snap is not None:
+        core.bb.publish("map", snap)
+    assert_same_bytes(core._pcp_cloud(p, g),
+                      oracle_pcp_cloud(pcl4, snap, p, g, pp, sc.seed + steps))
 
 
 # -- safety backup -----------------------------------------------------------
