@@ -1,6 +1,4 @@
 """Fly the wall world with and without the 3D angular search."""
-import numpy as np
-
 from dualnav.bench import flight_scenario, oracle_shortest_path, wall_world
 from dualnav.runtime import run_episode
 

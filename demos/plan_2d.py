@@ -1,8 +1,6 @@
 """Stitched dual-resolution 2D planning on one large random map."""
 import time
 
-import numpy as np
-
 from dualnav.bench import bench_map2d
 
 

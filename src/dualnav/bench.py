@@ -219,8 +219,7 @@ def _simulate_local(cells, start, goal, local_size, stitched: bool,
     # fine window about 35 percent of the full one gives a 4x pooling stride,
     # which keeps the coarse search small and the aligned window reusable
     m = int(local_size * 0.35)
-    params = LocalMapParams(l_ms=float(local_size), h_ms=6.0,
-                            i=local_size, m=m, k=1, voxel_size=1.0)
+    params = LocalMapParams(h_ms=6.0, i=local_size, m=m, k=1, voxel_size=1.0)
     for _ in range(max_steps):
         if pos == goal:
             # smooth the realized cell path the same way the global baseline
@@ -419,13 +418,10 @@ def flight_scenario(world, start, goal, seed: int, use_dags: bool = True,
 
 
 def bench_flight3d(n_worlds: int = 10, seed: int = 0,
-                   mode: str = "virtual_time",
-                   include_wall: bool = True) -> dict:
+                   mode: str = "virtual_time") -> dict:
     """Full-episode study: excess over the oracle, DAGS shortening, safety."""
     reports = []
-    world_list = []
-    if include_wall:
-        world_list.append(("wall", *wall_world()))
+    world_list = [("wall", *wall_world())]
     for k in range(n_worlds):
         world_list.append((f"random-{k}", *random_world_3d(seed * 100 + k)))
     for name, world, start, goal in world_list:

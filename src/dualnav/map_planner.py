@@ -118,7 +118,6 @@ class StitchedPlan:
     path: PlanPath              # Earth XY waypoints, z = 0
     fine_cells: list            # shortcut Path_a in Map_c cell coords
     coarse_cells: list          # shortcut Path_b remainder in Map_1b cells
-    g_ist: tuple | None
 
 
 def _coarse_to_fine_center(cell, h):
@@ -190,7 +189,6 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
 
     inside = lo <= gx < lo + m and lo <= gy < lo + m
     coarse_rest: list = []
-    g_ist = None
     if inside:
         fine_path = _search_with_fallback(cells_c, grid_c, start_c,
                                           (gx - lo, gy - lo))
@@ -223,7 +221,6 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
             boundary_only=True)
         if fine_path is None:
             return None
-        g_ist = fine_path[-1]
         coarse_rest = path_b[k:]
 
     fine_sc = shortcut_cells(fine_path, cells_c)
@@ -233,8 +230,7 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
     pts = [np.append(map_c_inflated.cell_center(c), 0.0) for c in fine_sc]
     pts += [np.append(map_1b.cell_center(c), 0.0) for c in coarse_sc]
     return StitchedPlan(path=PlanPath(np.array(pts), kind="2D-lifted"),
-                        fine_cells=fine_sc, coarse_cells=list(coarse_sc),
-                        g_ist=g_ist)
+                        fine_cells=fine_sc, coarse_cells=list(coarse_sc))
 
 
 def _coarse_inside(cell, h, lo, m):
@@ -404,10 +400,8 @@ def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
     return path
 
 
-def select_final_path(path_2d: PlanPath, path_3d: PlanPath | None,
-                      z_start: float, z_goal: float) -> PlanPath:
+def select_final_path(lifted: PlanPath, path_3d: PlanPath | None) -> PlanPath:
     """Shorter of the lifted 2D path and the 3D candidate; ties go to 2D."""
-    lifted = lift_path(path_2d, z_start, z_goal)
     if path_3d is None or path_3d.length() >= lifted.length():
         return lifted
     return path_3d
@@ -427,9 +421,6 @@ def lift_path(path_2d: PlanPath, z_start: float, z_goal: float) -> PlanPath:
 class MapPlanResult:
     path: PlanPath
     g_l: np.ndarray
-    g_l_cell: tuple
-    used_3d: bool
-    path_2d: PlanPath
     path_3d: PlanPath | None = None
 
 
@@ -450,12 +441,9 @@ def plan_final_path(p_n, global_goal, pcl_lm, map_1: GridMap2D,
     wp = st.path.waypoints.copy()
     wp[0, :2] = p_n[:2]
     wp[-1, :2] = g_l[:2]
-    path_2d = PlanPath(wp, kind="2D-lifted")
+    lifted = lift_path(PlanPath(wp), p_n[2], g_l[2])
     path_3d = None
     if use_dags and len(np.asarray(pcl_lm).reshape(-1, 3)):
-        lifted = lift_path(path_2d, p_n[2], g_l[2])
         path_3d = dags_search(pcl_lm, p_n, g_l, lifted, dags_params)
-    final = select_final_path(path_2d, path_3d, p_n[2], g_l[2])
-    return MapPlanResult(path=final, g_l=g_l, g_l_cell=g_cell,
-                         used_3d=final is path_3d, path_2d=path_2d,
+    return MapPlanResult(path=select_final_path(lifted, path_3d), g_l=g_l,
                          path_3d=path_3d)

@@ -6,7 +6,6 @@ version, built with the convolution semantics of the map-processing stage.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +14,6 @@ from scipy.ndimage import maximum_filter
 
 @dataclass
 class LocalMapParams:
-    l_ms: float = 20.0      # local map square side, meters
     h_ms: float = 6.0       # local map height, meters
     i: int = 100            # Map_1 cells per side (i == j)
     m: int = 50             # Map_c cells per side (m == n)
@@ -27,8 +25,6 @@ class LocalMapParams:
             raise ValueError("need i*j > 3*m*n")
         if self.k % 2 == 0 or self.k < 1:
             raise ValueError("inflation kernel k must be odd and >= 1")
-        if abs(self.l_ms / self.i - self.voxel_size) > 1e-9:
-            raise ValueError("l_ms / i must equal voxel_size")
 
     @property
     def h(self) -> int:
@@ -36,8 +32,13 @@ class LocalMapParams:
         return int(round(self.i * self.i / (2.0 * self.m * self.m)))
 
     @property
+    def l_ms(self) -> float:
+        """Local map square side, meters: Map_1 has one cell per voxel."""
+        return self.i * self.voxel_size
+
+    @property
     def resolution(self) -> float:
-        return self.l_ms / self.i
+        return self.voxel_size
 
 
 @dataclass
@@ -94,20 +95,6 @@ class VoxelMap:
             centers.flags.writeable = False
             self._centers = centers
         return self._centers
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "voxel_size": self.voxel_size,
-            "occupied": sorted(self.occupied.keys()),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "VoxelMap":
-        data = json.loads(text)
-        vm = cls(voxel_size=data["voxel_size"])
-        for idx in data["occupied"]:
-            vm.occupied[tuple(idx)] = 1
-        return vm
 
 
 def local_map(vmap: VoxelMap, center, params: LocalMapParams) -> np.ndarray:

@@ -3,7 +3,8 @@
 Every step: derive the instantaneous goal from the reference path via the
 Fermat point of a weighted triangle, streamline the nearby cloud, search a fan
 of candidate rays for a safe waypoint, and solve a small constrained problem
-for the acceleration command. A safety backup covers the no-ray case.
+for the acceleration command. A safety backup covers the no-ray case, and
+`hold` brakes to a stop when there is no path to follow.
 
 The planner runs at the framework's highest rate, so its 3-vector arithmetic
 runs on Python floats wherever that gives the bits of the numpy expression it
@@ -446,6 +447,14 @@ def _finish(a, p_n, v_n, t, mode, converged, iters):
         converged=converged,
         iterations=iters,
     )
+
+
+def hold(p_n, v_n, t: float, a_max: float) -> MotionCommand:
+    """Hold command: brake to a stop within the horizon t, at most at a_max."""
+    nv = np.linalg.norm(v_n)
+    a_max = min(a_max, nv / t)
+    a = _brake_accel(v_n, a_max) if nv > 1e-9 else np.zeros(3)
+    return _finish(a, p_n, v_n, t, "hold", True, 0)
 
 
 # -- safety backup -----------------------------------------------------------

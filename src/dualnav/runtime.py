@@ -32,8 +32,8 @@ from .geometry import min_clearance, path_length
 from .map_planner import DagsParams, plan_final_path
 from .mapping import LocalMapParams, VoxelMap, local_map, project_2d
 from .pcl import FilterParams, Pose, filter_pipeline
-from .pcp import (PcpParams, _brake_accel, _finish, compute_goal, das_search,
-                  plan_motion, safety_backup, streamline)
+from .pcp import (PcpParams, compute_goal, das_search, hold, plan_motion,
+                  safety_backup, streamline)
 from .sim import (DroneState, SensorParams, World, check_collision,
                   scan_world, sense, step_dynamics)
 
@@ -53,6 +53,9 @@ class LoopRates:
             raise ValueError("sim_dt must be positive")
         if self.pcp_hz < self.mp_hz:
             raise ValueError("pcp rate must be >= mp rate")
+        # virtual time counts whole microseconds; a 0 us period never advances
+        if min(int(round(p * 1e6)) for _, p in self.periods()) < 1:
+            raise ValueError("every loop period must be at least 1 us")
 
     def periods(self):
         """(loop, period) for the five loops, in the order simultaneous ticks
@@ -274,7 +277,7 @@ class _EpisodeCore:
         path = self.bb.read("path")
         self.pcp_steps += 1
         if path is None:
-            self.bb.publish("cmd", self._brake(st))
+            self.bb.publish("cmd", hold(st.p, st.v, self.t_avs, pp.a_max))
             return
         wp = path.waypoints
         with self._lock:
@@ -297,7 +300,7 @@ class _EpisodeCore:
                 and np.linalg.norm(end - self.goal) > sc.goal_tol):
             # local goal reached but not the global one: force a replan
             self.bb.publish("path", None)
-            self.bb.publish("cmd", self._brake(st))
+            self.bb.publish("cmd", hold(st.p, st.v, self.t_avs, pp.a_max))
             return
         g_n = compute_goal(st.p, st.v, remaining, pp.kappa1, pp.kappa2)
         cloud = self._pcp_cloud(st.p, g_n)
@@ -358,13 +361,6 @@ class _EpisodeCore:
         order = np.argsort(np.concatenate(dists), kind="stable")
         return np.vstack(parts)[order]
 
-    def _brake(self, st):
-        """Hold: brake to a stop within the horizon, at most at a_max."""
-        nv = np.linalg.norm(st.v)
-        a_max = min(self.sc.pcp_params.a_max, nv / self.t_avs)
-        a = _brake_accel(st.v, a_max) if nv > 1e-9 else np.zeros(3)
-        return _finish(a, st.p, st.v, self.t_avs, "hold", True, 0)
-
     def sim_step(self, t):
         dt = self.sc.rates.sim_dt
         cmd = self.bb.read("cmd")
@@ -377,7 +373,6 @@ class _EpisodeCore:
         d = head_to - self.state.p
         if np.hypot(d[0], d[1]) > 0.2:
             self.state.yaw = math.atan2(d[1], d[0])
-        self.state.time = t + dt
         self.bb.publish("state", self.state)
         self.trajectory.append((t + dt, *self.state.p, *self.state.v, mode))
         if check_collision(self.world, self.state.p, self.sc.drone_radius,
@@ -428,25 +423,31 @@ def run_episode(scenario: Scenario, mode: str = "virtual_time") -> EpisodeResult
 
 def _run_wall_clock(core: _EpisodeCore, timeout: float) -> None:
     """One thread per loop, each paced at its period on the host clock; a
-    tick that starts late moves the loop's next tick to one period on."""
+    tick that starts late moves the loop's next tick to one period on. The
+    first exception in any loop stops them all and is raised after the join."""
     stop = threading.Event()
+    errors = []
     start = time_mod.perf_counter()
 
     def pace(name, period):
         next_t = 0.0
-        while not stop.is_set():
-            t = time_mod.perf_counter() - start
-            if t >= timeout:
-                break
-            if t < next_t:
-                time_mod.sleep(min(next_t - t, 0.002))
-                continue
-            core.tick(name, t)
-            if core.status is not None:
-                stop.set()
-            next_t += period
-            if next_t < t:
-                next_t = t + period
+        try:
+            while not stop.is_set():
+                t = time_mod.perf_counter() - start
+                if t >= timeout:
+                    break
+                if t < next_t:
+                    time_mod.sleep(min(next_t - t, 0.002))
+                    continue
+                core.tick(name, t)
+                if core.status is not None:
+                    stop.set()
+                next_t += period
+                if next_t < t:
+                    next_t = t + period
+        except BaseException as exc:    # re-raised below, after the join
+            errors.append(exc)
+            stop.set()
 
     threads = [threading.Thread(target=pace, args=loop)
                for loop in core.sc.rates.periods()]
@@ -454,3 +455,5 @@ def _run_wall_clock(core: _EpisodeCore, timeout: float) -> None:
         th.start()
     for th in threads:
         th.join()
+    if errors:
+        raise errors[0]

@@ -8,7 +8,6 @@ replay bit for bit.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -70,7 +69,6 @@ class DynamicObstacle:
 class World:
     static: list = field(default_factory=list)       # list of Box
     dynamic: list = field(default_factory=list)      # list of DynamicObstacle
-    bounds: Box = Box((-50.0, -50.0, -1.0), (50.0, 50.0, 10.0))
     ground_z: float | None = None                    # sensed floor plane
 
     def boxes_at(self, t: float):
@@ -80,30 +78,6 @@ class World:
             if b is not None:
                 boxes.append(b)
         return boxes
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "bounds": [list(self.bounds.lo), list(self.bounds.hi)],
-            "ground_z": self.ground_z,
-            "static": [[list(b.lo), list(b.hi)] for b in self.static],
-            "dynamic": [{
-                "size": list(d.size),
-                "times": list(d.times),
-                "positions": [list(p) for p in d.positions],
-            } for d in self.dynamic],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "World":
-        data = json.loads(text)
-        return cls(
-            static=[Box(tuple(lo), tuple(hi)) for lo, hi in data["static"]],
-            dynamic=[DynamicObstacle(tuple(d["size"]), list(d["times"]),
-                                     [tuple(p) for p in d["positions"]])
-                     for d in data["dynamic"]],
-            bounds=Box(tuple(data["bounds"][0]), tuple(data["bounds"][1])),
-            ground_z=data.get("ground_z"),
-        )
 
 
 @dataclass(frozen=True)
@@ -127,7 +101,6 @@ class DroneState:
     p: np.ndarray
     v: np.ndarray
     yaw: float = 0.0
-    time: float = 0.0
 
 
 @functools.lru_cache(maxsize=8)
@@ -228,7 +201,7 @@ def step_dynamics(state: DroneState, a_n, dt: float, v_max: float) -> DroneState
     nv = np.linalg.norm(v)
     if nv > v_max:
         v = v * (v_max / nv)
-    return DroneState(p=p, v=v, yaw=state.yaw, time=state.time + dt)
+    return DroneState(p=p, v=v, yaw=state.yaw)
 
 
 def check_collision(world: World, position, radius: float, time: float) -> bool:

@@ -85,31 +85,31 @@ def _stitch_maps(cells, params):
 
 
 def test_stitched_plan_goal_inside_fine_map():
-    params = LocalMapParams(l_ms=40.0, i=40, m=20, k=1, voxel_size=1.0)
+    params = LocalMapParams(i=40, m=20, k=1, voxel_size=1.0)
     cells = np.zeros((40, 40), dtype=np.uint8)
     map_1b, map_c = _stitch_maps(cells, params)
     sp = stitched_plan(map_1b, map_c, (24, 24), params)
     assert sp is not None
-    assert sp.g_ist is None
     assert len(sp.coarse_cells) == 0
     assert sp.fine_cells[0] == (10, 10)
     assert sp.fine_cells[-1] == (14, 14)
 
 
 def test_stitched_plan_goal_outside_stitches():
-    params = LocalMapParams(l_ms=40.0, i=40, m=20, k=1, voxel_size=1.0)
+    params = LocalMapParams(i=40, m=20, k=1, voxel_size=1.0)
     cells = np.zeros((40, 40), dtype=np.uint8)
     cells[24:28, 5:28] = 1         # wall between center and far goal
     map_1b, map_c = _stitch_maps(cells, params)
     sp = stitched_plan(map_1b, map_c, (36, 20), params)
     assert sp is not None
-    assert sp.g_ist is not None
     assert len(sp.coarse_cells) > 0
     assert sp.fine_cells[0] == (10, 10)
+    # the fine path ends at the crossing g_ist on the Map_c boundary
+    assert min(sp.fine_cells[-1]) == 0 or max(sp.fine_cells[-1]) == params.m - 1
 
 
 def test_stitched_plan_cache_consistency():
-    params = LocalMapParams(l_ms=40.0, i=40, m=20, k=1, voxel_size=1.0)
+    params = LocalMapParams(i=40, m=20, k=1, voxel_size=1.0)
     rng = np.random.default_rng(1)
     cells = (rng.random((40, 40)) < 0.1).astype(np.uint8)
     cells[20, 20] = 0
@@ -243,11 +243,11 @@ def test_lift_and_select():
     assert lifted.waypoints[-1][2] == pytest.approx(2.0)
     assert lifted.waypoints[1][2] == pytest.approx(1.5)
     short3d = PlanPath(np.array([[0, 0, 1.0], [2, 0, 2.0]]), kind="3D")
-    assert select_final_path(p2, short3d, 1.0, 2.0) is short3d
-    straight = PlanPath(np.array([[0, 0, 0], [2, 0, 0]]))
+    assert select_final_path(lifted, short3d) is short3d
+    straight = lift_path(PlanPath(np.array([[0, 0, 0], [2, 0, 0]])), 1.0, 2.0)
     # a 3D candidate that merely ties the lifted path loses to 2D
-    assert select_final_path(straight, short3d, 1.0, 2.0).kind == "2D-lifted"
-    assert select_final_path(p2, None, 1.0, 2.0).kind == "2D-lifted"
+    assert select_final_path(straight, short3d) is straight
+    assert select_final_path(lifted, None) is lifted
 
 
 def test_plan_final_path_on_known_wall():
@@ -259,11 +259,15 @@ def test_plan_final_path_on_known_wall():
     params = LocalMapParams()
     pcl_lm = local_map(vmap, p_n, params)
     map_1 = project_2d(pcl_lm, p_n, params)
-    res = plan_final_path(p_n, np.array([4.0, 0.0, 1.1]), pcl_lm, map_1,
-                          params, DagsParams(z_min=0.3), use_dags=True)
+    goal = np.array([4.0, 0.0, 1.1])
+    res = plan_final_path(p_n, goal, pcl_lm, map_1, params,
+                          DagsParams(z_min=0.3), use_dags=True)
     assert res is not None
-    assert res.used_3d
+    assert res.path is res.path_3d
     assert res.path.kind == "3D"
     assert min_clearance(res.path.waypoints, pcl_lm) >= 0.5 - 1e-9
     # the 3D shortcut beats going around the six meter wall
-    assert res.path.length() < res.path_2d.length()
+    flat = plan_final_path(p_n, goal, pcl_lm, map_1, params,
+                           DagsParams(z_min=0.3), use_dags=False)
+    assert flat.path.kind == "2D-lifted" and flat.path_3d is None
+    assert res.path.length() < flat.path.length()

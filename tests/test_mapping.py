@@ -12,7 +12,9 @@ def test_params_validation():
         LocalMapParams(k=2)
     p = LocalMapParams()
     assert p.h == 2
-    assert p.resolution == pytest.approx(0.2)
+    # one Map_1 cell per voxel, so the side follows from i and the voxel
+    assert p.resolution == 0.2 and p.l_ms == 20.0
+    assert LocalMapParams(i=40, m=20, voxel_size=1.0).l_ms == 40.0
 
 
 def test_voxel_map_integrate_and_centers():
@@ -38,14 +40,6 @@ def test_occupied_centers_cached_until_a_voxel_is_added():
     idx = np.array(list(vm.occupied.keys()), dtype=float)
     assert grown.tobytes() == ((idx + 0.5) * 0.2).tobytes()
     assert len(grown) == 3 and not grown.flags.writeable
-
-
-def test_voxel_map_json_roundtrip():
-    vm = VoxelMap(voxel_size=0.25)
-    vm.integrate(np.array([[0.3, 0.3, 0.3]]))
-    vm2 = VoxelMap.from_json(vm.to_json())
-    assert vm2.voxel_size == 0.25
-    assert np.allclose(vm2.occupied_centers(), vm.occupied_centers())
 
 
 def test_local_map_cuboid():

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dualnav.pcp import (MotionCommand, PcpParams, braking_distance,
                          candidate_rays, compute_goal, das_search,
-                         fermat_point, plan_motion, safety_backup, streamline)
+                         fermat_point, hold, plan_motion, safety_backup,
+                         streamline)
+
+VELOCITY = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(
+    np.array)
+HORIZON = st.floats(1e-3, 1.0)
 
 
 def brute_median_cost(V, point):
@@ -159,3 +166,29 @@ def test_safety_backup_brake_branch():
     assert cmd.mode == "backup_brake"
     # braking opposes the velocity
     assert cmd.a_n[0] < 0
+
+
+def test_hold_from_rest_is_zero():
+    p = np.array([1.0, 2.0, 3.0])
+    cmd = hold(p, np.zeros(3), 0.1, 2.0)
+    assert cmd.mode == "hold"
+    assert np.all(cmd.a_n == 0.0)
+    assert np.all(cmd.p_next == p) and np.all(cmd.v_next == 0.0)
+
+
+@given(VELOCITY, HORIZON, st.floats(0.0, 10.0))
+def test_hold_stops_within_the_horizon_when_it_can(v, t, spare):
+    # a_max at least |v| / t: one horizon at the capped rate stops the drone
+    a_max = float(np.linalg.norm(v)) / t + spare
+    cmd = hold(np.zeros(3), v, t, a_max)
+    assert np.linalg.norm(v + cmd.a_n * t) <= 1e-12
+
+
+@given(VELOCITY, HORIZON, st.floats(1e-3, 10.0))
+def test_hold_never_exceeds_a_max(v, t, a_max):
+    cmd = hold(np.zeros(3), v, t, a_max)
+    assert cmd.mode == "hold"
+    # the unit direction may round one ulp long
+    assert np.linalg.norm(cmd.a_n) <= a_max * (1.0 + 1e-12)
+    # braking never reverses the velocity within the horizon
+    assert float(np.dot(v + cmd.a_n * t, v)) >= -1e-12

@@ -1,5 +1,6 @@
 import heapq
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,11 @@ def test_loop_rates_validation():
         LoopRates(sim_dt=-0.1)
     with pytest.raises(ValueError):
         LoopRates(mp_hz=50.0, pcp_hz=10.0)
+    # periods that round to 0 us would stall the virtual clock at t = 0
+    with pytest.raises(ValueError):
+        LoopRates(sim_dt=1e-7)
+    with pytest.raises(ValueError):
+        LoopRates(pcp_hz=float("inf"))
 
 
 def test_blackboard_versioning():
@@ -202,6 +208,19 @@ def test_wall_clock_smoke():
     assert len(res.trajectory) > 0
     for loop in ("filter", "mapping", "mp", "pcp", "sim"):
         assert res.timing[loop]["count"] > 0
+
+
+def test_wall_clock_raises_a_loop_error(monkeypatch):
+    def fail(self, t):
+        raise RuntimeError("mp failed")
+
+    monkeypatch.setattr(runtime._EpisodeCore, "mp_step", fail)
+    threads_before = threading.active_count()
+    tic = time.perf_counter()
+    with pytest.raises(RuntimeError, match="mp failed"):
+        run_episode(empty_scenario(timeout=10.0), mode="wall_clock")
+    assert time.perf_counter() - tic < 5.0
+    assert threading.active_count() == threads_before
 
 
 def test_unknown_mode_rejected():

@@ -23,16 +23,6 @@ def test_dynamic_obstacle_schedule():
     assert np.allclose(box.lo, [1.5, -0.5, -0.5])
 
 
-def test_world_json_roundtrip():
-    w = World(static=[Box((0, 0, 0), (1, 1, 1))],
-              dynamic=[DynamicObstacle((1, 1, 1), [0.0], [(5, 0, 0)])],
-              ground_z=0.0)
-    w2 = World.from_json(w.to_json())
-    assert w2.ground_z == 0.0
-    assert np.allclose(w2.static[0].arrays()[1], [1, 1, 1])
-    assert len(w2.dynamic) == 1
-
-
 def test_sense_noise_free_geometry():
     w = World(static=[Box((2.0, -5.0, -5.0), (3.0, 5.0, 5.0))])
     sensor = SensorParams(noise_coeff=0.0)
