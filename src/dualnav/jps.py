@@ -1,9 +1,13 @@
 """Jump point search on 8-connected binary grids.
 
 Cost model: 1 per straight move, sqrt(2) per diagonal; a diagonal move only
-requires the destination cell to be free. Straight scans are O(1) per jump via
-per-call numpy tables of the next blocked cell and the next forced-neighbor
-cell in each cardinal direction, so replanning stays cheap even on large maps.
+requires the destination cell to be free. Straight scans are O(1) per jump,
+so replanning stays cheap even on large maps: for each of the four cardinal
+directions d, JpsGrid keeps two tables, keyed by d, that give for every cell
+the index along d's axis of the first blocked cell and of the first
+forced-neighbor cell at or beyond it when moving along d (-1 or n, one past
+the grid edge, when there is none). A cell is forced for d when a side cell
+is blocked and the cell one step on from that side cell along d is free.
 """
 from __future__ import annotations
 
@@ -13,7 +17,18 @@ import math
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
-_BIG = 1 << 30
+_CARDINALS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_ALL_DIRS = [*_CARDINALS, (1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def _first_along(mask: np.ndarray, coord: np.ndarray, axis: int, step: int):
+    """Index along axis of the first True cell at or beyond each cell when
+    moving by step (+1 or -1), given each cell's index coord along axis; -1
+    or n (one past the grid edge) when there is none."""
+    if step > 0:
+        idx = np.where(mask, coord, mask.shape[axis])
+        return np.flip(np.minimum.accumulate(np.flip(idx, axis), axis), axis)
+    return np.maximum.accumulate(np.where(mask, coord, -1), axis)
 
 
 class JpsGrid:
@@ -21,91 +36,58 @@ class JpsGrid:
 
     def __init__(self, cells: np.ndarray):
         cells = np.asarray(cells)
-        self.shape = cells.shape
         I, J = cells.shape
         F = np.zeros((I + 2, J + 2), dtype=bool)      # free, padded blocked
         F[1:-1, 1:-1] = cells == 0
         self.free = F[1:-1, 1:-1]
         self._F = F
 
-        blk = ~F
-        # forced-neighbor cells for each cardinal travel direction
-        f_py = (blk[:-2, 1:-1] & F[:-2, 2:]) | (blk[2:, 1:-1] & F[2:, 2:])
-        f_my = (blk[:-2, 1:-1] & F[:-2, :-2]) | (blk[2:, 1:-1] & F[2:, :-2])
-        f_px = (blk[1:-1, :-2] & F[2:, :-2]) | (blk[1:-1, 2:] & F[2:, 2:])
-        f_mx = (blk[1:-1, :-2] & F[:-2, :-2]) | (blk[1:-1, 2:] & F[:-2, 2:])
+        B = ~F                                        # blocked, padding too
+
+        def at(P, ox, oy):
+            """The padded grid P at offset (ox, oy) from each cell."""
+            return P[1 + ox:I + 1 + ox, 1 + oy:J + 1 + oy]
 
         blocked = ~self.free
-        yy = np.broadcast_to(np.arange(J), (I, J))
-        xx = np.broadcast_to(np.arange(I)[:, None], (I, J))
-
-        def suffix_min(mask, coord, axis):
-            idx = np.where(mask, coord, _BIG)
-            return np.flip(np.minimum.accumulate(np.flip(idx, axis), axis), axis)
-
-        def prefix_max(mask, coord, axis):
-            idx = np.where(mask, coord, -_BIG)
-            return np.maximum.accumulate(idx, axis)
-
-        self.nb_py = suffix_min(blocked, yy, 1)
-        self.nb_my = prefix_max(blocked, yy, 1)
-        self.nb_px = suffix_min(blocked, xx, 0)
-        self.nb_mx = prefix_max(blocked, xx, 0)
-        self.nf_py = suffix_min(f_py, yy, 1)
-        self.nf_my = prefix_max(f_my, yy, 1)
-        self.nf_px = suffix_min(f_px, xx, 0)
-        self.nf_mx = prefix_max(f_mx, xx, 0)
+        coords = (np.arange(I, dtype=np.int32)[:, None],
+                  np.arange(J, dtype=np.int32))
+        self.first_blocked = {}
+        self.first_forced = {}
+        for dx, dy in _CARDINALS:
+            sx, sy = abs(dy), abs(dx)                 # side offset
+            forced = ((at(B, -sx, -sy) & at(F, dx - sx, dy - sy))
+                      | (at(B, sx, sy) & at(F, dx + sx, dy + sy)))
+            axis = 0 if dx else 1
+            step = dx + dy
+            self.first_blocked[dx, dy] = _first_along(blocked, coords[axis],
+                                                      axis, step)
+            self.first_forced[dx, dy] = _first_along(forced, coords[axis],
+                                                     axis, step)
 
     def jump_cardinal(self, x, y, dx, dy, gx, gy):
         """First jump point strictly beyond (x, y) along a cardinal direction."""
-        I, J = self.shape
-        if dy != 0:
-            y0 = y + dy
-            if y0 < 0 or y0 >= J or not self.free[x, y0]:
-                return None
-            if dy > 0:
-                limit = self.nb_py[x, y0]
-                if x == gx and y0 <= gy < limit:
-                    return gx, gy
-                f = self.nf_py[x, y0]
-                if f < limit:
-                    return x, int(f)
-            else:
-                limit = self.nb_my[x, y0]
-                if x == gx and limit < gy <= y0:
-                    return gx, gy
-                f = self.nf_my[x, y0]
-                if f > limit:
-                    return x, int(f)
+        x0, y0 = x + dx, y + dy
+        if not self._F[x0 + 1, y0 + 1]:
             return None
-        x0 = x + dx
-        if x0 < 0 or x0 >= I or not self.free[x0, y]:
-            return None
-        if dx > 0:
-            limit = self.nb_px[x0, y]
-            if y == gy and x0 <= gx < limit:
-                return gx, gy
-            f = self.nf_px[x0, y]
-            if f < limit:
-                return int(f), y
-        else:
-            limit = self.nb_mx[x0, y]
-            if y == gy and limit < gx <= x0:
-                return gx, gy
-            f = self.nf_mx[x0, y]
-            if f > limit:
-                return int(f), y
+        block = self.first_blocked[dx, dy].item(x0, y0)
+        f = self.first_forced[dx, dy].item(x0, y0)
+        # c and g: the first cell's and the goal's index along the axis of
+        # travel, s: the direction of travel along it
+        c, s, g, on_ray = (x0, dx, gx, y == gy) if dx else (y0, dy, gy, x == gx)
+        free_run = (block - c) * s
+        if on_ray and 0 <= (g - c) * s < free_run:
+            return gx, gy
+        if (f - c) * s < free_run:
+            return (f, y) if dx else (x, f)
         return None
 
     def jump_diagonal(self, x, y, dx, dy, gx, gy):
-        free = self.free
         F = self._F
-        I, J = self.shape
         cx, cy = x, y
         while True:
             cx += dx
             cy += dy
-            if cx < 0 or cx >= I or cy < 0 or cy >= J or not free[cx, cy]:
+            if not F[cx + 1, cy + 1]:
                 return None
             if cx == gx and cy == gy:
                 return cx, cy
@@ -124,35 +106,25 @@ class JpsGrid:
         return self.jump_cardinal(x, y, dx, dy, gx, gy)
 
 
-_ALL_DIRS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
-
-
 def _successor_dirs(grid: JpsGrid, x, y, dx, dy):
     """Pruned expansion directions for a node entered moving (dx, dy)."""
     if dx == 0 and dy == 0:
         return _ALL_DIRS
     F = grid._F
-    dirs = []
+    dirs = [(dx, dy)]
     if dx != 0 and dy != 0:
-        dirs.append((dx, dy))
         dirs.append((dx, 0))
         dirs.append((0, dy))
         if not F[x - dx + 1, y + 1] and F[x - dx + 1, y + dy + 1]:
             dirs.append((-dx, dy))
         if not F[x + 1, y - dy + 1] and F[x + dx + 1, y - dy + 1]:
             dirs.append((dx, -dy))
-    elif dx != 0:
-        dirs.append((dx, 0))
-        if not F[x + 1, y] and F[x + dx + 1, y]:
-            dirs.append((dx, -1))
-        if not F[x + 1, y + 2] and F[x + dx + 1, y + 2]:
-            dirs.append((dx, 1))
     else:
-        dirs.append((0, dy))
-        if not F[x, y + 1] and F[x, y + dy + 1]:
-            dirs.append((-1, dy))
-        if not F[x + 2, y + 1] and F[x + 2, y + dy + 1]:
-            dirs.append((1, dy))
+        sx, sy = abs(dy), abs(dx)                     # side offset
+        if not F[x - sx + 1, y - sy + 1] and F[x - sx + dx + 1, y - sy + dy + 1]:
+            dirs.append((dx - sx, dy - sy))
+        if not F[x + sx + 1, y + sy + 1] and F[x + sx + dx + 1, y + sy + dy + 1]:
+            dirs.append((dx + sx, dy + sy))
     return dirs
 
 

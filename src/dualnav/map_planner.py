@@ -274,12 +274,7 @@ def _nearest_reachable(cells: np.ndarray, start, ref, boundary_only=False):
         inner = np.zeros_like(mask)
         inner[1:-1, 1:-1] = True
         mask &= ~inner
-    cand = np.argwhere(mask)
-    if len(cand) == 0:
-        return None
-    d = np.sum((cand - np.asarray(ref)) ** 2, axis=1)
-    x, y = cand[int(np.argmin(d))]
-    return int(x), int(y)
+    return nearest_free_in_grid(~mask, ref)
 
 
 class AngularGraph:

@@ -7,19 +7,18 @@ import math
 import time
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from dualnav.bench import (bench_map2d, bench_optimizer, flight_scenario,
                            intruder_world, wall_world)
 from dualnav.geometry import min_clearance, path_length
-from dualnav.jps import SQRT2, jps_search, line_is_free
+from dualnav.jps import jps_search, line_is_free
 from dualnav.map_planner import (DagsParams, PlanPath, plan_final_path,
                                  shortcut_cells)
 from dualnav.mapping import LocalMapParams, VoxelMap, local_map, project_2d
 from dualnav.pcp import PcpParams, fermat_point
 from dualnav.runtime import LoopRates, Scenario, _EpisodeCore, run_episode
 from dualnav.sim import World, scan_world
+from test_jps import dijkstra_cost
 
 
 def report(num, name, ok, detail=""):
@@ -31,32 +30,6 @@ def report(num, name, ok, detail=""):
 
 
 # -- criterion 1: search optimality ------------------------------------------
-
-def dijkstra_cost(cells, start, goal):
-    n, m = cells.shape
-    free = cells == 0
-    nid = -np.ones((n, m), dtype=np.int64)
-    nid[free] = np.arange(int(free.sum()))
-    rows, cols, data = [], [], []
-    for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        sa = (slice(max(dx, 0), n + min(dx, 0)),
-              slice(max(dy, 0), m + min(dy, 0)))
-        sb = (slice(max(-dx, 0), n + min(-dx, 0)),
-              slice(max(-dy, 0), m + min(-dy, 0)))
-        ok = free[sa] & free[sb]
-        rows.append(nid[sa][ok])
-        cols.append(nid[sb][ok])
-        w = SQRT2 if dx and dy else 1.0
-        data.append(np.full(int(ok.sum()), w))
-    graph = csr_matrix((np.concatenate(data),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(int(free.sum()),) * 2)
-    if not free[start] or not free[goal]:
-        return None
-    dist = dijkstra(graph, directed=False, indices=nid[start])
-    d = dist[nid[goal]]
-    return None if not np.isfinite(d) else float(d)
-
 
 def test_criterion_01_search_matches_dijkstra():
     tic = time.perf_counter()

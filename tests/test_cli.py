@@ -1,5 +1,4 @@
 import json
-import os
 
 from click.testing import CliRunner
 

@@ -1,12 +1,24 @@
-import math
+"""Jump point search: costs against Dijkstra, jumps against the earlier
+per-direction implementation, and a lock on the search's paths.
+
+The oracles below are a Dijkstra search over the same 8-connected graph
+(`dijkstra_cost`, also used by acceptance criterion 1) and the earlier
+`JpsGrid`, which kept eight named tables and wrote each cardinal jump out
+once per direction.
+"""
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from dualnav.jps import (SQRT2, JpsGrid, jps_search, line_is_free,
                          traversed_cells)
+
+# -- oracles -----------------------------------------------------------------
 
 
 def dijkstra_cost(cells, start, goal):
@@ -34,6 +46,195 @@ def dijkstra_cost(cells, start, goal):
     dist = dijkstra(graph, directed=False, indices=nid[start])
     d = dist[nid[goal]]
     return None if not np.isfinite(d) else float(d)
+
+
+_BIG = 1 << 30
+
+
+class _OracleJpsGrid:
+    """The earlier JpsGrid: eight named tables, one branch per direction."""
+
+    def __init__(self, cells):
+        cells = np.asarray(cells)
+        self.shape = cells.shape
+        I, J = cells.shape
+        F = np.zeros((I + 2, J + 2), dtype=bool)
+        F[1:-1, 1:-1] = cells == 0
+        self.free = F[1:-1, 1:-1]
+        self._F = F
+
+        blk = ~F
+        f_py = (blk[:-2, 1:-1] & F[:-2, 2:]) | (blk[2:, 1:-1] & F[2:, 2:])
+        f_my = (blk[:-2, 1:-1] & F[:-2, :-2]) | (blk[2:, 1:-1] & F[2:, :-2])
+        f_px = (blk[1:-1, :-2] & F[2:, :-2]) | (blk[1:-1, 2:] & F[2:, 2:])
+        f_mx = (blk[1:-1, :-2] & F[:-2, :-2]) | (blk[1:-1, 2:] & F[:-2, 2:])
+
+        blocked = ~self.free
+        yy = np.broadcast_to(np.arange(J), (I, J))
+        xx = np.broadcast_to(np.arange(I)[:, None], (I, J))
+
+        def suffix_min(mask, coord, axis):
+            idx = np.where(mask, coord, _BIG)
+            return np.flip(np.minimum.accumulate(np.flip(idx, axis), axis), axis)
+
+        def prefix_max(mask, coord, axis):
+            idx = np.where(mask, coord, -_BIG)
+            return np.maximum.accumulate(idx, axis)
+
+        self.nb_py = suffix_min(blocked, yy, 1)
+        self.nb_my = prefix_max(blocked, yy, 1)
+        self.nb_px = suffix_min(blocked, xx, 0)
+        self.nb_mx = prefix_max(blocked, xx, 0)
+        self.nf_py = suffix_min(f_py, yy, 1)
+        self.nf_my = prefix_max(f_my, yy, 1)
+        self.nf_px = suffix_min(f_px, xx, 0)
+        self.nf_mx = prefix_max(f_mx, xx, 0)
+
+    def jump_cardinal(self, x, y, dx, dy, gx, gy):
+        I, J = self.shape
+        if dy != 0:
+            y0 = y + dy
+            if y0 < 0 or y0 >= J or not self.free[x, y0]:
+                return None
+            if dy > 0:
+                limit = self.nb_py[x, y0]
+                if x == gx and y0 <= gy < limit:
+                    return gx, gy
+                f = self.nf_py[x, y0]
+                if f < limit:
+                    return x, int(f)
+            else:
+                limit = self.nb_my[x, y0]
+                if x == gx and limit < gy <= y0:
+                    return gx, gy
+                f = self.nf_my[x, y0]
+                if f > limit:
+                    return x, int(f)
+            return None
+        x0 = x + dx
+        if x0 < 0 or x0 >= I or not self.free[x0, y]:
+            return None
+        if dx > 0:
+            limit = self.nb_px[x0, y]
+            if y == gy and x0 <= gx < limit:
+                return gx, gy
+            f = self.nf_px[x0, y]
+            if f < limit:
+                return int(f), y
+        else:
+            limit = self.nb_mx[x0, y]
+            if y == gy and limit < gx <= x0:
+                return gx, gy
+            f = self.nf_mx[x0, y]
+            if f > limit:
+                return int(f), y
+        return None
+
+    def jump_diagonal(self, x, y, dx, dy, gx, gy):
+        free = self.free
+        F = self._F
+        I, J = self.shape
+        cx, cy = x, y
+        while True:
+            cx += dx
+            cy += dy
+            if cx < 0 or cx >= I or cy < 0 or cy >= J or not free[cx, cy]:
+                return None
+            if cx == gx and cy == gy:
+                return cx, cy
+            if (not F[cx - dx + 1, cy + 1] and F[cx - dx + 1, cy + dy + 1]) or \
+               (not F[cx + 1, cy - dy + 1] and F[cx + dx + 1, cy - dy + 1]):
+                return cx, cy
+            if self.jump_cardinal(cx, cy, dx, 0, gx, gy) is not None:
+                return cx, cy
+            if self.jump_cardinal(cx, cy, 0, dy, gx, gy) is not None:
+                return cx, cy
+
+    def jump(self, x, y, dx, dy, gx, gy):
+        if dx != 0 and dy != 0:
+            return self.jump_diagonal(x, y, dx, dy, gx, gy)
+        return self.jump_cardinal(x, y, dx, dy, gx, gy)
+
+
+# -- generated grids ---------------------------------------------------------
+
+DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+@st.composite
+def grids(draw, max_side=12):
+    """Binary grids of 1..max_side cells a side, 1 x n and n x 1 included."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    density = draw(st.sampled_from([0.0, 0.15, 0.3, 0.5]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    return (rng.random(shape) < density).astype(np.uint8)
+
+
+def _row(*cells):
+    return np.array([cells], dtype=np.uint8)
+
+
+@given(grids(max_side=20), st.integers(0, 19), st.integers(0, 19))
+@example(_row(0, 0, 0, 0, 0, 0), 0, 4)               # 1 x n, open
+@example(_row(0, 0, 1, 0, 0, 0).T, 4, 0)             # n x 1, goal beyond a block
+@example(_row(0, 0, 1, 0, 0, 0), 0, 2)               # goal on a blocked cell
+@example(np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0]], np.uint8), 2, 2)
+def test_jump_matches_oracle(cells, gi, gj):
+    I, J = cells.shape
+    gx, gy = gi % I, gj % J
+    grid, oracle = JpsGrid(cells), _OracleJpsGrid(cells)
+    for x in range(I):
+        for y in range(J):
+            # the drawn goal, goals on each ray from (x, y) and on the edges
+            t = gx - x
+            goals = {(gx, gy), (x, gy), (gx, y), (0, y), (I - 1, y), (x, 0),
+                     (x, J - 1), (gx, min(max(y + t, 0), J - 1)),
+                     (gx, min(max(y - t, 0), J - 1))}
+            for goal in goals:
+                for dx, dy in DIRS:
+                    got = grid.jump(x, y, dx, dy, *goal)
+                    assert got == oracle.jump(x, y, dx, dy, *goal)
+                    assert got is None or all(type(v) is int for v in got)
+
+
+@given(grids(max_side=16), st.integers(0, 255), st.integers(0, 255))
+@example(_row(0, 1, 0), 0, 1)                        # unreachable
+@example(np.zeros((1, 7), np.uint8), 0, 6)
+def test_cost_matches_dijkstra(cells, i, j):
+    free = [tuple(int(v) for v in c) for c in np.argwhere(cells == 0)]
+    if not free:
+        return
+    start, goal = free[i % len(free)], free[j % len(free)]
+    ref = dijkstra_cost(cells, start, goal)
+    res = jps_search(cells, start, goal)
+    if ref is None:
+        assert res is None
+    else:
+        assert res is not None
+        assert res[1] == pytest.approx(ref, abs=1e-9)
+
+
+SEARCH_GOLDEN = \
+    "464301a9cf204dc35bdfe00339e8452878ce9ba0e555ba5d9a455fc655a9bce8"
+
+
+def test_search_paths_digest():
+    """Paths and costs on seeded non-square grids; the successor order sets
+    the heap's tie-breaks, so this also locks which of equal paths wins."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(9)
+    for shape in ((7, 23), (23, 7), (1, 30), (30, 1), (16, 41), (41, 16)):
+        for density in (0.0, 0.1, 0.25, 0.4):
+            cells = (rng.random(shape) < density).astype(np.uint8)
+            grid = JpsGrid(cells)
+            free = np.argwhere(cells == 0)
+            for start, goal in free[rng.integers(len(free), size=(16, 2))]:
+                h.update(repr(jps_search(cells, start, goal, grid)).encode())
+    assert h.hexdigest() == SEARCH_GOLDEN
+
+
+# -- fixed cases -------------------------------------------------------------
 
 
 def random_grid(rng, size, density):

@@ -12,9 +12,8 @@ from dualnav.map_planner import (AngularGraph, DagsParams, PlanPath,
                                  cast_local_goal, dags_search, lift_path,
                                  plan_final_path, select_final_path,
                                  shortcut_cells, stitched_plan)
-from dualnav.mapping import (GridMap2D, LocalMapParams, cut_center,
-                             downsample, inflate, local_map, project_2d,
-                             VoxelMap)
+from dualnav.mapping import (GridMap2D, LocalMapParams, VoxelMap, downsample,
+                             local_map, project_2d)
 from dualnav.sim import Box, World, scan_world
 
 

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualnav.pcp import (MotionCommand, PcpParams, braking_distance,
-                         candidate_rays, compute_goal, das_search,
-                         fermat_point, hold, plan_motion, safety_backup,
-                         streamline)
+from dualnav.pcp import (PcpParams, braking_distance, candidate_rays,
+                         compute_goal, das_search, fermat_point, hold,
+                         plan_motion, safety_backup, streamline)
 
 VELOCITY = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(
     np.array)

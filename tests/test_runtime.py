@@ -2,7 +2,6 @@ import heapq
 import threading
 import time
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -10,8 +9,8 @@ from hypothesis import strategies as st
 from dualnav import runtime
 from dualnav.bench import flight_scenario, intruder_world
 from dualnav.pcp import PcpParams
-from dualnav.runtime import (Blackboard, EpisodeResult, LoopRates, Scenario,
-                             run_episode, virtual_schedule)
+from dualnav.runtime import (Blackboard, LoopRates, Scenario, run_episode,
+                             virtual_schedule)
 from dualnav.sim import Box, World
 
 FLIGHT_RATES = dict(filter_hz=30.0, mapping_hz=10.0, mp_hz=5.0, pcp_hz=10.0,
