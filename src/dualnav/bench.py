@@ -154,8 +154,9 @@ def random_map_2d(size: int, seed: int, density: float = 0.12,
         else:
             w = int(rng.integers(3, feature_max))
             h = int(rng.integers(3, feature_max))
-        x = int(rng.integers(0, size - w))
-        y = int(rng.integers(0, size - h))
+        # a feature as long as the map starts at its edge
+        x = int(rng.integers(0, max(size - w, 1)))
+        y = int(rng.integers(0, max(size - h, 1)))
         cells[x:x + w, y:y + h] = 1
     return cells
 

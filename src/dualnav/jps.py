@@ -64,13 +64,14 @@ class JpsGrid:
             self.first_forced[dx, dy] = _first_along(forced, coords[axis],
                                                      axis, step)
 
-    def jump_cardinal(self, x, y, dx, dy, gx, gy):
-        """First jump point strictly beyond (x, y) along a cardinal direction."""
+    def jump_cardinal(self, blocked, forced, x, y, dx, dy, gx, gy):
+        """First jump point strictly beyond (x, y) along a cardinal direction
+        d = (dx, dy), given d's first-blocked and first-forced tables."""
         x0, y0 = x + dx, y + dy
         if not self._F[x0 + 1, y0 + 1]:
             return None
-        block = self.first_blocked[dx, dy].item(x0, y0)
-        f = self.first_forced[dx, dy].item(x0, y0)
+        block = blocked.item(x0, y0)
+        f = forced.item(x0, y0)
         # c and g: the first cell's and the goal's index along the axis of
         # travel, s: the direction of travel along it
         c, s, g, on_ray = (x0, dx, gx, y == gy) if dx else (y0, dy, gy, x == gx)
@@ -83,6 +84,10 @@ class JpsGrid:
 
     def jump_diagonal(self, x, y, dx, dy, gx, gy):
         F = self._F
+        jump_cardinal = self.jump_cardinal
+        # the tables of the two cardinal scans, fetched once per walk
+        bx, fx = self.first_blocked[dx, 0], self.first_forced[dx, 0]
+        by, fy = self.first_blocked[0, dy], self.first_forced[0, dy]
         cx, cy = x, y
         while True:
             cx += dx
@@ -95,15 +100,17 @@ class JpsGrid:
             if (not F[cx - dx + 1, cy + 1] and F[cx - dx + 1, cy + dy + 1]) or \
                (not F[cx + 1, cy - dy + 1] and F[cx + dx + 1, cy - dy + 1]):
                 return cx, cy
-            if self.jump_cardinal(cx, cy, dx, 0, gx, gy) is not None:
+            if jump_cardinal(bx, fx, cx, cy, dx, 0, gx, gy) is not None:
                 return cx, cy
-            if self.jump_cardinal(cx, cy, 0, dy, gx, gy) is not None:
+            if jump_cardinal(by, fy, cx, cy, 0, dy, gx, gy) is not None:
                 return cx, cy
 
     def jump(self, x, y, dx, dy, gx, gy):
         if dx != 0 and dy != 0:
             return self.jump_diagonal(x, y, dx, dy, gx, gy)
-        return self.jump_cardinal(x, y, dx, dy, gx, gy)
+        return self.jump_cardinal(self.first_blocked[dx, dy],
+                                  self.first_forced[dx, dy],
+                                  x, y, dx, dy, gx, gy)
 
 
 def _successor_dirs(grid: JpsGrid, x, y, dx, dy):

@@ -3,6 +3,7 @@ search, chord-shortcut optimization, the two-round discrete angular 3D search
 and the final path selection."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,8 +129,8 @@ def _exempt_start(cells: np.ndarray, start, cache: dict | None, key: str):
     """Cells with the start cell forced free, plus a reusable JpsGrid.
 
     When the start cell is already free the cells are untouched and the grid
-    can come from (and go into) the caller's cache; the cache must be cleared
-    whenever the underlying map changes.
+    can come from (and go into) the caller's cache, which belongs to one
+    pair of maps.
     """
     if cells[start[0], start[1]]:
         cells = cells.copy()
@@ -174,8 +175,10 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
     cell is free); the crossing g_ist falls back to the nearest reachable
     Map_c boundary cell. Returns a StitchedPlan or None on failure.
 
-    A cache dict owned by the caller amortizes the jump tables over repeated
-    calls with the same two maps; pass a fresh dict after any map update.
+    A cache dict amortizes the jump tables over repeated calls with the same
+    two maps and must never see another pair. plan_final_path passes the one
+    it memoizes with the map snapshot's grids (see `_snapshot_grids`), so
+    the tables are built at most once per snapshot.
     """
     h = params.h
     i, m = params.i, params.m
@@ -419,17 +422,37 @@ class MapPlanResult:
     path_3d: PlanPath | None = None
 
 
+@functools.lru_cache(maxsize=1)
+def _snapshot_grids(map_1: GridMap2D, k: int, m: int, h: int):
+    """Inflated Map_1, inflated Map_c, Map_1b and the jump-table cache of one
+    Map_1 snapshot.
+
+    Only the latest snapshot is kept, so memory stays flat however many maps
+    a caller holds. The memo keys on the map object itself (a GridMap2D
+    hashes by identity) and holds a strong reference to it, so one object's
+    grids never go to another that reuses its id. Every query gets the same
+    grids, so their cells are read-only.
+    """
+    grids = (inflate(map_1, k), inflate(cut_center(map_1, m), k),
+             downsample(map_1, h))
+    for grid in grids:
+        grid.cells.flags.writeable = False
+    return (*grids, {})
+
+
 def plan_final_path(p_n, global_goal, pcl_lm, map_1: GridMap2D,
                     params: LocalMapParams, dags_params: DagsParams,
                     use_dags: bool = True):
-    """Full MP cycle from one map snapshot. Returns MapPlanResult or None."""
+    """Full MP cycle from one map snapshot. Returns MapPlanResult or None.
+
+    Repeated queries on the same Map_1 object derive its grids and jump
+    tables once."""
     p_n = np.asarray(p_n, dtype=float)
     global_goal = np.asarray(global_goal, dtype=float)
-    map_1_infl = inflate(map_1, params.k)
+    map_1_infl, map_c, map_1b, cache = _snapshot_grids(
+        map_1, params.k, params.m, params.h)
     g_l, g_cell = cast_local_goal(p_n, global_goal, params, map_1_infl)
-    map_c = inflate(cut_center(map_1, params.m), params.k)
-    map_1b = downsample(map_1, params.h)
-    st = stitched_plan(map_1b, map_c, g_cell, params)
+    st = stitched_plan(map_1b, map_c, g_cell, params, cache=cache)
     if st is None:
         return None
     # pin the path endpoints to the true drone/goal XY, not cell centers

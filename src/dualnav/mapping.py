@@ -41,8 +41,12 @@ class LocalMapParams:
         return self.voxel_size
 
 
-@dataclass
+@dataclass(eq=False)
 class GridMap2D:
+    """A 2D grid snapshot, which nobody mutates once it is planned on: the
+    map planner memoizes the grids it derives from a Map_1 by the object's
+    identity, so equality and hashing are by identity too."""
+
     origin: np.ndarray          # Earth XY of the (0,0) cell corner
     resolution: float
     cells: np.ndarray           # uint8, indexed [ix, iy], 1 = occupied
@@ -99,7 +103,11 @@ class VoxelMap:
 
 def local_map(vmap: VoxelMap, center, params: LocalMapParams) -> np.ndarray:
     """Pcl_lm: occupied voxel centers inside the closed local cuboid."""
-    centers = vmap.occupied_centers()
+    return cuboid_cut(vmap.occupied_centers(), center, params)
+
+
+def cuboid_cut(centers: np.ndarray, center, params: LocalMapParams) -> np.ndarray:
+    """The rows of centers inside the closed local cuboid around center."""
     if len(centers) == 0:
         return centers
     c = np.asarray(center, dtype=float)
@@ -117,7 +125,8 @@ def grid_origin(center, n_cells: int, resolution: float) -> np.ndarray:
 
 
 def project_2d(pcl_lm: np.ndarray, center, params: LocalMapParams) -> GridMap2D:
-    """Map_1: binary ground-plane projection of the local map."""
+    """Map_1: binary ground-plane projection of the local map; its cells are
+    read-only."""
     res = params.resolution
     origin = grid_origin(center, params.i, res)
     cells = np.zeros((params.i, params.i), dtype=np.uint8)
@@ -128,6 +137,7 @@ def project_2d(pcl_lm: np.ndarray, center, params: LocalMapParams) -> GridMap2D:
              (idx[:, 1] >= 0) & (idx[:, 1] < params.i)
         idx = idx[ok]
         cells[idx[:, 0], idx[:, 1]] = 1
+    cells.flags.writeable = False
     return GridMap2D(origin=origin, resolution=res, cells=cells)
 
 

@@ -15,6 +15,11 @@ the byte, but under this clock the filter's tick count in
 `EpisodeResult.timing` and the `pcl4` version on the `Blackboard` count
 frames made, not filter periods; a frame's age is the reader's time minus
 the time of the filter tick that made it.
+
+The mapping tick publishes the map as a snapshot `(pcl_m, p)`: the occupied
+voxel centres and the drone position at that tick. The MP derives the local
+map Pcl_lm and its projection Map_1 from the snapshot only when it replans,
+so a snapshot that no replan reads costs nothing beyond the integration.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ import numpy as np
 
 from .geometry import min_clearance, path_length
 from .map_planner import DagsParams, plan_final_path
-from .mapping import LocalMapParams, VoxelMap, local_map, project_2d
+from .mapping import LocalMapParams, VoxelMap, cuboid_cut, project_2d
 from .pcl import FilterParams, Pose, filter_pipeline
 from .pcp import (PcpParams, compute_goal, das_search, hold, plan_motion,
                   safety_backup, streamline)
@@ -225,20 +230,24 @@ class _EpisodeCore:
         self.bb.publish("pcl4", pcl4)
 
     def mapping_step(self, t):
+        """Integrate the latest frame and publish the map snapshot
+        (pcl_m, p): the read-only occupied voxel centres and the position
+        the local map is cut around."""
         pcl4 = self.bb.read("pcl4")
         st = self.bb.read("state")
         if pcl4 is not None and len(pcl4) and not self.sc.freeze_map:
             self.vmap.integrate(pcl4)
-        pcl_m = self.vmap.occupied_centers()
-        pcl_lm = local_map(self.vmap, st.p, self.sc.map_params)
-        map_1 = project_2d(pcl_lm, st.p, self.sc.map_params)
-        self.bb.publish("map", (pcl_m, pcl_lm, map_1))
+        self.bb.publish("map", (self.vmap.occupied_centers(), st.p))
 
     def mp_step(self, t):
+        """Replan when there is no path or the map blocks it. A replan cuts
+        Pcl_lm and projects Map_1 around the snapshot's position, not the
+        drone's current one: the two differ when the MP and mapping ticks
+        do not coincide."""
         snap = self.bb.read("map")
         if snap is None:
             return
-        pcl_m, pcl_lm, map_1 = snap
+        pcl_m, p_map = snap
         st = self.bb.read("state")
         current = self.bb.read("path")
         if current is not None:
@@ -254,6 +263,8 @@ class _EpisodeCore:
             reason = "collided"
         else:
             reason = "absent"
+        pcl_lm = cuboid_cut(pcl_m, p_map, self.sc.map_params)
+        map_1 = project_2d(pcl_lm, p_map, self.sc.map_params)
         result = plan_final_path(st.p, self.goal, pcl_lm, map_1,
                                  self.sc.map_params, self.sc.dags_params,
                                  use_dags=self.sc.use_dags)

@@ -282,9 +282,7 @@ def _trapped_core(speed):
     ring = np.stack([0.4 * np.cos(ang), 0.4 * np.sin(ang),
                      np.full(ang.size, 1.0)], axis=1)
     core.bb.publish("pcl4", ring)
-    core.bb.publish("map", (np.zeros((0, 3)), np.zeros((0, 3)),
-                            project_2d(np.zeros((0, 3)), (0.0, 0.0, 1.0),
-                                       sc.map_params)))
+    core.bb.publish("map", (np.zeros((0, 3)), np.array([0.0, 0.0, 1.0])))
     core.bb.publish("path",
                     PlanPath(np.array([[0.0, 0.0, 1.0], [5.0, 0.0, 1.0]])))
     core.pcp_step(0.0)

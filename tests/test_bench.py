@@ -46,6 +46,18 @@ def test_random_map_2d_deterministic():
     assert 0.10 <= density <= 0.25
 
 
+def test_random_map_2d_small_maps():
+    # these seeds draw a wall at least as long as the 70-cell map, whose
+    # start offset once had an empty range and raised ValueError
+    for seed in (2, 3, 5, 7):
+        cells = random_map_2d(70, seed=seed, density=0.12)
+        assert cells.shape == (70, 70)
+        assert set(np.unique(cells)) <= {0, 1}
+        assert cells.mean() >= 0.12
+        assert np.array_equal(cells, random_map_2d(70, seed=seed,
+                                                   density=0.12))
+
+
 def test_random_world_3d_contract():
     for seed in range(5):
         world, start, goal = random_world_3d(seed)

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualnav import map_planner
 from dualnav.geometry import (min_clearance, path_length, spherical_angles,
                               wrap_angle)
 from dualnav.jps import jps_search, line_is_free
-from dualnav.map_planner import (AngularGraph, DagsParams, PlanPath,
-                                 cast_local_goal, dags_search, lift_path,
-                                 plan_final_path, select_final_path,
-                                 shortcut_cells, stitched_plan)
-from dualnav.mapping import (GridMap2D, LocalMapParams, VoxelMap, downsample,
-                             local_map, project_2d)
+from dualnav.map_planner import (AngularGraph, DagsParams, MapPlanResult,
+                                 PlanPath, cast_local_goal, dags_search,
+                                 lift_path, plan_final_path,
+                                 select_final_path, shortcut_cells,
+                                 stitched_plan)
+from dualnav.mapping import (GridMap2D, LocalMapParams, VoxelMap, cut_center,
+                             downsample, inflate, local_map, project_2d)
 from dualnav.sim import Box, World, scan_world
 
 
@@ -270,3 +272,155 @@ def test_plan_final_path_on_known_wall():
                            DagsParams(z_min=0.3), use_dags=False)
     assert flat.path.kind == "2D-lifted" and flat.path_3d is None
     assert res.path.length() < flat.path.length()
+
+
+# -- the memo of a map snapshot's grids ---------------------------------------
+
+def oracle_plan_final_path(p_n, global_goal, pcl_lm, map_1, params,
+                           dags_params, use_dags=True):
+    """`plan_final_path` as it was when every query derived its own grids
+    and jump tables."""
+    p_n = np.asarray(p_n, dtype=float)
+    global_goal = np.asarray(global_goal, dtype=float)
+    map_1_infl = inflate(map_1, params.k)
+    g_l, g_cell = cast_local_goal(p_n, global_goal, params, map_1_infl)
+    map_c = inflate(cut_center(map_1, params.m), params.k)
+    map_1b = downsample(map_1, params.h)
+    st = stitched_plan(map_1b, map_c, g_cell, params)
+    if st is None:
+        return None
+    wp = st.path.waypoints.copy()
+    wp[0, :2] = p_n[:2]
+    wp[-1, :2] = g_l[:2]
+    lifted = lift_path(PlanPath(wp), p_n[2], g_l[2])
+    path_3d = None
+    if use_dags and len(np.asarray(pcl_lm).reshape(-1, 3)):
+        path_3d = dags_search(pcl_lm, p_n, g_l, lifted, dags_params)
+    return MapPlanResult(path=select_final_path(lifted, path_3d), g_l=g_l,
+                         path_3d=path_3d)
+
+
+def assert_same_plan(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.path.kind == want.path.kind
+    assert got.path.waypoints.tobytes() == want.path.waypoints.tobytes()
+    assert got.g_l.tobytes() == want.g_l.tobytes()
+    if want.path_3d is None:
+        assert got.path_3d is None
+    else:
+        assert got.path_3d.waypoints.tobytes() == \
+            want.path_3d.waypoints.tobytes()
+
+
+# two settings on one Map_1 (same i and voxel size): (k, m, h) = (3, 20, 2)
+# and (1, 16, 3)
+MEMO_PARAMS = LocalMapParams(i=40, m=20, k=3, voxel_size=0.25)
+MEMO_OTHER = LocalMapParams(i=40, m=16, k=1, voxel_size=0.25)
+
+
+@st.composite
+def voxel_clouds(draw, p_n, params):
+    """Voxel centres inside the local cuboid around p_n, a few of them
+    stacked into pillars; with the drone's own cell occupied if drawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = np.array([params.l_ms / 2.0, params.l_ms / 2.0, params.h_ms / 2.0])
+    pts = p_n + rng.uniform(-half, half, size=(draw(st.integers(0, 200)), 3))
+    bases = p_n + rng.uniform(-half, half, size=(draw(st.integers(0, 12)), 3))
+    pillars = [b + [0.0, 0.0, dz] for b in bases
+               for dz in np.arange(-1.0, 1.01, params.voxel_size)]
+    pts = np.vstack([pts, np.reshape(pillars, (-1, 3))])
+    if draw(st.booleans()):
+        pts = np.vstack([pts, p_n])            # blocks the start cell
+    vs = params.voxel_size
+    return (np.floor(pts / vs) + 0.5) * vs
+
+
+@st.composite
+def memo_cases(draw):
+    coord = st.floats(-2.0, 2.0)
+    p_n = np.array([draw(coord), draw(coord), draw(st.floats(0.8, 1.5))])
+    goals = []
+    for far in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        ang = draw(st.floats(-math.pi, math.pi))
+        # inside the 5 m fine window Map_c, or beyond the 10 m local map
+        r = draw(st.floats(7.0, 20.0) if far else st.floats(0.3, 2.2))
+        goals.append(p_n + [r * math.cos(ang), r * math.sin(ang),
+                            draw(st.floats(-0.5, 0.5))])
+    return (p_n, goals, draw(voxel_clouds(p_n, MEMO_PARAMS)),
+            draw(voxel_clouds(p_n, MEMO_PARAMS)))
+
+
+@settings(max_examples=40)
+@given(memo_cases())
+def test_memoized_plans_match_oracle(case):
+    p_n, goals, cloud_1, cloud_2 = case
+    dags = DagsParams(z_min=0.3)
+    map_1 = project_2d(cloud_1, p_n, MEMO_PARAMS)
+    map_2 = project_2d(cloud_2, p_n, MEMO_PARAMS)
+    # one map object with both settings, a second map object right after
+    # the first, then the first again
+    for params, grid, cloud in ((MEMO_PARAMS, map_1, cloud_1),
+                                (MEMO_OTHER, map_1, cloud_1),
+                                (MEMO_PARAMS, map_2, cloud_2),
+                                (MEMO_PARAMS, map_1, cloud_1)):
+        for goal in goals:
+            for use_dags in (True, False):
+                assert_same_plan(
+                    plan_final_path(p_n, goal, cloud, grid, params, dags,
+                                    use_dags=use_dags),
+                    oracle_plan_final_path(p_n, goal, cloud, grid, params,
+                                           dags, use_dags=use_dags))
+
+
+def test_blocked_start_plans_match_oracle():
+    p_n = np.array([0.3, -0.2, 1.1])
+    cloud = np.vstack([_wall_points() + [1.5, 0.0, 0.4], p_n])
+    map_1 = project_2d(cloud, p_n, MEMO_PARAMS)
+    i = MEMO_PARAMS.i
+    assert map_1.cells[i // 2, i // 2] == 1
+    for goal in ((1.0, 0.5, 1.1), (15.0, 2.0, 1.1), (-12.0, -9.0, 1.1)):
+        for use_dags in (True, False):
+            assert_same_plan(
+                plan_final_path(p_n, goal, cloud, map_1, MEMO_PARAMS,
+                                DagsParams(), use_dags=use_dags),
+                oracle_plan_final_path(p_n, goal, cloud, map_1, MEMO_PARAMS,
+                                       DagsParams(), use_dags=use_dags))
+
+
+def test_grids_built_once_per_snapshot(monkeypatch):
+    built = {"inflate": 0, "downsample": 0, "JpsGrid": 0}
+
+    def counted(name):
+        original = getattr(map_planner, name)
+
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(map_planner, name, wrapper)
+
+    for name in built:
+        counted(name)
+    p_n = np.array([0.0, 0.0, 1.1])
+    cloud = _wall_points() + [1.5, 0.0, 0.4]
+    params = LocalMapParams()
+    for round_ in (1, 2):
+        # a fresh map object per round, six queries on each
+        map_1 = project_2d(cloud, p_n, params)
+        for goal in ((3.0, 0.5, 1.1), (25.0, 2.0, 1.1), (-20.0, -9.0, 1.1)):
+            for use_dags in (True, False):
+                assert plan_final_path(p_n, goal, cloud, map_1, params,
+                                       DagsParams(),
+                                       use_dags=use_dags) is not None
+        assert built == {"inflate": 2 * round_, "downsample": round_,
+                         "JpsGrid": 2 * round_}
+
+
+def test_project_2d_cells_are_read_only():
+    grid = project_2d(np.array([[0.5, 0.5, 1.0]]), (0.0, 0.0, 1.0),
+                      LocalMapParams())
+    assert not grid.cells.flags.writeable
+    with pytest.raises(ValueError):
+        grid.cells[0, 0] = 1

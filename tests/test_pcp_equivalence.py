@@ -525,7 +525,7 @@ def pcp_cloud_cases(draw):
     if snap == "none":
         snap = None
     elif snap == "empty":
-        snap = (np.zeros((0, 3)), None, None)
+        snap = (np.zeros((0, 3)), p)
     else:
         if snap == "voxels" or pcl4 is None:
             centers = (np.floor(draw(scattered(p, 100)) / 0.1) + 0.5) * 0.1
@@ -534,7 +534,7 @@ def pcp_cloud_cases(draw):
             centers = pcl4[::2].copy()
         # read-only, as `VoxelMap.occupied_centers` gives them
         centers.flags.writeable = False
-        snap = (centers, None, None)
+        snap = (centers, p)
     return pcl4, snap, p, g, pp, draw(st.integers(0, 10_000))
 
 
@@ -546,13 +546,13 @@ _SHELLS = np.array([np.eye(3)[k % 3] * (1 - 2 * (k % 6 // 3)) * 0.5 * (1 + k % 5
 
 @settings(max_examples=300)
 @given(pcp_cloud_cases())
-@example((_SHELLS, (_SHELLS[::2], None, None), np.zeros(3), np.ones(3),
+@example((_SHELLS, (_SHELLS[::2], np.zeros(3)), np.zeros(3), np.ones(3),
           PcpParams(), 0))
 @example((None, None, np.zeros(3), np.ones(3), PcpParams(), 0))
-@example((np.zeros((0, 3)), (np.zeros((0, 3)), None, None), np.zeros(3),
+@example((np.zeros((0, 3)), (np.zeros((0, 3)), np.zeros(3)), np.zeros(3),
           np.ones(3), PcpParams(), 0))
 @example((np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [3.0, 0.0, 0.0]]),
-          (np.array([[0.0, 0.0, 2.0]]), None, None), np.zeros(3),
+          (np.array([[0.0, 0.0, 2.0]]), np.zeros(3)), np.zeros(3),
           np.array([1.0, 0.0, 0.0]), PcpParams(n_use=1), 5))
 def test_pcp_cloud_same_bytes(case):
     pcl4, snap, p, g, pp, steps = case

@@ -2,12 +2,16 @@ import heapq
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dualnav import runtime
-from dualnav.bench import flight_scenario, intruder_world
+from dualnav.bench import flight_scenario, intruder_world, random_world_3d
+from dualnav.geometry import min_clearance
+from dualnav.map_planner import plan_final_path
+from dualnav.mapping import local_map, project_2d
 from dualnav.pcp import PcpParams
 from dualnav.runtime import (Blackboard, LoopRates, Scenario, run_episode,
                              virtual_schedule)
@@ -160,6 +164,100 @@ def test_dropped_frames_leave_the_flight_unchanged(monkeypatch):
     assert any(kind == "mp_replan" and payload["reason"] == "collided"
                for _, kind, payload in got.events)
     assert got.timing["filter"]["count"] < want.timing["filter"]["count"]
+
+
+def oracle_mapping_step(self, t):
+    """`_EpisodeCore.mapping_step` as it was when every mapping tick built
+    the local map and Map_1."""
+    pcl4 = self.bb.read("pcl4")
+    st = self.bb.read("state")
+    if pcl4 is not None and len(pcl4) and not self.sc.freeze_map:
+        self.vmap.integrate(pcl4)
+    pcl_m = self.vmap.occupied_centers()
+    pcl_lm = local_map(self.vmap, st.p, self.sc.map_params)
+    map_1 = project_2d(pcl_lm, st.p, self.sc.map_params)
+    self.bb.publish("map", (pcl_m, pcl_lm, map_1))
+
+
+def oracle_mp_step(self, t):
+    """`_EpisodeCore.mp_step` reading that three-part snapshot."""
+    snap = self.bb.read("map")
+    if snap is None:
+        return
+    pcl_m, pcl_lm, map_1 = snap
+    st = self.bb.read("state")
+    current = self.bb.read("path")
+    if current is not None:
+        margin = self.sc.drone_radius + self.sc.map_params.voxel_size / 2.0
+        remaining = current.waypoints[max(self.wp_index - 1, 0):]
+        clear = min_clearance(remaining, pcl_m) if len(pcl_m) else np.inf
+        if clear >= margin:
+            return
+        reason = "collided"
+    else:
+        reason = "absent"
+    result = runtime.plan_final_path(st.p, self.goal, pcl_lm, map_1,
+                                     self.sc.map_params, self.sc.dags_params,
+                                     use_dags=self.sc.use_dags)
+    self.mp_replans += 1
+    if result is None:
+        self.bb.publish("path", None)
+        self.log(t, "mp_replan", {"reason": reason, "ok": False})
+        return
+    with self._lock:
+        self.wp_index = 1
+        self.blocked_rays = set()
+    self.bb.publish("path", result.path)
+    self.bb.publish("g_l", result.g_l)
+    self.log(t, "mp_replan", {"reason": reason, "ok": True,
+                              "kind": result.path.kind})
+
+
+def test_lazy_map_snapshot_leaves_the_flight_unchanged(monkeypatch):
+    # MP at 3 Hz, mapping at 7 Hz: the two ticks meet only on whole
+    # seconds, so a replan cut around the drone's position at the MP tick
+    # instead of the snapshot's would plan on another map
+    rates = LoopRates(filter_hz=30.0, mapping_hz=7.0, mp_hz=3.0, pcp_hz=13.0,
+                      sim_dt=0.03)
+    scenarios = [
+        flight_scenario(*intruder_world(), seed=3, known_world=False,
+                        freeze_map=False, timeout=11.0, rates=rates),
+        flight_scenario(*random_world_3d(5), seed=3, known_world=False,
+                        freeze_map=False, timeout=8.0, rates=rates)]
+    projected = [0]
+    planned = []
+
+    def counted_project_2d(*args):
+        projected[0] += 1
+        return project_2d(*args)
+
+    def recorded_plan(p_n, goal, pcl_lm, map_1, *args, **kwargs):
+        planned.append((p_n.tobytes(), pcl_lm.tobytes(),
+                        map_1.origin.tobytes(), map_1.cells.tobytes()))
+        return plan_final_path(p_n, goal, pcl_lm, map_1, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "project_2d", counted_project_2d)
+    monkeypatch.setattr(runtime, "plan_final_path", recorded_plan)
+    got = []
+    for sc in scenarios:
+        projected[0] = 0
+        res = run_episode(sc)
+        assert projected[0] == res.metrics["mp_replans"]
+        got.append((res, planned[:]))
+        planned.clear()
+    replans = [e for res, _ in got for e in res.events if e[1] == "mp_replan"]
+    assert any(e[0] > 0.0 for e in replans)
+    monkeypatch.setattr(runtime._EpisodeCore, "mapping_step",
+                        oracle_mapping_step)
+    monkeypatch.setattr(runtime._EpisodeCore, "mp_step", oracle_mp_step)
+    for sc, (res, inputs) in zip(scenarios, got):
+        want = run_episode(sc)
+        # the planner saw the same local map and Map_1 at every replan
+        assert inputs == planned
+        planned.clear()
+        assert res.trajectory_csv() == want.trajectory_csv()
+        assert res.metrics_json() == want.metrics_json()
+        assert res.events == want.events
 
 
 def test_scenario_timeout_default():
