@@ -1,4 +1,17 @@
-"""Shared vector geometry helpers used across the planners and the simulator."""
+"""Shared vector geometry helpers used across the planners and the simulator.
+
+`path_clears(waypoints, points, r)` answers `min_clearance(waypoints,
+points) >= r` from the points near each segment. A point outside the
+segment's bounding box grown by r (plus a slack for rounding) has a
+coordinate gap above r, so its computed distance is at least r and it
+cannot block. The kept points' distances come from the same
+`segment_point_distances` the full scan runs, and a row's distance does
+not depend on the other rows it is computed with. Still, when a segment's
+nearest kept distance lies within 1e-12 relative of r, the full
+`min_clearance` scan decides, so the answer holds even under a BLAS kernel
+whose last bit depends on how many rows it is given: a distance farther
+from r than that is on the same side of r in both scans.
+"""
 from __future__ import annotations
 
 import math
@@ -59,6 +72,35 @@ def min_clearance(waypoints, points) -> float:
         d = segment_point_distances(wp[i], wp[i + 1], pts)
         best = min(best, float(np.min(d)))
     return best
+
+
+def path_clears(waypoints, points, r) -> bool:
+    """`min_clearance(waypoints, points) >= r`, scanning for each segment
+    only the points inside its bounding box grown by r; False at the first
+    segment that blocks."""
+    pts = np.asarray(points, dtype=float)
+    wp = np.asarray(waypoints, dtype=float)
+    if pts.size == 0 or len(wp) < 2:
+        return min_clearance(wp, pts) >= r
+    cols = np.ascontiguousarray(pts.T)
+    # the slack covers the rounding of the box bounds and of a projection
+    # that lands a few ulps outside the segment
+    grow = r + 1e-6 * (1.0 + abs(r) + float(np.max(np.abs(wp))))
+    lo = np.minimum(wp[:-1], wp[1:]) - grow
+    hi = np.maximum(wp[:-1], wp[1:]) + grow
+    for i in range(len(wp) - 1):
+        near = (cols[0] >= lo[i, 0]) & (cols[0] <= hi[i, 0])
+        for c in range(1, len(cols)):
+            near &= (cols[c] >= lo[i, c]) & (cols[c] <= hi[i, c])
+        if not near.any():
+            continue
+        d = float(np.min(segment_point_distances(
+            wp[i], wp[i + 1], pts[np.flatnonzero(near)])))
+        if abs(d - r) <= 1e-12 * abs(r):
+            return min_clearance(wp, pts) >= r
+        if d < r:
+            return False
+    return True
 
 
 def wrap_angle(a):

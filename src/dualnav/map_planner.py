@@ -11,7 +11,7 @@ import numpy as np
 
 from scipy.ndimage import label
 
-from .geometry import (direction_from_angles, min_clearance, path_length,
+from .geometry import (direction_from_angles, path_clears, path_length,
                        segment_point_distances, spherical_angles, wrap_angle)
 from .jps import JpsGrid, jps_search, line_is_free
 from .mapping import GridMap2D, LocalMapParams, cut_center, downsample, inflate
@@ -26,7 +26,11 @@ class PlanPath:
         wp = np.asarray(self.waypoints, dtype=float).reshape(-1, 3)
         if len(wp) == 0:
             raise ValueError("a path needs at least one waypoint")
-        if len(wp) > 1:
+        # a step's norm is at least its largest coordinate difference (less
+        # a rounding error), so when every step has one above 2e-12, every
+        # norm is above 1e-12 and the loop would drop nothing
+        if len(wp) > 1 and not (
+                np.abs(wp[1:] - wp[:-1]).max(axis=1) > 2e-12).all():
             keep = [0]
             for idx in range(1, len(wp)):
                 if np.linalg.norm(wp[idx] - wp[keep[-1]]) > 1e-12:
@@ -77,24 +81,29 @@ def cast_local_goal(p_n, global_goal, params: LocalMapParams,
     return g_l, cell
 
 
-def _edge_cells(grid: GridMap2D):
-    n, m = grid.cells.shape
-    for x in range(n):
-        yield (x, 0)
-        yield (x, m - 1)
-    for y in range(1, m - 1):
-        yield (0, y)
-        yield (n - 1, y)
+@functools.lru_cache(maxsize=8)
+def _edge_index(n: int, m: int):
+    """x and y indices of an n x m grid's edge cells: (x, 0) and (x, m - 1)
+    for each x, then (0, y) and (n - 1, y) for each inner y."""
+    ex = np.concatenate([np.repeat(np.arange(n), 2),
+                         np.tile([0, n - 1], max(m - 2, 0))])
+    ey = np.concatenate([np.tile([0, m - 1], n),
+                         np.repeat(np.arange(1, m - 1), 2)])
+    for a in (ex, ey):
+        a.flags.writeable = False
+    return ex, ey
 
 
 def _nearest_free_edge_cell(grid: GridMap2D, ref):
-    best, best_d = None, np.inf
-    for cell in _edge_cells(grid):
-        if grid.cells[cell[0], cell[1]] == 0:
-            d = (cell[0] - ref[0]) ** 2 + (cell[1] - ref[1]) ** 2
-            if d < best_d:
-                best, best_d = cell, d
-    return best
+    """Free edge cell nearest ref, the first in edge order on ties; None
+    when every edge cell is occupied."""
+    ex, ey = _edge_index(*grid.cells.shape)
+    free = grid.cells[ex, ey] == 0
+    if not free.any():
+        return None
+    fx, fy = ex[free], ey[free]
+    i = int(np.argmin((fx - ref[0]) ** 2 + (fy - ref[1]) ** 2))
+    return int(fx[i]), int(fy[i])
 
 
 def shortcut_cells(path: list, cells: np.ndarray) -> list:
@@ -366,7 +375,7 @@ def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
             continue
         # a round only steers when its point subset actually blocks the
         # direct run to the local goal
-        if np.min(segment_point_distances(origin, g_l, subset)) >= params.r_safe:
+        if path_clears((origin, g_l), subset, params.r_safe):
             continue
         graph = AngularGraph(subset, origin, g_l, params.alpha_res)
         cell = graph.min_norm_edge_cell()
@@ -391,7 +400,7 @@ def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
 
     candidate = [p_n] + tps + [g_l]
     path = PlanPath(np.array(candidate), kind="3D")
-    if min_clearance(path.waypoints, pts) < params.r_safe:
+    if not path_clears(path.waypoints, pts, params.r_safe):
         return None
     if params.z_min is not None and np.any(path.waypoints[:, 2] < params.z_min):
         return None
@@ -443,7 +452,8 @@ def _snapshot_grids(map_1: GridMap2D, k: int, m: int, h: int):
 def plan_final_path(p_n, global_goal, pcl_lm, map_1: GridMap2D,
                     params: LocalMapParams, dags_params: DagsParams,
                     use_dags: bool = True):
-    """Full MP cycle from one map snapshot. Returns MapPlanResult or None.
+    """Full MP cycle from one map snapshot. Returns MapPlanResult, or None
+    when the stitched search fails or reaches only the drone's own cell.
 
     Repeated queries on the same Map_1 object derive its grids and jump
     tables once."""
@@ -453,7 +463,8 @@ def plan_final_path(p_n, global_goal, pcl_lm, map_1: GridMap2D,
         map_1, params.k, params.m, params.h)
     g_l, g_cell = cast_local_goal(p_n, global_goal, params, map_1_infl)
     st = stitched_plan(map_1b, map_c, g_cell, params, cache=cache)
-    if st is None:
+    if st is None or len(st.path.waypoints) < 2:
+        # a one-cell plan (the drone's cell walled in) goes nowhere
         return None
     # pin the path endpoints to the true drone/goal XY, not cell centers
     wp = st.path.waypoints.copy()

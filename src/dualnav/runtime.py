@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import min_clearance, path_length
+from .geometry import path_clears, path_length
 from .map_planner import DagsParams, plan_final_path
 from .mapping import LocalMapParams, VoxelMap, cuboid_cut, project_2d
 from .pcl import FilterParams, Pose, filter_pipeline
@@ -254,11 +254,12 @@ class _EpisodeCore:
             # replan only when the path actually intersects the map within the
             # drone's own footprint; the grid planner guarantees roughly half
             # a voxel of chord clearance, so gating on r_safe here would force
-            # a replan on every cycle
+            # a replan on every cycle. path_clears reads only the voxels near
+            # each remaining segment and answers as the full min_clearance
+            # scan would.
             margin = self.sc.drone_radius + self.sc.map_params.voxel_size / 2.0
             remaining = current.waypoints[max(self.wp_index - 1, 0):]
-            clear = min_clearance(remaining, pcl_m) if len(pcl_m) else np.inf
-            if clear >= margin:
+            if path_clears(remaining, pcl_m, margin):
                 return                      # suspended: path still valid
             reason = "collided"
         else:
@@ -304,7 +305,8 @@ class _EpisodeCore:
                     self.blocked_rays = set()
                 else:
                     break
-            idx = self.wp_index
+            # a one-waypoint path starts with wp_index past its end
+            idx = min(self.wp_index, len(wp) - 1)
         remaining = wp[idx:]
         end = wp[-1]
         if (np.linalg.norm(st.p - end) < sc.goal_tol

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualnav import map_planner
-from dualnav.geometry import (min_clearance, path_length, spherical_angles,
-                              wrap_angle)
+from dualnav.geometry import (direction_from_angles, min_clearance,
+                              path_length, segment_point_distances,
+                              spherical_angles, wrap_angle)
 from dualnav.jps import jps_search, line_is_free
 from dualnav.map_planner import (AngularGraph, DagsParams, MapPlanResult,
                                  PlanPath, cast_local_goal, dags_search,
@@ -279,7 +280,7 @@ def test_plan_final_path_on_known_wall():
 def oracle_plan_final_path(p_n, global_goal, pcl_lm, map_1, params,
                            dags_params, use_dags=True):
     """`plan_final_path` as it was when every query derived its own grids
-    and jump tables."""
+    and jump tables, with its later rule that a one-cell plan is None."""
     p_n = np.asarray(p_n, dtype=float)
     global_goal = np.asarray(global_goal, dtype=float)
     map_1_infl = inflate(map_1, params.k)
@@ -287,7 +288,7 @@ def oracle_plan_final_path(p_n, global_goal, pcl_lm, map_1, params,
     map_c = inflate(cut_center(map_1, params.m), params.k)
     map_1b = downsample(map_1, params.h)
     st = stitched_plan(map_1b, map_c, g_cell, params)
-    if st is None:
+    if st is None or len(st.path.waypoints) < 2:
         return None
     wp = st.path.waypoints.copy()
     wp[0, :2] = p_n[:2]
@@ -424,3 +425,220 @@ def test_project_2d_cells_are_read_only():
     assert not grid.cells.flags.writeable
     with pytest.raises(ValueError):
         grid.cells[0, 0] = 1
+
+
+def test_walled_in_start_gives_no_plan():
+    # voxels two cells around the drone: k = 3 inflation blocks its eight
+    # neighbours in Map_c and leaves its own cell free but walled in
+    params = MEMO_PARAMS
+    vs = params.voxel_size
+    p_n = np.array([0.0, 0.0, 1.1])
+    ring = [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
+            if max(abs(dx), abs(dy)) == 2]
+    cloud = np.array([[dx * vs, dy * vs, z]
+                      for dx, dy in ring for z in (0.9, 1.1, 1.3)])
+    map_1 = project_2d(cloud, p_n, params)
+    map_c = inflate(cut_center(map_1, params.m), params.k)
+    c = params.m // 2
+    assert map_c.cells[c, c] == 0
+    assert map_c.cells[c - 1:c + 2, c - 1:c + 2].sum() == 8
+    lo = params.i // 2 - params.m // 2
+    st_ = stitched_plan(downsample(map_1, params.h), map_c,
+                        (lo + c + 3, lo + c), params)
+    assert st_.fine_cells == [(c, c)] and len(st_.path.waypoints) == 1
+    for goal in ((1.0, 0.0, 1.1), (15.0, 2.0, 1.1)):
+        for use_dags in (True, False):
+            assert plan_final_path(p_n, goal, cloud, map_1, params,
+                                   DagsParams(), use_dags=use_dags) is None
+
+
+# -- the rewritten clearance test, waypoint dedupe and edge-cell scan ---------
+
+def oracle_dags_search(pcl_lm, p_n, g_l, improved_2d, params):
+    """`dags_search` as it was when both clearance tests scanned the whole
+    cloud."""
+    p_n = np.asarray(p_n, dtype=float)
+    g_l = np.asarray(g_l, dtype=float)
+    pts = np.asarray(pcl_lm, dtype=float).reshape(-1, 3)
+    wp = improved_2d.waypoints
+    jp1 = wp[1] if len(wp) > 1 else wp[0]
+    jp1 = np.array([jp1[0], jp1[1], p_n[2]])
+    split_r = float(np.linalg.norm(p_n - jp1))
+    if len(pts):
+        dist = np.linalg.norm(pts - p_n, axis=1)
+        subsets = [pts[dist < split_r], pts[dist >= split_r]]
+    else:
+        subsets = [pts, pts]
+    tps = []
+    origin = p_n
+    for subset in subsets:
+        if len(subset) == 0:
+            continue
+        if np.min(segment_point_distances(origin, g_l, subset)) >= params.r_safe:
+            continue
+        graph = AngularGraph(subset, origin, g_l, params.alpha_res)
+        cell = graph.min_norm_edge_cell()
+        if cell is None:
+            continue
+        members = subset[graph.members(cell)]
+        d_seg = segment_point_distances(origin, g_l, members)
+        p_eg = members[int(np.argmax(d_seg))]
+        l_tp = float(np.linalg.norm(p_n - p_eg))
+        if params.r_safe > l_tp:
+            return None
+        alpha_safe = math.asin(params.r_safe / l_tp)
+        ca, cb = graph.cell_center_angles(cell)
+        norm = math.hypot(ca, cb)
+        scale = (norm + alpha_safe) / norm if norm > 0 else 0.0
+        az = graph.az_g + ca * scale
+        el = graph.el_g + cb * scale
+        tp = origin + l_tp * direction_from_angles(az, el)
+        tps.append(tp)
+        origin = tp
+    path = PlanPath(np.array([p_n] + tps + [g_l]), kind="3D")
+    if min_clearance(path.waypoints, pts) < params.r_safe:
+        return None
+    if params.z_min is not None and np.any(path.waypoints[:, 2] < params.z_min):
+        return None
+    return path
+
+
+@st.composite
+def pillar_scenes(draw):
+    """A drone, a local goal 2-8 m away, the first jump point of a 2D path
+    around the line between them, and up to three obstacles near that line,
+    voxelized at 0.2 m: pillars 0.3-1.2 m wide and 1.6-3.0 m tall, or walls
+    across the line 1-3 m wide and 0.9-1.5 m tall that DAGS can go over."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_n = np.array([0.0, 0.0, rng.uniform(0.8, 1.6)])
+    ang = rng.uniform(-math.pi, math.pi)
+    dist = rng.uniform(2.0, 8.0)
+    g_l = p_n + [dist * math.cos(ang), dist * math.sin(ang),
+                 rng.uniform(-0.3, 0.3)]
+    along = np.array([math.cos(ang), math.sin(ang), 0.0])
+    side = np.array([-math.sin(ang), math.cos(ang), 0.0])
+    jp1 = p_n + rng.uniform(0.3, 0.7) * (g_l - p_n) + rng.normal(0.0, 0.5) * side
+    improved = PlanPath(np.array([p_n, jp1, g_l]) if draw(st.booleans())
+                        else np.array([p_n, g_l]))
+    vs = 0.2
+    obstacles = [np.zeros((0, 3))]
+    for _ in range(rng.choice([0, 1, 1, 1, 2, 3])):
+        if rng.random() < 0.5:
+            size = [*rng.uniform(0.3, 1.2, 2), rng.uniform(1.6, 3.0)]
+        else:
+            size = [rng.uniform(0.2, 0.8), rng.uniform(1.0, 3.0),
+                    rng.uniform(0.9, 1.5)]
+        a, b, h = (np.arange(-x / 2, x / 2 + 1e-9, vs / 2) for x in size)
+        ga, gb, gh = (g.ravel() for g in np.meshgrid(a, b, h + size[2] / 2))
+        base = p_n + rng.uniform(0.3, 0.7) * dist * along \
+            + rng.normal(0.0, 0.3) * side
+        obstacles.append([base[0], base[1], 0.0] + ga[:, None] * along
+                         + gb[:, None] * side + gh[:, None] * [0.0, 0.0, 1.0])
+    cloud = np.unique((np.floor(np.vstack(obstacles) / vs) + 0.5) * vs, axis=0)
+    params = DagsParams(
+        alpha_res=math.radians(draw(st.sampled_from([5.0, 10.0, 15.0]))),
+        r_safe=draw(st.sampled_from([0.3, 0.5])),
+        z_min=draw(st.sampled_from([None, 0.3])))
+    return cloud, p_n, g_l, improved, params
+
+
+@settings(max_examples=300)
+@given(pillar_scenes())
+def test_dags_search_matches_full_scan_oracle(scene):
+    got = dags_search(*scene)
+    want = oracle_dags_search(*scene)
+    if want is None:
+        assert got is None
+    else:
+        assert got.kind == want.kind
+        assert got.waypoints.tobytes() == want.waypoints.tobytes()
+
+
+@settings(max_examples=500)
+@given(pillar_scenes())
+def test_dags_paths_clear_the_cloud_and_stay_above_z_min(scene):
+    cloud, p_n, g_l, improved, params = scene
+    path = dags_search(cloud, p_n, g_l, improved, params)
+    if path is not None:
+        assert min_clearance(path.waypoints, cloud) >= params.r_safe
+        if params.z_min is not None:
+            assert np.all(path.waypoints[:, 2] >= params.z_min)
+
+
+def oracle_dedupe(waypoints):
+    """`PlanPath`'s waypoint dedupe as it was: one norm per waypoint."""
+    wp = np.asarray(waypoints, dtype=float).reshape(-1, 3)
+    if len(wp) > 1:
+        keep = [0]
+        for idx in range(1, len(wp)):
+            if np.linalg.norm(wp[idx] - wp[keep[-1]]) > 1e-12:
+                keep.append(idx)
+        wp = wp[keep]
+    return wp
+
+
+@st.composite
+def near_duplicate_paths(draw):
+    """Paths whose steps are zero, a few ulps, about 1e-12 or 2e-12 along
+    one or more axes, or ordinary, from a base point of any magnitude."""
+    scale = draw(st.sampled_from([0.0, 1.0, 1e-6, 1e3]))
+    wp = [np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))) * scale]
+    tiny = st.sampled_from([0.0, 5e-13, 1e-12, 1.5e-12, 2e-12, 2.5e-12,
+                            3e-12, 1e-11, 0.3])
+    for _ in range(draw(st.integers(0, 6))):
+        step = np.array(draw(st.tuples(tiny, tiny, tiny)))
+        step *= np.array(draw(st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3)))
+        p = wp[-1] + step
+        for _ in range(draw(st.integers(0, 2))):
+            p = np.nextafter(p, draw(st.sampled_from([-np.inf, np.inf])))
+        wp.append(p)
+    return np.array(wp)
+
+
+@settings(max_examples=300)
+@given(near_duplicate_paths())
+@example(np.array([[0.0, 0.0, 0.0], [2e-12, 0.0, 0.0], [4e-12, 0.0, 0.0]]))
+@example(np.array([[0.0, 0.0, 0.0], [8e-13, 8e-13, 8e-13]]))
+def test_plan_path_dedupe_matches_oracle(wp):
+    assert PlanPath(wp).waypoints.tobytes() == oracle_dedupe(wp).tobytes()
+
+
+def oracle_nearest_free_edge_cell(grid, ref):
+    """`_nearest_free_edge_cell` as it was: a loop over the edge cells in
+    order, keeping a strictly nearer one."""
+    n, m = grid.cells.shape
+    edge = [c for x in range(n) for c in ((x, 0), (x, m - 1))]
+    edge += [c for y in range(1, m - 1) for c in ((0, y), (n - 1, y))]
+    best, best_d = None, np.inf
+    for cell in edge:
+        if grid.cells[cell[0], cell[1]] == 0:
+            d = (cell[0] - ref[0]) ** 2 + (cell[1] - ref[1]) ** 2
+            if d < best_d:
+                best, best_d = cell, d
+    return best
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.integers(-3, 15), st.integers(-3, 15))
+def test_nearest_free_edge_cell_matches_oracle(n, m, seed, density, rx, ry):
+    cells = (np.random.default_rng(seed).random((n, m)) < density)
+    grid = GridMap2D(origin=np.zeros(2), resolution=1.0,
+                     cells=cells.astype(np.uint8))
+    got = map_planner._nearest_free_edge_cell(grid, (rx, ry))
+    assert got == oracle_nearest_free_edge_cell(grid, (rx, ry))
+    assert got is None or all(type(v) is int for v in got)
+
+
+def test_nearest_free_edge_cell_tie_goes_to_the_first_in_edge_order():
+    # (0, 1) and (0, 3) are both 5 from (2, 2); (0, 1) comes first
+    cells = np.ones((5, 5), dtype=np.uint8)
+    cells[0, 1] = cells[0, 3] = 0
+    grid = GridMap2D(origin=np.zeros(2), resolution=1.0, cells=cells)
+    assert map_planner._nearest_free_edge_cell(grid, (2, 2)) == (0, 1)
+    assert oracle_nearest_free_edge_cell(grid, (2, 2)) == (0, 1)
+    # (4, 1) comes before (0, 3) as well; the two are 5 from (2, 2) too
+    cells[0, 1] = 1
+    cells[4, 1] = 0
+    assert map_planner._nearest_free_edge_cell(grid, (2, 2)) == (4, 1)
+    assert oracle_nearest_free_edge_cell(grid, (2, 2)) == (4, 1)

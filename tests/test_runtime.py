@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dualnav import runtime
 from dualnav.bench import flight_scenario, intruder_world, random_world_3d
 from dualnav.geometry import min_clearance
-from dualnav.map_planner import plan_final_path
+from dualnav.map_planner import PlanPath, plan_final_path
 from dualnav.mapping import local_map, project_2d
 from dualnav.pcp import PcpParams
 from dualnav.runtime import (Blackboard, LoopRates, Scenario, run_episode,
@@ -258,6 +258,26 @@ def test_lazy_map_snapshot_leaves_the_flight_unchanged(monkeypatch):
         assert res.trajectory_csv() == want.trajectory_csv()
         assert res.metrics_json() == want.metrics_json()
         assert res.events == want.events
+
+
+def test_walled_in_drone_times_out_instead_of_raising():
+    # at 47 s inflation walls the drone's own Map_c cell in: the MP finds
+    # no path instead of publishing a one-cell one, and the drone holds
+    sc = flight_scenario(*random_world_3d(20), seed=0, known_world=False,
+                         freeze_map=False, timeout=48.0)
+    res = run_episode(sc)
+    assert res.status == "timeout"
+    failed = [t for t, kind, payload in res.events
+              if kind == "mp_replan" and not payload["ok"]]
+    assert failed and failed[0] == 47.0
+
+
+def test_pcp_heads_for_a_one_waypoint_path():
+    core = runtime._EpisodeCore(empty_scenario())
+    core.bb.publish("path", PlanPath(np.array([[1.5, 0.0, 1.0]])))
+    core.pcp_step(0.0)
+    cmd = core.bb.read("cmd")
+    assert cmd is not None and cmd.a_n[0] > 0.0
 
 
 def test_scenario_timeout_default():
