@@ -19,8 +19,8 @@ from scipy.sparse.csgraph import dijkstra
 from .geometry import path_length
 from .jps import jps_search
 from .map_planner import (DagsParams, nearest_free_in_grid, segment_box_exit,
-                          shortcut_cells, stitched_plan)
-from .mapping import GridMap2D, LocalMapParams, cut_center, downsample
+                          shortcut_cells, snapshot_grids, stitched_plan)
+from .mapping import GridMap2D, LocalMapParams
 from .pcp import PcpParams, plan_motion
 from .runtime import LoopRates, Scenario, run_episode
 from .sim import Box, DynamicObstacle, World
@@ -30,6 +30,10 @@ _OFFSETS_3D = np.array([(dx, dy, dz)
                         for dy in (-1, 0, 1)
                         for dz in (-1, 0, 1)
                         if (dx, dy, dz) > (0, 0, 0)])
+
+ORACLE_CLEARANCE = 0.15     # obstacle inflation of the oracle's grid, m
+FEATURE_MAX = 30            # obstacle size bound of a random 2D map, cells
+INTRUDER_X = 2.9            # where the intruder crosses the flight line, m
 
 
 # -- shortest-path oracle ----------------------------------------------------
@@ -69,9 +73,9 @@ def _segment_clear_of_boxes(a, b, boxes, clearance, step):
     return True
 
 
-def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1,
-                         clearance: float = 0.15):
-    """Globally shortest path length on a clearance-inflated fine voxel grid.
+def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1):
+    """Globally shortest path length on a fine voxel grid inflated by
+    ORACLE_CLEARANCE.
 
     26-connected Dijkstra followed by line-of-sight shortcutting; the result
     upper-bounds the true optimum by at most the grid discretization error.
@@ -79,7 +83,8 @@ def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1,
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    lo, shape, occ = _world_grid(world, start, goal, resolution, clearance)
+    lo, shape, occ = _world_grid(world, start, goal, resolution,
+                                 ORACLE_CLEARANCE)
     free = ~occ
     nid = -np.ones(shape, dtype=np.int64)
     nid[free] = np.arange(int(free.sum()))
@@ -130,7 +135,7 @@ def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1,
     while i < len(pts) - 1:
         j = len(pts) - 1
         while j > i + 1 and not _segment_clear_of_boxes(
-                pts[i], pts[j], boxes, clearance, resolution / 2.0):
+                pts[i], pts[j], boxes, ORACLE_CLEARANCE, resolution / 2.0):
             j -= 1
         keep.append(j)
         i = j
@@ -140,20 +145,19 @@ def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1,
 
 # -- random 2D map benchmark -------------------------------------------------
 
-def random_map_2d(size: int, seed: int, density: float = 0.12,
-                  feature_max: int = 30) -> np.ndarray:
+def random_map_2d(size: int, seed: int, density: float = 0.12) -> np.ndarray:
     """Seeded rectangle-and-wall obstacle map, cells in {0, 1}."""
     rng = np.random.default_rng(seed)
     cells = np.zeros((size, size), dtype=np.uint8)
     target = density * size * size
     while cells.sum() < target:
         if rng.random() < 0.3:      # thin wall
-            w, h = (int(rng.integers(2, 5)), int(rng.integers(10, 3 * feature_max))) \
+            w, h = (int(rng.integers(2, 5)), int(rng.integers(10, 3 * FEATURE_MAX))) \
                 if rng.random() < 0.5 else \
-                (int(rng.integers(10, 3 * feature_max)), int(rng.integers(2, 5)))
+                (int(rng.integers(10, 3 * FEATURE_MAX)), int(rng.integers(2, 5)))
         else:
-            w = int(rng.integers(3, feature_max))
-            h = int(rng.integers(3, feature_max))
+            w = int(rng.integers(3, FEATURE_MAX))
+            h = int(rng.integers(3, FEATURE_MAX))
         # a feature as long as the map starts at its edge
         x = int(rng.integers(0, max(size - w, 1)))
         y = int(rng.integers(0, max(size - h, 1)))
@@ -216,7 +220,7 @@ def _simulate_local(cells, start, goal, local_size, stitched: bool,
     pos = start
     visited = [start]
     times = []
-    stitch_cache = {"origin": None}
+    map_1, map_origin = None, None
     # fine window about 35 percent of the full one gives a 4x pooling stride,
     # which keeps the coarse search small and the aligned window reusable
     m = int(local_size * 0.35)
@@ -232,6 +236,11 @@ def _simulate_local(cells, start, goal, local_size, stitched: bool,
         # fixed in map coordinates while the drone moves cell by cell
         align = params.h if stitched else 1
         win, (x0, y0) = _window(cells, pos, local_size, align)
+        if stitched and (x0, y0) != map_origin:
+            # the aligned window only changes with its origin, so one Map_1
+            # per origin lets the MP reuse its grids and jump tables
+            map_1 = GridMap2D(origin=np.zeros(2), resolution=1.0, cells=win)
+            map_origin = (x0, y0)
         center = (pos[0] - x0, pos[1] - y0)
         goal_rel = (goal[0] - x0, goal[1] - y0)
         tic = time_mod.perf_counter()
@@ -239,8 +248,7 @@ def _simulate_local(cells, start, goal, local_size, stitched: bool,
         step_cell = None
         if g_cell is not None and g_cell != center:
             if stitched:
-                sp = _stitched_on_window(win, (x0, y0), center, g_cell,
-                                         params, stitch_cache)
+                sp = _stitched_on_window(map_1, center, g_cell, params)
                 if sp is not None and len(sp) > 1:
                     step_cell = _first_step(sp)
             else:
@@ -260,44 +268,37 @@ def _simulate_local(cells, start, goal, local_size, stitched: bool,
     return None
 
 
-def _stitched_on_window(win, origin, start_cell, g_cell,
-                        params: LocalMapParams, cache: dict):
-    """Plan on the dual-resolution stitched version of a window grid.
+def _stitched_on_window(map_1: GridMap2D, start_cell, g_cell,
+                        params: LocalMapParams):
+    """Cells of the MP's stitched plan on a window's Map_1, None on failure.
 
-    start_cell is the drone cell in window coordinates; it may sit slightly
-    off center when the window origin is stride-aligned. The alignment keeps
-    the window contents fixed between origin shifts, so the derived maps and
-    jump tables are reused until the origin moves.
+    start_cell is the drone cell; it may sit slightly off center when the
+    window origin is stride-aligned. Map_1 has unit cells at origin 0, so
+    each waypoint's floor is its cell, fine and coarse alike.
     """
-    i, m, h = params.i, params.m, params.h
-    lo = i // 2 - m // 2
-    if cache.get("origin") != origin:
-        map_1 = GridMap2D(origin=np.zeros(2), resolution=1.0, cells=win)
-        map_c = cut_center(map_1, m)
-        cache.clear()
-        cache.update(origin=origin, map_c=map_c,
-                     map_1b=downsample(map_1, h), plan={})
-    sp = stitched_plan(cache["map_1b"], cache["map_c"], g_cell, params,
-                       start_cell_fine=start_cell, cache=cache["plan"])
-    if sp is None:
+    _, map_c, map_1b = snapshot_grids(map_1, params.k, params.m, params.h)
+    path = stitched_plan(map_1b, map_c, g_cell, params,
+                         start_cell_fine=start_cell)
+    if path is None:
         return None
-    cells = [(c[0] + lo, c[1] + lo) for c in sp.fine_cells]
-    cells += [(int(c[0] * h + h // 2), int(c[1] * h + h // 2))
-              for c in sp.coarse_cells]
-    return cells
+    return [(int(x), int(y)) for x, y in np.floor(path.waypoints[:, :2])]
 
 
 def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
-                min_dist: int = 500, local_size: int = 200,
-                density: float = 0.12) -> dict:
-    """Global vs single-resolution local vs stitched dual-resolution study."""
+                min_dist: int = 500, local_size: int = 200) -> dict:
+    """Global vs single-resolution local vs stitched dual-resolution study;
+    ValueError when no start-goal pair can be min_dist cells apart."""
+    diagonal = (map_size - 1) * math.sqrt(2.0)
+    if min_dist > diagonal:
+        raise ValueError(f"min_dist {min_dist} exceeds {diagonal:.1f}, the "
+                         f"diagonal of a {map_size}-cell map")
     rows = []
     rng = np.random.default_rng(seed)
     done = 0
     attempt = 0
     while done < trials:
         attempt += 1
-        cells = random_map_2d(map_size, seed * 1000 + attempt, density)
+        cells = random_map_2d(map_size, seed * 1000 + attempt)
         start = _free_cell_near(cells, rng)
         goal = _free_cell_near(cells, rng)
         if math.hypot(goal[0] - start[0], goal[1] - start[1]) < min_dist:
@@ -388,7 +389,7 @@ def random_world_3d(seed: int):
     return world, tuple(start), tuple(goal)
 
 
-def intruder_world(cross_x: float = 2.9, spawn_time: float = 10.0):
+def intruder_world(spawn_time: float = 10.0):
     """Corridor where a box pops up 1.5 m ahead of the cruising drone, right
     on the flight line, then crosses it sideways at 1 m/s."""
     world = World(
@@ -396,7 +397,7 @@ def intruder_world(cross_x: float = 2.9, spawn_time: float = 10.0):
         dynamic=[DynamicObstacle(
             size=(0.4, 0.4, 1.6),
             times=[spawn_time, spawn_time + 2.5],
-            positions=[(cross_x, 0.0, 0.8), (cross_x, 2.5, 0.8)])],
+            positions=[(INTRUDER_X, 0.0, 0.8), (INTRUDER_X, 2.5, 0.8)])],
         ground_z=0.0)
     return world, (0.0, 0.0, 1.0), (6.0, 0.0, 1.0)
 

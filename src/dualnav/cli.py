@@ -9,6 +9,9 @@ import click
 from . import bench
 from .runtime import run_episode
 
+# numpy's seed sequences take non-negative integers only
+SEED = click.IntRange(min=0)
+
 
 def _write(out, name, payload):
     os.makedirs(out, exist_ok=True)
@@ -24,7 +27,7 @@ def main():
 
 
 @main.command("bench-map2d")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
 @click.option("--trials", default=10, show_default=True)
 @click.option("--map-size", default=800, show_default=True)
@@ -32,15 +35,19 @@ def main():
 @click.option("--min-dist", default=500, show_default=True)
 def bench_map2d_cmd(seed, out, trials, map_size, local_size, min_dist):
     """Global vs local vs stitched 2D planning study."""
-    result = bench.bench_map2d(map_size=map_size, trials=trials, seed=seed,
-                               local_size=local_size, min_dist=min_dist)
+    try:
+        result = bench.bench_map2d(map_size=map_size, trials=trials,
+                                   seed=seed, local_size=local_size,
+                                   min_dist=min_dist)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     _write(out, "bench_map2d.json", result)
     click.echo(json.dumps({k: v for k, v in result.items() if k != "rows"},
                           indent=2))
 
 
 @main.command("bench-flight3d")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
 @click.option("--worlds", default=10, show_default=True)
 @click.option("--mode", type=click.Choice(["virtual", "wallclock"]),
@@ -57,7 +64,7 @@ def bench_flight3d_cmd(seed, out, worlds, mode):
 
 
 @main.command("bench-optimizer")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
 @click.option("--instances", default=10000, show_default=True)
 def bench_optimizer_cmd(seed, out, instances):
@@ -68,7 +75,7 @@ def bench_optimizer_cmd(seed, out, instances):
 
 
 @main.command("run")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
 @click.option("--world", type=click.Choice(["empty", "wall", "random",
                                             "intruder"]),
@@ -98,7 +105,7 @@ def run_cmd(seed, out, world, mode, no_dags):
 
 
 @main.command("export")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
 @click.option("--worlds", default=3, show_default=True)
 def export_cmd(seed, out, worlds):

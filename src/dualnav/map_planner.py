@@ -123,35 +123,19 @@ def shortcut_cells(path: list, cells: np.ndarray) -> list:
     return path
 
 
-@dataclass
-class StitchedPlan:
-    path: PlanPath              # Earth XY waypoints, z = 0
-    fine_cells: list            # shortcut Path_a in Map_c cell coords
-    coarse_cells: list          # shortcut Path_b remainder in Map_1b cells
-
-
 def _coarse_to_fine_center(cell, h):
     return (cell[0] * h + h / 2.0, cell[1] * h + h / 2.0)
 
 
-def _exempt_start(cells: np.ndarray, start, cache: dict | None, key: str):
-    """Cells with the start cell forced free, plus a reusable JpsGrid.
-
-    When the start cell is already free the cells are untouched and the grid
-    can come from (and go into) the caller's cache, which belongs to one
-    pair of maps.
-    """
-    if cells[start[0], start[1]]:
-        cells = cells.copy()
-        cells[start[0], start[1]] = 0
-        return cells, JpsGrid(cells)
-    if cache is None:
-        return cells, JpsGrid(cells)
-    grid = cache.get(key)
-    if grid is None:
-        grid = JpsGrid(cells)
-        cache[key] = grid
-    return cells, grid
+def _exempt_start(grid: GridMap2D, start):
+    """The grid's cells with the start cell forced free, and their JpsGrid:
+    the grid's own tables when the start is free, else private ones."""
+    cells = grid.cells
+    if not cells[start[0], start[1]]:
+        return cells, grid.jump_tables
+    cells = cells.copy()
+    cells[start[0], start[1]] = 0
+    return cells, JpsGrid(cells)
 
 
 def _search_with_fallback(cells: np.ndarray, grid, start, goal, ref=None,
@@ -173,7 +157,7 @@ def _search_with_fallback(cells: np.ndarray, grid, start, goal, ref=None,
 
 def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
                   goal_cell_fine, params: LocalMapParams,
-                  start_cell_fine=None, cache: dict | None = None):
+                  start_cell_fine=None):
     """Path_1 on the dual-resolution stitched map.
 
     Plans the coarse path on Map_1b, cuts it at the Map_c boundary, replans
@@ -182,12 +166,8 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
     plans to the nearest free cell the start can reach instead (conservative
     pooling can block or isolate the coarse goal cell while the fine goal
     cell is free); the crossing g_ist falls back to the nearest reachable
-    Map_c boundary cell. Returns a StitchedPlan or None on failure.
-
-    A cache dict amortizes the jump tables over repeated calls with the same
-    two maps and must never see another pair. plan_final_path passes the one
-    it memoizes with the map snapshot's grids (see `_snapshot_grids`), so
-    the tables are built at most once per snapshot.
+    Map_c boundary cell. Returns the path in Earth XY (z = 0) or None on
+    failure.
     """
     h = params.h
     i, m = params.i, params.m
@@ -196,8 +176,7 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
     gx, gy = goal_cell_fine
 
     start_c = (start_fine[0] - lo, start_fine[1] - lo)
-    cells_c, grid_c = _exempt_start(map_c_inflated.cells, start_c, cache,
-                                    "grid_c")
+    cells_c, grid_c = _exempt_start(map_c_inflated, start_c)
 
     inside = lo <= gx < lo + m and lo <= gy < lo + m
     coarse_rest: list = []
@@ -208,7 +187,7 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
             return None
     else:
         start_b = (start_fine[0] // h, start_fine[1] // h)
-        cells_b, grid_b = _exempt_start(map_1b.cells, start_b, cache, "grid_b")
+        cells_b, grid_b = _exempt_start(map_1b, start_b)
         path_b = _search_with_fallback(cells_b, grid_b, start_b,
                                        (gx // h, gy // h))
         if path_b is None:
@@ -241,8 +220,7 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
 
     pts = [np.append(map_c_inflated.cell_center(c), 0.0) for c in fine_sc]
     pts += [np.append(map_1b.cell_center(c), 0.0) for c in coarse_sc]
-    return StitchedPlan(path=PlanPath(np.array(pts), kind="2D-lifted"),
-                        fine_cells=fine_sc, coarse_cells=list(coarse_sc))
+    return PlanPath(np.array(pts), kind="2D-lifted")
 
 
 def _coarse_inside(cell, h, lo, m):
@@ -432,21 +410,21 @@ class MapPlanResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _snapshot_grids(map_1: GridMap2D, k: int, m: int, h: int):
-    """Inflated Map_1, inflated Map_c, Map_1b and the jump-table cache of one
-    Map_1 snapshot.
+def snapshot_grids(map_1: GridMap2D, k: int, m: int, h: int):
+    """Inflated Map_1, inflated Map_c and Map_1b of one Map_1 snapshot.
 
     Only the latest snapshot is kept, so memory stays flat however many maps
     a caller holds. The memo keys on the map object itself (a GridMap2D
     hashes by identity) and holds a strong reference to it, so one object's
     grids never go to another that reuses its id. Every query gets the same
-    grids, so their cells are read-only.
+    grids, so their cells are read-only, and each grid keeps the jump tables
+    its searches build.
     """
     grids = (inflate(map_1, k), inflate(cut_center(map_1, m), k),
              downsample(map_1, h))
     for grid in grids:
         grid.cells.flags.writeable = False
-    return (*grids, {})
+    return grids
 
 
 def plan_final_path(p_n, global_goal, pcl_lm, map_1: GridMap2D,
@@ -459,15 +437,15 @@ def plan_final_path(p_n, global_goal, pcl_lm, map_1: GridMap2D,
     tables once."""
     p_n = np.asarray(p_n, dtype=float)
     global_goal = np.asarray(global_goal, dtype=float)
-    map_1_infl, map_c, map_1b, cache = _snapshot_grids(
+    map_1_infl, map_c, map_1b = snapshot_grids(
         map_1, params.k, params.m, params.h)
     g_l, g_cell = cast_local_goal(p_n, global_goal, params, map_1_infl)
-    st = stitched_plan(map_1b, map_c, g_cell, params, cache=cache)
-    if st is None or len(st.path.waypoints) < 2:
+    path_2d = stitched_plan(map_1b, map_c, g_cell, params)
+    if path_2d is None or len(path_2d.waypoints) < 2:
         # a one-cell plan (the drone's cell walled in) goes nowhere
         return None
     # pin the path endpoints to the true drone/goal XY, not cell centers
-    wp = st.path.waypoints.copy()
+    wp = path_2d.waypoints.copy()
     wp[0, :2] = p_n[:2]
     wp[-1, :2] = g_l[:2]
     lifted = lift_path(PlanPath(wp), p_n[2], g_l[2])

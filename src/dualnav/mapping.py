@@ -6,10 +6,13 @@ version, built with the convolution semantics of the map-processing stage.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import maximum_filter
+
+from .jps import JpsGrid
 
 
 @dataclass
@@ -43,9 +46,9 @@ class LocalMapParams:
 
 @dataclass(eq=False)
 class GridMap2D:
-    """A 2D grid snapshot, which nobody mutates once it is planned on: the
-    map planner memoizes the grids it derives from a Map_1 by the object's
-    identity, so equality and hashing are by identity too."""
+    """A 2D grid snapshot. The map planner memoizes the grids it derives
+    from a Map_1 by the object's identity, so equality and hashing are by
+    identity too."""
 
     origin: np.ndarray          # Earth XY of the (0,0) cell corner
     resolution: float
@@ -63,6 +66,14 @@ class GridMap2D:
 
     def is_free(self, cell) -> bool:
         return self.in_bounds(cell) and self.cells[cell[0], cell[1]] == 0
+
+    @functools.cached_property
+    def jump_tables(self) -> JpsGrid:
+        """The JPS jump tables of the cells, built on first use. The cells
+        turn read-only first, so a later write raises instead of leaving
+        the tables stale."""
+        self.cells.flags.writeable = False
+        return JpsGrid(self.cells)
 
 
 @dataclass

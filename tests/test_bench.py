@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from dualnav import bench
 from dualnav.bench import (bench_map2d, bench_optimizer, export_plots,
                            intruder_world, oracle_shortest_path,
                            random_map_2d, random_world_3d, wall_world)
+from dualnav.map_planner import snapshot_grids
 from dualnav.sim import Box, World
 
 
@@ -89,6 +91,34 @@ def test_bench_map2d_odd_window():
     out = bench_map2d(map_size=200, trials=1, local_size=61, min_dist=100)
     assert len(out["rows"]) == 1
     assert out["rows"][0]["len_stitched"] > 0
+
+
+def test_bench_map2d_rejects_min_dist_beyond_the_diagonal():
+    # 199 * sqrt(2) is about 281.4: no start-goal pair is 282 cells apart,
+    # and the draw loop would never end
+    with pytest.raises(ValueError, match="diagonal"):
+        bench_map2d(map_size=200, trials=1, min_dist=282)
+
+
+def test_stitched_study_derives_grids_once_per_window_origin(monkeypatch):
+    origins = []
+    window = bench._window
+
+    def recorded(cells, center, side, align=1):
+        win, origin = window(cells, center, side, align)
+        if align > 1:                   # the stitched arm's aligned windows
+            origins.append(origin)
+        return win, origin
+    monkeypatch.setattr(bench, "_window", recorded)
+    before = snapshot_grids.cache_info()
+    out = bench_map2d(map_size=200, trials=1, local_size=61, min_dist=100)
+    after = snapshot_grids.cache_info()
+    assert len(out["rows"]) == 1
+    changes = sum(1 for k, o in enumerate(origins)
+                  if k == 0 or o != origins[k - 1])
+    assert 1 < changes < len(origins)
+    assert after.misses - before.misses == changes
+    assert after.hits - before.hits == len(origins) - changes
 
 
 def test_bench_optimizer_small():

@@ -41,3 +41,20 @@ def test_bench_map2d_command(tmp_path):
     payload = json.loads((tmp_path / "bench_map2d.json").read_text())
     assert payload["trials"] == 1
     assert len(payload["rows"]) == 1
+
+
+def test_bench_map2d_min_dist_beyond_the_diagonal_is_a_usage_error(tmp_path):
+    # the default --min-dist 500 exceeds a 200-cell map's diagonal
+    result = CliRunner().invoke(
+        main, ["bench-map2d", "--map-size", "200", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "diagonal" in result.output
+    assert not (tmp_path / "bench_map2d.json").exists()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path):
+    result = CliRunner().invoke(
+        main, ["run", "--seed", "-1", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "--seed" in result.output
+    assert not (tmp_path / "manifest.json").exists()

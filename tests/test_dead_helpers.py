@@ -1,4 +1,5 @@
-"""Every function, class and method in the package is used somewhere.
+"""Every function, class and method in the package is used somewhere, and
+so is every default it offers.
 
 A stdlib `ast` scan: each top-level function and class of `src/dualnav`,
 and each method of its top-level classes, must be referenced by name
@@ -6,6 +7,13 @@ outside its own definition, in the package, the tests, the demos or the
 benchmark. A reference is a name, an attribute or a string equal to it
 (the runtime dispatches its loop bodies by name). Dunder methods, which
 Python calls, and click commands, which click calls, are exempt.
+
+A second scan checks that each defaulted parameter of those functions and
+methods (`__init__` included, called by its class's name) is passed, by
+position or by keyword, by at least one call to a function of that name in
+the same files. A parameter nobody passes is a knob with one value in use,
+which a module constant states more plainly. A call with `*args` passes
+every positional parameter and one with `**kwargs` every keyword one.
 """
 import ast
 from pathlib import Path
@@ -69,6 +77,96 @@ def dead_helpers(sources: dict) -> list:
             if not used:
                 found.append(f"{path}:{node.lineno}: {name}")
     return found
+
+
+def _defaulted_params(node, is_method):
+    """(name, position) of each defaulted parameter of a def; position is
+    the index among the arguments a call passes, None for keyword-only."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    skip = int(is_method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in node.decorator_list))
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, idx - skip)
+           for idx, p in enumerate(positional) if idx >= first]
+    out += [(p.arg, None)
+            for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(tree):
+    """(callee name, positional count, keyword names, *args, **kwargs) for
+    each call in the module."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        star = any(isinstance(arg, ast.Starred) for arg in node.args)
+        out.append((name, len(node.args) - star,
+                    {k.arg for k in node.keywords if k.arg is not None},
+                    star, any(k.arg is None for k in node.keywords)))
+    return out
+
+
+def unset_parameters(sources: dict) -> list:
+    """`path:line: function(parameter)` for each defaulted parameter of a
+    `src/dualnav` function or method that no call in {path: source}
+    passes."""
+    trees = {path: ast.parse(src) for path, src in sources.items()}
+    calls = [c for tree in trees.values() for c in _calls(tree)]
+    found = []
+    for path, tree in trees.items():
+        if not path.startswith(PACKAGE):
+            continue
+        defs = [(node.name, node, False) for node in tree.body
+                if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defs += [(cls.name if item.name == "__init__" else item.name,
+                          item, True) for item in cls.body
+                         if isinstance(item, ast.FunctionDef)]
+        for name, node, is_method in defs:
+            for param, pos in _defaulted_params(node, is_method):
+                passed = any(
+                    callee == name and (
+                        param in keywords or double_star
+                        or (pos is not None and (n_pos > pos or star)))
+                    for callee, n_pos, keywords, star, double_star in calls)
+                if not passed:
+                    found.append(f"{path}:{node.lineno}: {name}({param})")
+    return found
+
+
+def test_scan_finds_an_unset_parameter():
+    package = PACKAGE + "/m.py"
+    sources = {
+        package: ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+                  "def g(a=0, b=1):\n    return a\n"
+                  "class Box:\n"
+                  "    def __init__(self, size=1.0, name=None):\n"
+                  "        self.size = size\n"
+                  "    def grow(self, by=1.0):\n        return by\n"),
+        "tests/test_m.py": ("from dualnav.m import Box, f, g\n"
+                            "f(0, 5, d=6)\nbox = Box(2.0)\n"
+                            "g(*[1, 2])\nbox.grow()\n"),
+    }
+    assert unset_parameters(sources) == [f"{package}:1: f(c)",
+                                         f"{package}:1: f(e)",
+                                         f"{package}:6: Box(name)",
+                                         f"{package}:8: grow(by)"]
+
+
+def test_no_unset_parameters():
+    files = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in files}
+    found = unset_parameters(sources)
+    assert not found, "parameters no call passes:\n" + "\n".join(found)
 
 
 def test_scan_finds_a_dead_helper():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualnav import map_planner
+from dualnav import jps, map_planner
 from dualnav.geometry import (direction_from_angles, min_clearance,
                               path_length, segment_point_distances,
                               spherical_angles, wrap_angle)
@@ -86,15 +86,23 @@ def _stitch_maps(cells, params):
     return downsample(grid, params.h), map_c
 
 
+def _map_1_cells(path):
+    """The Map_1 cell of each waypoint of a plan on `_stitch_maps` grids:
+    Map_1 has unit cells at origin 0, so a waypoint's floor is its cell."""
+    return [(int(x), int(y)) for x, y in np.floor(path.waypoints[:, :2])]
+
+
 def test_stitched_plan_goal_inside_fine_map():
     params = LocalMapParams(i=40, m=20, k=1, voxel_size=1.0)
     cells = np.zeros((40, 40), dtype=np.uint8)
     map_1b, map_c = _stitch_maps(cells, params)
     sp = stitched_plan(map_1b, map_c, (24, 24), params)
     assert sp is not None
-    assert len(sp.coarse_cells) == 0
-    assert sp.fine_cells[0] == (10, 10)
-    assert sp.fine_cells[-1] == (14, 14)
+    got = _map_1_cells(sp)
+    # Map_c spans Map_1 cells 10..29; every waypoint is one of its centres
+    assert all(10 <= c < 30 for cell in got for c in cell)
+    assert got[0] == (20, 20)
+    assert got[-1] == (24, 24)
 
 
 def test_stitched_plan_goal_outside_stitches():
@@ -104,27 +112,50 @@ def test_stitched_plan_goal_outside_stitches():
     map_1b, map_c = _stitch_maps(cells, params)
     sp = stitched_plan(map_1b, map_c, (36, 20), params)
     assert sp is not None
-    assert len(sp.coarse_cells) > 0
-    assert sp.fine_cells[0] == (10, 10)
+    got = _map_1_cells(sp)
+    assert got[0] == (20, 20)
+    # the coarse remainder starts at the first waypoint outside Map_c
+    outside = [idx for idx, cell in enumerate(got)
+               if not all(10 <= c < 30 for c in cell)]
+    assert outside
+    k = outside[0]
     # the fine path ends at the crossing g_ist on the Map_c boundary
-    assert min(sp.fine_cells[-1]) == 0 or max(sp.fine_cells[-1]) == params.m - 1
+    assert min(got[k - 1]) == 10 or max(got[k - 1]) == 29
 
 
-def test_stitched_plan_cache_consistency():
+def test_stitched_plan_on_built_tables_matches_a_fresh_copy():
     params = LocalMapParams(i=40, m=20, k=1, voxel_size=1.0)
     rng = np.random.default_rng(1)
     cells = (rng.random((40, 40)) < 0.1).astype(np.uint8)
     cells[20, 20] = 0
     map_1b, map_c = _stitch_maps(cells, params)
-    cache = {}
+
+    def fresh(grid):
+        return GridMap2D(origin=grid.origin.copy(),
+                         resolution=grid.resolution, cells=grid.cells.copy())
     for goal in ((36, 20), (4, 4), (24, 24)):
-        a = stitched_plan(map_1b, map_c, goal, params)
-        b = stitched_plan(map_1b, map_c, goal, params, cache=cache)
+        a = stitched_plan(fresh(map_1b), fresh(map_c), goal, params)
+        b = stitched_plan(map_1b, map_c, goal, params)
         if a is None:
             assert b is None
             continue
-        assert a.fine_cells == b.fine_cells
-        assert a.coarse_cells == b.coarse_cells
+        assert a.waypoints.tobytes() == b.waypoints.tobytes()
+    # the later goals planned on the tables the first one built
+    assert "jump_tables" in vars(map_c)
+
+
+def test_blocked_start_leaves_the_grid_tables_unbuilt():
+    params = LocalMapParams(i=40, m=20, k=1, voxel_size=1.0)
+    cells = np.zeros((40, 40), dtype=np.uint8)
+    cells[20:22, 20] = 1            # blocks the start in Map_c and Map_1b
+    map_1b, map_c = _stitch_maps(cells, params)
+    assert map_c.cells[10, 10] == 1 and map_1b.cells[10, 10] == 1
+    sp = stitched_plan(map_1b, map_c, (36, 20), params)
+    assert sp is not None and _map_1_cells(sp)[0] == (20, 20)
+    for grid in (map_1b, map_c):
+        assert "jump_tables" not in vars(grid)
+        assert grid.cells.flags.writeable
+    assert map_c.cells[10, 10] == 1 and map_1b.cells[10, 10] == 1
 
 
 class _PerPointGraph(AngularGraph):
@@ -287,10 +318,10 @@ def oracle_plan_final_path(p_n, global_goal, pcl_lm, map_1, params,
     g_l, g_cell = cast_local_goal(p_n, global_goal, params, map_1_infl)
     map_c = inflate(cut_center(map_1, params.m), params.k)
     map_1b = downsample(map_1, params.h)
-    st = stitched_plan(map_1b, map_c, g_cell, params)
-    if st is None or len(st.path.waypoints) < 2:
+    path_2d = stitched_plan(map_1b, map_c, g_cell, params)
+    if path_2d is None or len(path_2d.waypoints) < 2:
         return None
-    wp = st.path.waypoints.copy()
+    wp = path_2d.waypoints.copy()
     wp[0, :2] = p_n[:2]
     wp[-1, :2] = g_l[:2]
     lifted = lift_path(PlanPath(wp), p_n[2], g_l[2])
@@ -394,16 +425,18 @@ def test_blocked_start_plans_match_oracle():
 def test_grids_built_once_per_snapshot(monkeypatch):
     built = {"inflate": 0, "downsample": 0, "JpsGrid": 0}
 
-    def counted(name):
-        original = getattr(map_planner, name)
+    def counted(owner, name, attr):
+        original = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
             built[name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(map_planner, name, wrapper)
+        monkeypatch.setattr(owner, attr, wrapper)
 
-    for name in built:
-        counted(name)
+    counted(map_planner, "inflate", "inflate")
+    counted(map_planner, "downsample", "downsample")
+    # the grids build their own tables, so count every build
+    counted(jps.JpsGrid, "JpsGrid", "__init__")
     p_n = np.array([0.0, 0.0, 1.1])
     cloud = _wall_points() + [1.5, 0.0, 0.4]
     params = LocalMapParams()
@@ -443,9 +476,10 @@ def test_walled_in_start_gives_no_plan():
     assert map_c.cells[c, c] == 0
     assert map_c.cells[c - 1:c + 2, c - 1:c + 2].sum() == 8
     lo = params.i // 2 - params.m // 2
-    st_ = stitched_plan(downsample(map_1, params.h), map_c,
-                        (lo + c + 3, lo + c), params)
-    assert st_.fine_cells == [(c, c)] and len(st_.path.waypoints) == 1
+    path_2d = stitched_plan(downsample(map_1, params.h), map_c,
+                            (lo + c + 3, lo + c), params)
+    assert len(path_2d.waypoints) == 1
+    assert map_c.world_to_cell(path_2d.waypoints[0, :2]) == (c, c)
     for goal in ((1.0, 0.0, 1.1), (15.0, 2.0, 1.1)):
         for use_dags in (True, False):
             assert plan_final_path(p_n, goal, cloud, map_1, params,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualnav import jps
 from dualnav.mapping import (GridMap2D, LocalMapParams, VoxelMap, cut_center,
                              downsample, inflate, local_map, project_2d)
 
@@ -98,3 +99,23 @@ def test_downsample_padding():
     assert out.cells[0, 0] == 1
     # the padded corner block holds a single occupied cell out of four
     assert out.cells[1, 1] == 0
+
+
+def test_jump_tables_built_once_and_freeze_the_cells(monkeypatch):
+    builds = []
+    init = jps.JpsGrid.__init__
+
+    def counted(self, cells):
+        builds.append(cells)
+        init(self, cells)
+    monkeypatch.setattr(jps.JpsGrid, "__init__", counted)
+    grid = GridMap2D(origin=np.zeros(2), resolution=1.0,
+                     cells=np.zeros((8, 8), dtype=np.uint8))
+    grid.cells[3, 3] = 1            # writable until the tables exist
+    tables = grid.jump_tables
+    assert grid.jump_tables is tables and len(builds) == 1
+    assert builds[0] is grid.cells and not tables.free[3, 3]
+    # a write now would leave the tables stale, so it raises
+    with pytest.raises(ValueError):
+        grid.cells[0, 0] = 1
+    assert tables.free[0, 0]
