@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .geometry import path_length
-from .jps import jps_search
+from .jps import JpsGrid, jps_search
 from .map_planner import (DagsParams, nearest_free_in_grid, segment_box_exit,
                           shortcut_cells, snapshot_grids, stitched_plan)
 from .mapping import GridMap2D, LocalMapParams
@@ -34,6 +34,7 @@ _OFFSETS_3D = np.array([(dx, dy, dz)
 ORACLE_CLEARANCE = 0.15     # obstacle inflation of the oracle's grid, m
 FEATURE_MAX = 30            # obstacle size bound of a random 2D map, cells
 INTRUDER_X = 2.9            # where the intruder crosses the flight line, m
+MAP2D_MAX_DRAWS = 1000      # 2D-study draws in a row that keep no trial
 
 
 # -- shortest-path oracle ----------------------------------------------------
@@ -252,11 +253,10 @@ def _simulate_local(cells, start, goal, local_size, stitched: bool,
                 if sp is not None and len(sp) > 1:
                     step_cell = _first_step(sp)
             else:
-                w = win.copy()
-                w[center] = 0
-                res = jps_search(w, center, g_cell)
+                # the drone's cell is free: it only ever steps onto free cells
+                res = jps_search(JpsGrid(win), center, g_cell)
                 if res is not None and len(res[0]) > 1:
-                    step_cell = _first_step(shortcut_cells(res[0], w))
+                    step_cell = _first_step(shortcut_cells(res[0], win))
         times.append(time_mod.perf_counter() - tic)
         if step_cell is None:
             return None
@@ -287,7 +287,8 @@ def _stitched_on_window(map_1: GridMap2D, start_cell, g_cell,
 def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
                 min_dist: int = 500, local_size: int = 200) -> dict:
     """Global vs single-resolution local vs stitched dual-resolution study;
-    ValueError when no start-goal pair can be min_dist cells apart."""
+    ValueError when no start-goal pair can be min_dist cells apart, or when
+    MAP2D_MAX_DRAWS draws in a row keep no trial."""
     diagonal = (map_size - 1) * math.sqrt(2.0)
     if min_dist > diagonal:
         raise ValueError(f"min_dist {min_dist} exceeds {diagonal:.1f}, the "
@@ -296,7 +297,13 @@ def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
     rng = np.random.default_rng(seed)
     done = 0
     attempt = 0
+    last_kept = 0
     while done < trials:
+        if attempt - last_kept >= MAP2D_MAX_DRAWS:
+            raise ValueError(
+                f"{MAP2D_MAX_DRAWS} draws in a row kept no trial: start-goal "
+                f"pairs min_dist {min_dist} cells apart are too rare on a "
+                f"{map_size}-cell map, or the planners fail on them")
         attempt += 1
         cells = random_map_2d(map_size, seed * 1000 + attempt)
         start = _free_cell_near(cells, rng)
@@ -304,7 +311,7 @@ def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
         if math.hypot(goal[0] - start[0], goal[1] - start[1]) < min_dist:
             continue
         tic = time_mod.perf_counter()
-        res_g = jps_search(cells, start, goal)
+        res_g = jps_search(JpsGrid(cells), start, goal)
         t_global = time_mod.perf_counter() - tic
         if res_g is None:
             continue
@@ -327,6 +334,7 @@ def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
             "t_stitched_step": stitched[1],
         })
         done += 1
+        last_kept = attempt
     summary = {
         "schema": 1,
         "trials": trials,

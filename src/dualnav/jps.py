@@ -140,18 +140,15 @@ def _octile(x, y, gx, gy):
     return max(ax, ay) + (SQRT2 - 1.0) * min(ax, ay)
 
 
-def jps_search(cells: np.ndarray, start, goal, grid: JpsGrid | None = None):
-    """Optimal 8-connected path as a jump-point sequence.
+def jps_search(grid: JpsGrid, start, goal):
+    """Optimal 8-connected path as a jump-point sequence on the grid whose
+    jump tables are given.
 
     Returns (waypoints, cost) with waypoints a list of (ix, iy) cells, or None
-    when the goal is unreachable. Start and goal must be free cells. A
-    prebuilt JpsGrid for the same cells can be passed to amortize the table
-    construction over repeated queries on an unchanged map.
+    when the goal is unreachable. Start and goal must be free cells.
     """
     start = (int(start[0]), int(start[1]))
     goal = (int(goal[0]), int(goal[1]))
-    if grid is None:
-        grid = JpsGrid(cells)
     if not grid.free[start] or not grid.free[goal]:
         return None
     if start == goal:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from scipy.ndimage import label
 
 from .geometry import (direction_from_angles, path_clears, path_length,
                        segment_point_distances, spherical_angles, wrap_angle)
-from .jps import JpsGrid, jps_search, line_is_free
+from .jps import jps_search, line_is_free
 from .mapping import GridMap2D, LocalMapParams, cut_center, downsample, inflate
 
 
@@ -127,31 +127,32 @@ def _coarse_to_fine_center(cell, h):
     return (cell[0] * h + h / 2.0, cell[1] * h + h / 2.0)
 
 
-def _exempt_start(grid: GridMap2D, start):
-    """The grid's cells with the start cell forced free, and their JpsGrid:
-    the grid's own tables when the start is free, else private ones."""
-    cells = grid.cells
-    if not cells[start[0], start[1]]:
-        return cells, grid.jump_tables
-    cells = cells.copy()
+def _exempt_start(grid: GridMap2D, start) -> GridMap2D:
+    """The grid with the start cell free: the grid itself when it is, else a
+    private copy with that cell freed, so the shared grid and its jump
+    tables stay as they are."""
+    if not grid.cells[start[0], start[1]]:
+        return grid
+    cells = grid.cells.copy()
     cells[start[0], start[1]] = 0
-    return cells, JpsGrid(cells)
+    return replace(grid, cells=cells)
 
 
-def _search_with_fallback(cells: np.ndarray, grid, start, goal, ref=None,
+def _search_with_fallback(grid: GridMap2D, start, goal, ref=None,
                           boundary_only=False):
     """JPS cells from start to goal when the goal is free and reachable,
     else to the free cell nearest ref (default: the goal) that start can
     reach, on the grid boundary only if asked; None when there is none."""
+    cells = grid.cells
     res = None
     if cells[goal[0], goal[1]] == 0:
-        res = jps_search(cells, start, goal, grid)
+        res = jps_search(grid.jump_tables, start, goal)
     if res is None:
         goal = _nearest_reachable(cells, start, goal if ref is None else ref,
                                   boundary_only=boundary_only)
         if goal is None:
             return None
-        res = jps_search(cells, start, goal, grid)
+        res = jps_search(grid.jump_tables, start, goal)
     return None if res is None else res[0]
 
 
@@ -176,20 +177,18 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
     gx, gy = goal_cell_fine
 
     start_c = (start_fine[0] - lo, start_fine[1] - lo)
-    cells_c, grid_c = _exempt_start(map_c_inflated, start_c)
+    grid_c = _exempt_start(map_c_inflated, start_c)
 
     inside = lo <= gx < lo + m and lo <= gy < lo + m
     coarse_rest: list = []
     if inside:
-        fine_path = _search_with_fallback(cells_c, grid_c, start_c,
-                                          (gx - lo, gy - lo))
+        fine_path = _search_with_fallback(grid_c, start_c, (gx - lo, gy - lo))
         if fine_path is None:
             return None
     else:
         start_b = (start_fine[0] // h, start_fine[1] // h)
-        cells_b, grid_b = _exempt_start(map_1b, start_b)
-        path_b = _search_with_fallback(cells_b, grid_b, start_b,
-                                       (gx // h, gy // h))
+        path_b = _search_with_fallback(_exempt_start(map_1b, start_b),
+                                       start_b, (gx // h, gy // h))
         if path_b is None:
             return None
         k = next((idx for idx, c in enumerate(path_b)
@@ -208,13 +207,13 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
         cand = (min(max(int(round(cross[0] - lo)), 0), m - 1),
                 min(max(int(round(cross[1] - lo)), 0), m - 1))
         fine_path = _search_with_fallback(
-            cells_c, grid_c, start_c, cand, ref=(cross[0] - lo, cross[1] - lo),
+            grid_c, start_c, cand, ref=(cross[0] - lo, cross[1] - lo),
             boundary_only=True)
         if fine_path is None:
             return None
         coarse_rest = path_b[k:]
 
-    fine_sc = shortcut_cells(fine_path, cells_c)
+    fine_sc = shortcut_cells(fine_path, grid_c.cells)
     coarse_sc = (shortcut_cells(coarse_rest, map_1b.cells)
                  if len(coarse_rest) > 2 else coarse_rest)
 

@@ -24,6 +24,8 @@ class LocalMapParams:
     voxel_size: float = 0.2
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("Map_c needs m >= 1 cells per side")
         if self.i * self.i <= 3 * self.m * self.m:
             raise ValueError("need i*j > 3*m*n")
         if self.k % 2 == 0 or self.k < 1:

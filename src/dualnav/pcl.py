@@ -26,39 +26,6 @@ class FilterParams:
             raise ValueError("outlier_min_neighbors must be >= 1")
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Position plus (yaw, pitch, roll) attitude in radians."""
-
-    position: tuple
-    yaw: float = 0.0
-    pitch: float = 0.0
-    roll: float = 0.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.yaw, self.pitch, self.roll])):
-            raise ValueError("attitude angles must be finite")
-        if abs(self.pitch) >= np.pi / 2:
-            raise ValueError("|pitch| must be < pi/2")
-
-
-def earth_to_body_matrix(pose: Pose) -> np.ndarray:
-    """Rotation taking Earth-frame vectors into the body frame (ZYX Euler)."""
-    cy, sy = np.cos(pose.yaw), np.sin(pose.yaw)
-    cp, sp = np.cos(pose.pitch), np.sin(pose.pitch)
-    cr, sr = np.cos(pose.roll), np.sin(pose.roll)
-    return np.array([
-        [cy * cp, sy * cp, -sp],
-        [cy * sp * sr - sy * cr, sy * sp * sr + cy * cr, cp * sr],
-        [cy * sp * cr + sy * sr, sy * sp * cr - cy * sr, cp * cr],
-    ])
-
-
-def body_to_earth_matrix(pose: Pose) -> np.ndarray:
-    # rotation matrices are orthonormal, so the inverse is the transpose
-    return earth_to_body_matrix(pose).T
-
-
 def distance_filter(cloud: np.ndarray, d_pass: float) -> np.ndarray:
     """Keep points with Euclidean norm <= d_pass, preserving order."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
@@ -111,19 +78,20 @@ def outlier_filter(cloud: np.ndarray, radius: float, min_neighbors: int) -> np.n
     return cloud[counts >= min_neighbors]
 
 
-def body_to_earth(cloud: np.ndarray, pose: Pose) -> np.ndarray:
+def body_to_earth(cloud: np.ndarray, position, yaw: float) -> np.ndarray:
+    """Yaw-aligned body frame to Earth frame: the simulated camera is level,
+    so the attitude is the rotation R = [[c, -s, 0], [s, c, 0], [0, 0, 1]]
+    by yaw about the vertical axis."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    R = body_to_earth_matrix(pose)
-    return cloud @ R.T + np.asarray(pose.position, dtype=float)
+    c, s = np.cos(yaw), np.sin(yaw)
+    # the rows multiply R's transpose, built C-ordered: matmul's rounding
+    # depends on the operand's memory layout
+    r_t = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    return cloud @ r_t + np.asarray(position, dtype=float)
 
 
-def earth_to_body(cloud: np.ndarray, pose: Pose) -> np.ndarray:
-    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    R = earth_to_body_matrix(pose)
-    return (cloud - np.asarray(pose.position, dtype=float)) @ R.T
-
-
-def filter_pipeline(cloud_body: np.ndarray, pose: Pose, params: FilterParams,
+def filter_pipeline(cloud_body: np.ndarray, position, yaw: float,
+                    params: FilterParams,
                     ground_z: float | None = None) -> np.ndarray:
     """Full chain: distance -> voxel -> outlier -> Earth frame.
 
@@ -133,7 +101,7 @@ def filter_pipeline(cloud_body: np.ndarray, pose: Pose, params: FilterParams,
     pcl_1 = distance_filter(cloud_body, params.d_pass)
     pcl_2 = voxel_downsample(pcl_1, params.voxel_size)
     pcl_3 = outlier_filter(pcl_2, params.outlier_radius, params.outlier_min_neighbors)
-    pcl_4 = body_to_earth(pcl_3, pose)
+    pcl_4 = body_to_earth(pcl_3, position, yaw)
     if ground_z is not None and len(pcl_4):
         pcl_4 = pcl_4[pcl_4[:, 2] > ground_z]
     return pcl_4

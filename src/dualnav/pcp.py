@@ -54,7 +54,6 @@ class PcpParams:
 @dataclass
 class MotionCommand:
     a_n: np.ndarray
-    p_next: np.ndarray
     v_next: np.ndarray
     mode: str = "normal"          # normal | backup_steer | backup_brake
     converged: bool = True
@@ -265,7 +264,9 @@ def _fan_rounds(angle_step: float) -> tuple:
 
 
 def _rays(direction, angle_step: float):
-    """The rays of `candidate_rays`, built one at a time."""
+    """DAS ray directions in search order, one at a time: the goal
+    direction, then per round the two horizontal and the two vertical
+    symmetric offsets, stopping past 90 degrees."""
     d = unit(direction)
     horiz = unit(np.array([d[0], d[1], 0.0]))
     if norm(horiz) == 0.0:
@@ -281,15 +282,6 @@ def _rays(direction, angle_step: float):
             sx, sy, sz = s * ox, s * oy, s * oz
             yield unit(np.array((cx + sx, cy + sy, cz + sz)))
             yield unit(np.array((cx - sx, cy - sy, cz - sz)))
-
-
-def candidate_rays(direction, angle_step: float):
-    """DAS ray directions in search order.
-
-    Round 0 is the goal direction; each later round adds the two horizontal
-    then the two vertical symmetric offsets, stopping past 90 degrees.
-    """
-    return list(_rays(direction, angle_step))
 
 
 def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
@@ -316,7 +308,9 @@ def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
 # -- motion optimization -----------------------------------------------------
 
 def _feasible(ax, ay, az, vx, vy, vz, t, v_max, a_max):
-    """`_project_feasible` on floats: the projected (ax, ay, az)."""
+    """Clip a = (ax, ay, az) to a_max, then shrink it along itself until
+    |v_n + a t| <= v_max (60 bisection steps); brake when |v_n| alone
+    exceeds v_max. Returns the projected (ax, ay, az)."""
     if _norm_bound(ax, ay, az, a_max) > a_max:
         k = a_max / _vnorm((ax, ay, az))
         ax, ay, az = ax * k, ay * k, az * k
@@ -345,12 +339,6 @@ def _feasible(ax, ay, az, vx, vy, vz, t, v_max, a_max):
     return ax, ay, az
 
 
-def _project_feasible(a, v_n, t, v_max, a_max):
-    """Clip a to a_max, then shrink it along itself until |v_n + a t| <= v_max
-    (60 bisection steps); brake when |v_n| alone exceeds v_max."""
-    return np.array(_feasible(*a.tolist(), *v_n.tolist(), t, v_max, a_max))
-
-
 def _brake_accel(v_n, a_max):
     nv = norm(v_n)
     if nv == 0.0:
@@ -372,9 +360,9 @@ def plan_motion(p_n, v_n, w_pn, t_avs: float, params: PcpParams) -> MotionComman
     r = w - p_n
     dw = norm(r)
     if dw < 1e-12:
-        a = _project_feasible(_brake_accel(v_n, params.a_max), v_n, t_avs,
-                              params.v_max, params.a_max)
-        return _finish(a, p_n, v_n, t_avs, "normal", True, 0)
+        a = _feasible(*_brake_accel(v_n, params.a_max).tolist(),
+                      *v_n.tolist(), t_avs, params.v_max, params.a_max)
+        return _finish(np.array(a), v_n, t_avs, "normal", True, 0)
 
     t, eta1, eta2 = t_avs, params.eta1, params.eta2
     v_max, a_max = params.v_max, params.a_max
@@ -435,26 +423,20 @@ def plan_motion(p_n, v_n, w_pn, t_avs: float, params: PcpParams) -> MotionComman
             converged = True
             break
     a = _feasible(*a, vx, vy, vz, t, v_max, a_max)
-    return _finish(np.array(a), p_n, v_n, t_avs, "normal", converged, it)
+    return _finish(np.array(a), v_n, t_avs, "normal", converged, it)
 
 
-def _finish(a, p_n, v_n, t, mode, converged, iters):
-    return MotionCommand(
-        a_n=a,
-        p_next=p_n + v_n * t + 0.5 * a * t * t,
-        v_next=v_n + a * t,
-        mode=mode,
-        converged=converged,
-        iterations=iters,
-    )
+def _finish(a, v_n, t, mode, converged, iters):
+    return MotionCommand(a_n=a, v_next=v_n + a * t, mode=mode,
+                         converged=converged, iterations=iters)
 
 
-def hold(p_n, v_n, t: float, a_max: float) -> MotionCommand:
+def hold(v_n, t: float, a_max: float) -> MotionCommand:
     """Hold command: brake to a stop within the horizon t, at most at a_max."""
     nv = np.linalg.norm(v_n)
     a_max = min(a_max, nv / t)
     a = _brake_accel(v_n, a_max) if nv > 1e-9 else np.zeros(3)
-    return _finish(a, p_n, v_n, t, "hold", True, 0)
+    return _finish(a, v_n, t, "hold", True, 0)
 
 
 # -- safety backup -----------------------------------------------------------
@@ -498,8 +480,7 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
         return cmd
     if norm(v_n) > 1e-6:
         a = _brake_accel(v_n, params.a_max)
-        cmd = _finish(a, p_n, v_n, 1e-2, "backup_brake", True, 0)
-        return cmd
+        return _finish(a, v_n, 1e-2, "backup_brake", True, 0)
     w = np.asarray(p_prev, dtype=float)
     cmd = plan_motion(p_n, v_n, w, max(params.waypoint_dist / params.v_max, 1e-3),
                       params)

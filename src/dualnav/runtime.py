@@ -36,7 +36,7 @@ import numpy as np
 from .geometry import path_clears, path_length
 from .map_planner import DagsParams, plan_final_path
 from .mapping import LocalMapParams, VoxelMap, cuboid_cut, project_2d
-from .pcl import FilterParams, Pose, filter_pipeline
+from .pcl import FilterParams, filter_pipeline
 from .pcp import (PcpParams, compute_goal, das_search, hold, plan_motion,
                   safety_backup, streamline)
 from .sim import (DroneState, SensorParams, World, check_collision,
@@ -220,13 +220,12 @@ class _EpisodeCore:
         st = self.bb.read("state")
         cloud_body = sense(self.world, st.p, st.yaw, self.sc.sensor, t,
                            self.sc.seed)
-        pose = Pose(position=tuple(st.p), yaw=st.yaw)
         ground = self.world.ground_z
         if ground is not None:
             # keep the floor out of the map even with range noise on the hits
             ground = ground + 5.0 * self.sc.sensor.noise_coeff * self.sc.sensor.max_range
-        pcl4 = filter_pipeline(cloud_body, pose, self.sc.filter_params,
-                               ground_z=ground)
+        pcl4 = filter_pipeline(cloud_body, st.p, st.yaw,
+                               self.sc.filter_params, ground_z=ground)
         self.bb.publish("pcl4", pcl4)
 
     def mapping_step(self, t):
@@ -289,7 +288,7 @@ class _EpisodeCore:
         path = self.bb.read("path")
         self.pcp_steps += 1
         if path is None:
-            self.bb.publish("cmd", hold(st.p, st.v, self.t_avs, pp.a_max))
+            self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
             return
         wp = path.waypoints
         with self._lock:
@@ -313,7 +312,7 @@ class _EpisodeCore:
                 and np.linalg.norm(end - self.goal) > sc.goal_tol):
             # local goal reached but not the global one: force a replan
             self.bb.publish("path", None)
-            self.bb.publish("cmd", hold(st.p, st.v, self.t_avs, pp.a_max))
+            self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
             return
         g_n = compute_goal(st.p, st.v, remaining, pp.kappa1, pp.kappa2)
         cloud = self._pcp_cloud(st.p, g_n)

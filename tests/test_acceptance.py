@@ -11,7 +11,7 @@ import numpy as np
 from dualnav.bench import (bench_map2d, bench_optimizer, flight_scenario,
                            intruder_world, wall_world)
 from dualnav.geometry import min_clearance, path_length
-from dualnav.jps import jps_search, line_is_free
+from dualnav.jps import JpsGrid, jps_search, line_is_free
 from dualnav.map_planner import (DagsParams, PlanPath, plan_final_path,
                                  shortcut_cells)
 from dualnav.mapping import LocalMapParams, VoxelMap, local_map, project_2d
@@ -40,7 +40,7 @@ def test_criterion_01_search_matches_dijkstra():
         cells = (rng.random((50, 50)) < 0.25).astype(np.uint8)
         cells[0, 0] = cells[49, 49] = 0
         ref = dijkstra_cost(cells, (0, 0), (49, 49))
-        res = jps_search(cells, (0, 0), (49, 49))
+        res = jps_search(JpsGrid(cells), (0, 0), (49, 49))
         if ref is None:
             assert res is None
             continue
@@ -74,7 +74,7 @@ def test_criterion_02_shortcut_soundness():
     while checked < 500:
         cells = (rng.random((40, 40)) < 0.22).astype(np.uint8)
         cells[0, 0] = cells[39, 39] = 0
-        res = jps_search(cells, (0, 0), (39, 39))
+        res = jps_search(JpsGrid(cells), (0, 0), (39, 39))
         if res is None:
             continue
         path, _ = res

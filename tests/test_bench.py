@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,15 @@ def test_bench_map2d_rejects_min_dist_beyond_the_diagonal():
     # and the draw loop would never end
     with pytest.raises(ValueError, match="diagonal"):
         bench_map2d(map_size=200, trials=1, min_dist=282)
+
+
+def test_bench_map2d_gives_up_when_pairs_are_too_rare():
+    # 280 cells is below the diagonal, but only pairs near opposite corners
+    # are that far apart: the study stops after MAP2D_MAX_DRAWS draws
+    tic = time.perf_counter()
+    with pytest.raises(ValueError, match="min_dist 280"):
+        bench_map2d(map_size=200, trials=1, min_dist=280)
+    assert time.perf_counter() - tic < 15.0
 
 
 def test_stitched_study_derives_grids_once_per_window_origin(monkeypatch):

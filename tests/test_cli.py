@@ -52,6 +52,18 @@ def test_bench_map2d_min_dist_beyond_the_diagonal_is_a_usage_error(tmp_path):
     assert not (tmp_path / "bench_map2d.json").exists()
 
 
+def test_bench_map2d_local_size_without_a_fine_window_is_a_usage_error(
+        tmp_path):
+    # a 2-cell local map gives Map_c int(2 * 0.35) = 0 cells per side
+    result = CliRunner().invoke(
+        main, ["bench-map2d", "--trials", "1", "--map-size", "200",
+               "--min-dist", "100", "--local-size", "2",
+               "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "m >= 1" in result.output
+    assert not (tmp_path / "bench_map2d.json").exists()
+
+
 def test_negative_seed_is_a_usage_error(tmp_path):
     result = CliRunner().invoke(
         main, ["run", "--seed", "-1", "--out", str(tmp_path)])

@@ -207,7 +207,7 @@ def test_cost_matches_dijkstra(cells, i, j):
         return
     start, goal = free[i % len(free)], free[j % len(free)]
     ref = dijkstra_cost(cells, start, goal)
-    res = jps_search(cells, start, goal)
+    res = jps_search(JpsGrid(cells), start, goal)
     if ref is None:
         assert res is None
     else:
@@ -230,7 +230,7 @@ def test_search_paths_digest():
             grid = JpsGrid(cells)
             free = np.argwhere(cells == 0)
             for start, goal in free[rng.integers(len(free), size=(16, 2))]:
-                h.update(repr(jps_search(cells, start, goal, grid)).encode())
+                h.update(repr(jps_search(grid, start, goal)).encode())
     assert h.hexdigest() == SEARCH_GOLDEN
 
 
@@ -244,21 +244,21 @@ def random_grid(rng, size, density):
 
 def test_straight_line_cost():
     cells = np.zeros((10, 10), dtype=np.uint8)
-    path, cost = jps_search(cells, (0, 0), (0, 9))
+    path, cost = jps_search(JpsGrid(cells), (0, 0), (0, 9))
     assert cost == pytest.approx(9.0)
-    path, cost = jps_search(cells, (0, 0), (9, 9))
+    path, cost = jps_search(JpsGrid(cells), (0, 0), (9, 9))
     assert cost == pytest.approx(9 * SQRT2)
 
 
 def test_unreachable_returns_none():
     cells = np.zeros((5, 5), dtype=np.uint8)
     cells[2, :] = 1
-    assert jps_search(cells, (0, 0), (4, 4)) is None
+    assert jps_search(JpsGrid(cells), (0, 0), (4, 4)) is None
 
 
 def test_start_equals_goal():
     cells = np.zeros((3, 3), dtype=np.uint8)
-    assert jps_search(cells, (1, 1), (1, 1)) == ([(1, 1)], 0.0)
+    assert jps_search(JpsGrid(cells), (1, 1), (1, 1)) == ([(1, 1)], 0.0)
 
 
 def test_matches_dijkstra_small():
@@ -268,22 +268,12 @@ def test_matches_dijkstra_small():
         cells[0, 0] = 0
         cells[19, 19] = 0
         ref = dijkstra_cost(cells, (0, 0), (19, 19))
-        res = jps_search(cells, (0, 0), (19, 19))
+        res = jps_search(JpsGrid(cells), (0, 0), (19, 19))
         if ref is None:
             assert res is None
         else:
             assert res is not None
             assert res[1] == pytest.approx(ref, abs=1e-9)
-
-
-def test_prebuilt_grid_matches():
-    rng = np.random.default_rng(5)
-    cells = random_grid(rng, 30, 0.2)
-    cells[0, 0] = cells[29, 29] = 0
-    grid = JpsGrid(cells)
-    a = jps_search(cells, (0, 0), (29, 29))
-    b = jps_search(cells, (0, 0), (29, 29), grid)
-    assert a == b
 
 
 def test_traversed_cells_supercover():
@@ -307,7 +297,7 @@ def test_path_cost_consistency():
     for _ in range(10):
         cells = random_grid(rng, 25, 0.2)
         cells[0, 0] = cells[24, 24] = 0
-        res = jps_search(cells, (0, 0), (24, 24))
+        res = jps_search(JpsGrid(cells), (0, 0), (24, 24))
         if res is None:
             continue
         path, cost = res

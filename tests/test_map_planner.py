@@ -9,7 +9,7 @@ from dualnav import jps, map_planner
 from dualnav.geometry import (direction_from_angles, min_clearance,
                               path_length, segment_point_distances,
                               spherical_angles, wrap_angle)
-from dualnav.jps import jps_search, line_is_free
+from dualnav.jps import JpsGrid, jps_search, line_is_free
 from dualnav.map_planner import (AngularGraph, DagsParams, MapPlanResult,
                                  PlanPath, cast_local_goal, dags_search,
                                  lift_path, plan_final_path,
@@ -40,7 +40,7 @@ def test_shortcut_soundness_random():
     for _ in range(50):
         cells = (rng.random((40, 40)) < 0.2).astype(np.uint8)
         cells[0, 0] = cells[39, 39] = 0
-        res = jps_search(cells, (0, 0), (39, 39))
+        res = jps_search(JpsGrid(cells), (0, 0), (39, 39))
         if res is None:
             continue
         path, cost = res

@@ -11,6 +11,8 @@ def test_params_validation():
         LocalMapParams(i=100, m=60)          # violates i*j > 3*m*n
     with pytest.raises(ValueError):
         LocalMapParams(k=2)
+    with pytest.raises(ValueError):
+        LocalMapParams(i=2, m=0, k=1)       # no Map_c cells
     p = LocalMapParams()
     assert p.h == 2
     # one Map_1 cell per voxel, so the side follows from i and the voxel

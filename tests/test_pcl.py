@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from dualnav.pcl import (FilterParams, Pose, body_to_earth, distance_filter,
-                         earth_to_body, filter_pipeline, outlier_filter,
-                         voxel_downsample)
+from dualnav.pcl import (FilterParams, body_to_earth, distance_filter,
+                         filter_pipeline, outlier_filter, voxel_downsample)
+from dualnav.sim import Box, SensorParams, World, sense
 
 
 def test_distance_filter_keeps_order():
@@ -65,30 +67,44 @@ def test_outlier_filter_removes_lonely_points():
     assert np.max(np.abs(out)) < 1.0
 
 
-def test_body_earth_roundtrip():
-    rng = np.random.default_rng(3)
-    cloud = rng.normal(size=(20, 3))
-    pose = Pose(position=(1.0, -2.0, 0.5), yaw=0.7, pitch=0.2, roll=-0.4)
-    back = earth_to_body(body_to_earth(cloud, pose), pose)
-    assert np.allclose(back, cloud, atol=1e-12)
+def _surface_distance(points, box):
+    """Each point's distance to the surface of the box."""
+    lo, hi = box.arrays()
+    outside = np.linalg.norm(points - np.clip(points, lo, hi), axis=1)
+    inside = np.minimum(points - lo, hi - points).min(axis=1)
+    return np.where(outside > 0.0, outside, inside)
 
 
-def test_pose_validates_pitch():
-    with pytest.raises(ValueError):
-        Pose(position=(0, 0, 0), pitch=np.pi / 2)
+def test_sensed_points_land_on_the_world():
+    """sense returns a yaw-aligned body frame and body_to_earth undoes it:
+    every noise-free hit lies on a wall or on the floor. The room is off
+    centre, so a rotation the wrong way puts the hits off the walls."""
+    walls = [Box((2.0, -4.0, 0.0), (2.5, 4.0, 3.0)),
+             Box((-3.1, -4.0, 0.0), (-2.8, 4.0, 3.0)),
+             Box((-4.0, 1.7, 0.0), (4.0, 2.0, 3.0)),
+             Box((-4.0, -2.6, 0.0), (4.0, -2.3, 3.0))]
+    world = World(static=walls, ground_z=0.0)
+    p = np.array([0.3, -0.2, 1.0])
+    for yaw in (0.0, math.pi / 2, -math.pi / 2, math.pi, 0.7):
+        cloud = sense(world, p, yaw, SensorParams(noise_coeff=0.0), 0.0,
+                      seed=0)
+        earth = body_to_earth(cloud, p, yaw)
+        on_wall = np.min([_surface_distance(earth, b) for b in walls], axis=0)
+        on_floor = np.abs(earth[:, 2] - world.ground_z)
+        assert (on_wall <= 1e-9).sum() > 100, yaw
+        assert np.all(np.minimum(on_wall, on_floor) <= 1e-9), yaw
 
 
 def test_filter_pipeline_ground_removal():
     # one wall return and one floor return, noise-free
     cloud_body = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
-    pose = Pose(position=(0.0, 0.0, 1.0), yaw=0.0)
     params = FilterParams(outlier_min_neighbors=1, outlier_radius=3.0)
-    out = filter_pipeline(cloud_body, pose, params, ground_z=0.05)
+    out = filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, params,
+                          ground_z=0.05)
     assert len(out) == 1
     assert out[0][2] > 0.5
 
 
 def test_filter_pipeline_empty():
-    out = filter_pipeline(np.zeros((0, 3)), Pose(position=(0, 0, 0)),
-                          FilterParams())
+    out = filter_pipeline(np.zeros((0, 3)), (0, 0, 0), 0.0, FilterParams())
     assert out.shape == (0, 3)

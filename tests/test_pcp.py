@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualnav.pcp import (PcpParams, braking_distance, candidate_rays,
-                         compute_goal, das_search, fermat_point, hold,
-                         plan_motion, safety_backup, streamline)
+from dualnav.pcp import (PcpParams, _rays, braking_distance, compute_goal,
+                         das_search, fermat_point, hold, plan_motion,
+                         safety_backup, streamline)
 
 VELOCITY = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(
     np.array)
@@ -88,7 +88,7 @@ def test_streamline_short_input_passthrough():
 
 
 def test_candidate_rays_structure():
-    rays = candidate_rays([1.0, 0.0, 0.0], math.radians(10.0))
+    rays = list(_rays([1.0, 0.0, 0.0], math.radians(10.0)))
     assert np.allclose(rays[0], [1, 0, 0])
     # 9 rounds of 4 rays plus the center ray
     assert len(rays) == 1 + 4 * 9
@@ -137,8 +137,7 @@ def test_plan_motion_constraints_and_progress():
         cmd = plan_motion(np.zeros(3), v, w, 0.05, p)
         assert np.linalg.norm(cmd.a_n) <= p.a_max + 1e-9
         assert np.linalg.norm(cmd.v_next) <= p.v_max + 1e-9
-        assert np.allclose(cmd.p_next,
-                           v * 0.05 + 0.5 * cmd.a_n * 0.05 ** 2)
+        assert np.allclose(cmd.v_next, v + cmd.a_n * 0.05)
 
 
 def test_plan_motion_rejects_bad_horizon():
@@ -168,24 +167,23 @@ def test_safety_backup_brake_branch():
 
 
 def test_hold_from_rest_is_zero():
-    p = np.array([1.0, 2.0, 3.0])
-    cmd = hold(p, np.zeros(3), 0.1, 2.0)
+    cmd = hold(np.zeros(3), 0.1, 2.0)
     assert cmd.mode == "hold"
     assert np.all(cmd.a_n == 0.0)
-    assert np.all(cmd.p_next == p) and np.all(cmd.v_next == 0.0)
+    assert np.all(cmd.v_next == 0.0)
 
 
 @given(VELOCITY, HORIZON, st.floats(0.0, 10.0))
 def test_hold_stops_within_the_horizon_when_it_can(v, t, spare):
     # a_max at least |v| / t: one horizon at the capped rate stops the drone
     a_max = float(np.linalg.norm(v)) / t + spare
-    cmd = hold(np.zeros(3), v, t, a_max)
+    cmd = hold(v, t, a_max)
     assert np.linalg.norm(v + cmd.a_n * t) <= 1e-12
 
 
 @given(VELOCITY, HORIZON, st.floats(1e-3, 10.0))
 def test_hold_never_exceeds_a_max(v, t, a_max):
-    cmd = hold(np.zeros(3), v, t, a_max)
+    cmd = hold(v, t, a_max)
     assert cmd.mode == "hold"
     # the unit direction may round one ulp long
     assert np.linalg.norm(cmd.a_n) <= a_max * (1.0 + 1e-12)

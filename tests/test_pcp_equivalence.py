@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualnav.geometry import norm, segment_point_distances, unit
-from dualnav.pcp import (PcpParams, _project_feasible, candidate_rays,
-                         compute_goal, das_search, plan_motion, safety_backup)
+from dualnav.pcp import (PcpParams, _feasible, _rays, compute_goal,
+                         das_search, plan_motion, safety_backup)
 from dualnav.runtime import Scenario, _EpisodeCore
 from dualnav.sim import World
 
@@ -102,7 +102,7 @@ def _oracle_collision_check_segment(a, b, cloud_sorted, r_safe):
     return pts[hits[0]]
 
 
-def oracle_candidate_rays(direction, angle_step):
+def oracle_rays(direction, angle_step):
     d = _oracle_unit(direction)
     horiz = _oracle_unit(np.array([d[0], d[1], 0.0]))
     if np.linalg.norm(horiz) == 0.0:
@@ -130,7 +130,7 @@ def oracle_das_search(p_n, g_n, cloud_sorted, params, waypoint_dist=None,
     if np.linalg.norm(d) == 0.0:
         return None
     wd = params.waypoint_dist if waypoint_dist is None else waypoint_dist
-    for idx, ray in enumerate(oracle_candidate_rays(d, params.das_angle_step)):
+    for idx, ray in enumerate(oracle_rays(d, params.das_angle_step)):
         if excluded and idx in excluded:
             continue
         end = p_n + params.r_det * ray
@@ -159,7 +159,7 @@ def _oracle_motion_cost_grad(a, p_n, v_n, w, t, eta1, eta2):
     return cost, grad
 
 
-def oracle_project_feasible(a, v_n, t, v_max, a_max):
+def oracle_feasible(a, v_n, t, v_max, a_max):
     na = np.linalg.norm(a)
     if na > a_max:
         a = a * (a_max / na)
@@ -185,9 +185,8 @@ def _oracle_brake_accel(v_n, a_max):
     return -v_n / nv * a_max
 
 
-def _oracle_finish(a, p_n, v_n, t, mode, converged, iters):
-    return (a, p_n + v_n * t + 0.5 * a * t * t, v_n + a * t, mode, converged,
-            iters)
+def _oracle_finish(a, v_n, t, mode, converged, iters):
+    return (a, v_n + a * t, mode, converged, iters)
 
 
 def oracle_plan_motion(p_n, v_n, w_pn, t_avs, params):
@@ -195,9 +194,9 @@ def oracle_plan_motion(p_n, v_n, w_pn, t_avs, params):
     v_n = np.asarray(v_n, dtype=float)
     w = np.asarray(w_pn, dtype=float)
     if np.linalg.norm(w - p_n) < 1e-12:
-        a = oracle_project_feasible(_oracle_brake_accel(v_n, params.a_max),
-                                    v_n, t_avs, params.v_max, params.a_max)
-        return _oracle_finish(a, p_n, v_n, t_avs, "normal", True, 0)
+        a = oracle_feasible(_oracle_brake_accel(v_n, params.a_max),
+                            v_n, t_avs, params.v_max, params.a_max)
+        return _oracle_finish(a, v_n, t_avs, "normal", True, 0)
     a = np.zeros(3)
     cost, grad = _oracle_motion_cost_grad(a, p_n, v_n, w, t_avs,
                                           params.eta1, params.eta2)
@@ -208,8 +207,8 @@ def oracle_plan_motion(p_n, v_n, w_pn, t_avs, params):
         trial_step = step
         new_a = a
         for _ in range(12):
-            cand = oracle_project_feasible(a - trial_step * grad, v_n, t_avs,
-                                           params.v_max, params.a_max)
+            cand = oracle_feasible(a - trial_step * grad, v_n, t_avs,
+                                   params.v_max, params.a_max)
             c2, g2 = _oracle_motion_cost_grad(cand, p_n, v_n, w, t_avs,
                                               params.eta1, params.eta2)
             if c2 <= cost - 1e-12 * abs(cost) or np.allclose(cand, a):
@@ -225,8 +224,8 @@ def oracle_plan_motion(p_n, v_n, w_pn, t_avs, params):
         if moved <= params.opt_tol:
             converged = True
             break
-    a = oracle_project_feasible(a, v_n, t_avs, params.v_max, params.a_max)
-    return _oracle_finish(a, p_n, v_n, t_avs, "normal", converged, it)
+    a = oracle_feasible(a, v_n, t_avs, params.v_max, params.a_max)
+    return _oracle_finish(a, v_n, t_avs, "normal", converged, it)
 
 
 def oracle_safety_backup(p_n, v_n, p_prev, cloud_sorted, params, blocked_rays):
@@ -243,8 +242,8 @@ def oracle_safety_backup(p_n, v_n, p_prev, cloud_sorted, params, blocked_rays):
             goal_dir = (_oracle_unit(v_n) if np.linalg.norm(v_n)
                         else np.array([1.0, 0, 0]))
         best_ray, best_clear = None, -1.0
-        for idx, ray in enumerate(oracle_candidate_rays(goal_dir,
-                                                        params.das_angle_step)):
+        rays = oracle_rays(goal_dir, params.das_angle_step)
+        for idx, ray in enumerate(rays):
             if idx in blocked_rays:
                 continue
             end = p_n + params.r_det * ray
@@ -253,13 +252,13 @@ def oracle_safety_backup(p_n, v_n, p_prev, cloud_sorted, params, blocked_rays):
             if clear > best_clear:
                 best_ray, best_clear = ray, clear
         w = p_n + params.waypoint_dist * best_ray
-        return oracle_plan_motion(p_n, v_n, w, horizon, params)[:3] + (
+        return oracle_plan_motion(p_n, v_n, w, horizon, params)[:2] + (
             "backup_steer",)
     if np.linalg.norm(v_n) > 1e-6:
         a = _oracle_brake_accel(v_n, params.a_max)
-        return _oracle_finish(a, p_n, v_n, 1e-2, "backup_brake", True, 0)[:4]
+        return _oracle_finish(a, v_n, 1e-2, "backup_brake", True, 0)[:3]
     w = np.asarray(p_prev, dtype=float)
-    return oracle_plan_motion(p_n, v_n, w, horizon, params)[:3] + (
+    return oracle_plan_motion(p_n, v_n, w, horizon, params)[:2] + (
         "backup_brake",)
 
 
@@ -321,11 +320,11 @@ def assert_same_bytes(got, want):
 
 
 def assert_same_command(cmd, want):
-    for got, ref in zip((cmd.a_n, cmd.p_next, cmd.v_next), want[:3]):
+    for got, ref in zip((cmd.a_n, cmd.v_next), want[:2]):
         assert_same_bytes(got, ref)
-    assert cmd.mode == want[3]
-    if len(want) > 4:
-        assert (cmd.converged, cmd.iterations) == want[4:]
+    assert cmd.mode == want[2]
+    if len(want) > 3:
+        assert (cmd.converged, cmd.iterations) == want[3:]
 
 
 # -- strategies --------------------------------------------------------------
@@ -375,7 +374,7 @@ def feasibility_cases(draw):
     return a, v, t, v_max, a_max
 
 
-# -- _project_feasible -------------------------------------------------------
+# -- feasibility projection ------------------------------------------------
 
 @settings(max_examples=400)
 @given(feasibility_cases())
@@ -393,8 +392,9 @@ def feasibility_cases(draw):
 @example((np.array([1.0, 0.0, 0.0]), np.array([1.5, 0.0, 0.0]), 0.1, 1.0, 2.0))
 def test_project_feasible_same_bytes(case):
     a, v, t, v_max, a_max = case
-    assert_same_bytes(_project_feasible(a, v, t, v_max, a_max),
-                      oracle_project_feasible(a, v, t, v_max, a_max))
+    assert_same_bytes(np.array(_feasible(*a.tolist(), *v.tolist(), t, v_max,
+                                         a_max)),
+                      oracle_feasible(a, v, t, v_max, a_max))
 
 
 @settings(max_examples=300)
@@ -406,7 +406,7 @@ def test_project_feasible_keeps_bounds(case):
     |v_n + a t| <= v_max, each within 1e-12 relative."""
     a, v, t, v_max, a_max = case
     assume(norm(v) <= v_max)
-    out = _project_feasible(a, v, t, v_max, a_max)
+    out = np.array(_feasible(*a.tolist(), *v.tolist(), t, v_max, a_max))
     assert norm(out) <= a_max * (1.0 + 1e-12)
     assert norm(v + out * t) <= v_max * (1.0 + 1e-12)
 
@@ -441,7 +441,7 @@ def test_plan_motion_same_bytes(case):
                         oracle_plan_motion(p, v, w, t, params))
 
 
-# -- candidate rays and DAS --------------------------------------------------
+# -- DAS rays and search -----------------------------------------------------
 
 angle_steps = (st.sampled_from([math.radians(10.0), math.radians(15.0),
                                 math.pi / 2.0]) | st.floats(0.1, 1.6))
@@ -453,8 +453,8 @@ angle_steps = (st.sampled_from([math.radians(10.0), math.radians(15.0),
 @example(np.array([0.0, -0.0, -2.0]), math.radians(10.0))
 @example(np.zeros(3), math.radians(10.0))
 def test_candidate_rays_same_bytes(direction, angle_step):
-    got = candidate_rays(direction, angle_step)
-    want = oracle_candidate_rays(direction, angle_step)
+    got = list(_rays(direction, angle_step))
+    want = oracle_rays(direction, angle_step)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_same_bytes(g, w)
