@@ -215,17 +215,14 @@ def _window(cells, center, side, align: int = 1):
     return win, (x0, y0)
 
 
-def _simulate_local(cells, start, goal, local_size, stitched: bool,
-                    max_steps: int):
+def _simulate_local(cells, start, goal, params: LocalMapParams,
+                    stitched: bool, max_steps: int):
     """Move one cell per step along a freshly planned local path."""
+    local_size = params.i
     pos = start
     visited = [start]
     times = []
     map_1, map_origin = None, None
-    # fine window about 35 percent of the full one gives a 4x pooling stride,
-    # which keeps the coarse search small and the aligned window reusable
-    m = int(local_size * 0.35)
-    params = LocalMapParams(h_ms=6.0, i=local_size, m=m, k=1, voxel_size=1.0)
     for _ in range(max_steps):
         if pos == goal:
             # smooth the realized cell path the same way the global baseline
@@ -287,8 +284,24 @@ def _stitched_on_window(map_1: GridMap2D, start_cell, g_cell,
 def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
                 min_dist: int = 500, local_size: int = 200) -> dict:
     """Global vs single-resolution local vs stitched dual-resolution study;
-    ValueError when no start-goal pair can be min_dist cells apart, or when
-    MAP2D_MAX_DRAWS draws in a row keep no trial."""
+    ValueError when the local size gives no fine window that always holds
+    the drone cell, when no start-goal pair can be min_dist cells apart, or
+    when MAP2D_MAX_DRAWS draws in a row keep no trial."""
+    # fine window about 35 percent of the full one gives a 4x pooling stride,
+    # which keeps the coarse search small and the aligned window reusable
+    params = LocalMapParams(h_ms=6.0, i=local_size, m=int(local_size * 0.35),
+                            k=1, voxel_size=1.0)
+    # the stitched arm snaps its window origin down to a multiple of h, so
+    # the drone cell sits up to h - 1 cells past the window centre i // 2;
+    # Map_c starts at i // 2 - m // 2, so it holds that cell only while
+    # m // 2 + h - 1 <= m - 1
+    m, h = params.m, params.h
+    if m // 2 + h > m:
+        raise ValueError(
+            f"local_size {local_size} gives Map_c {m} cells a side and a "
+            f"pooling stride of {h}: the stride-aligned drone cell can sit "
+            f"{h - 1} cells past the window centre, outside Map_c "
+            f"(needs m // 2 + h <= m)")
     diagonal = (map_size - 1) * math.sqrt(2.0)
     if min_dist > diagonal:
         raise ValueError(f"min_dist {min_dist} exceeds {diagonal:.1f}, the "
@@ -318,9 +331,8 @@ def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
         sc = shortcut_cells(res_g[0], cells)
         len_global = path_length(np.array([(c[0], c[1], 0.0) for c in sc]))
         max_steps = int(len_global * 3) + 100
-        local = _simulate_local(cells, start, goal, local_size, False,
-                                max_steps)
-        stitched = _simulate_local(cells, start, goal, local_size, True,
+        local = _simulate_local(cells, start, goal, params, False, max_steps)
+        stitched = _simulate_local(cells, start, goal, params, True,
                                    max_steps)
         if local is None or stitched is None:
             continue

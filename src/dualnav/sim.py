@@ -7,6 +7,7 @@ replay bit for bit.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -127,31 +128,92 @@ def _ray_directions(sensor: SensorParams, yaw: float) -> np.ndarray:
     return dirs.reshape(3, -1)
 
 
-def _first_hits(origin, dirs, boxes, max_range: float) -> np.ndarray:
+def _wrap(a: float) -> float:
+    """An angle wrapped into [-pi, pi)."""
+    return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _box_columns(x0, y0, x1, y1, az, yaw: float):
+    """Fan columns [start, stop) whose azimuths can meet the xy footprint
+    [x0, x1] x [y0, y1], given relative to the origin.
+
+    From outside, the footprint spans an azimuth interval narrower than pi.
+    It is measured from the corner angles relative to one corner, then
+    centred on its midpoint relative to the yaw, widened by a slack of
+    1e-9 rad per radian of yaw beyond the first, and looked up in the fan's
+    ascending azimuths az. An origin on or inside the footprint takes every
+    column (from a corner, the slab test enters the box at t = 0 along rays
+    that point away from it), and so does an interval within the slack of
+    a half-plane.
+    """
+    if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1:
+        return 0, len(az)
+    a0 = math.atan2(y0, x0)
+    d = [0.0, _wrap(math.atan2(y0, x1) - a0), _wrap(math.atan2(y1, x0) - a0),
+         _wrap(math.atan2(y1, x1) - a0)]
+    d_lo, d_hi = min(d), max(d)
+    half = 0.5 * (d_hi - d_lo) + 1e-9 * (1.0 + abs(yaw))
+    if half >= 0.5 * math.pi:
+        return 0, len(az)
+    mid = _wrap(a0 + 0.5 * (d_lo + d_hi) - yaw)
+    # bisect is searchsorted's left and right side, without a numpy call
+    return (bisect.bisect_left(az, mid - half),
+            bisect.bisect_right(az, mid + half))
+
+
+def _first_hits(origin, dirs, boxes, sensor: SensorParams,
+                yaw: float) -> np.ndarray:
     """Entry distance of each ray into the nearest box (inf when it misses
-    every box), as one slab test over (axis, box, ray).
+    every box), as one slab test per box over the rays that can reach it.
 
     Boxes whose nearest point lies beyond max_range are left out, since no
     hit of theirs is kept; the small slack keeps rounding from ever dropping
     a box that the slab test would put in range. A ray starting on a box face
     gives 0 * inf = NaN on that axis, which the pairwise fmax/fmin pass over
     like nanmax/nanmin.
+
+    Each remaining box is slab-tested only on the fan columns its xy
+    footprint can cover (`_box_columns`); ray i * v_rays + j is in column i,
+    so those rays are one contiguous slice of the axis-major dirs. This is
+    exact:
+    - every ray of a column has that column's azimuth in xy, since the
+      cosine of its elevation is positive;
+    - a footprint seen from outside covers less than pi, and h_fov < pi, so
+      the part of an interval that wraps past +-pi never meets the fan;
+    - the slack of `_box_columns` is far above the rounding of the corner
+      angles, of the yawed azimuths and of the ray directions, so a ray
+      outside a box's columns misses the box's footprint by more than
+      rounding can close, and its slab entry would have been inf;
+    - np.minimum(t, inf) is t bit for bit, and the boxes are folded in in
+      order, as before, so ties between 0.0 and -0.0 resolve alike.
     """
+    t_hit = np.full(dirs.shape[1], np.inf)
     lo = np.array([b.lo for b in boxes], dtype=float).reshape(-1, 3)
     hi = np.array([b.hi for b in boxes], dtype=float).reshape(-1, 3)
     gap = origin - np.clip(origin, lo, hi)
-    near = np.sqrt(np.einsum("ij,ij->i", gap, gap)) <= max_range * (1.0 + 1e-9)
+    near = (np.sqrt(np.einsum("ij,ij->i", gap, gap))
+            <= sensor.max_range * (1.0 + 1e-9))
+    if not np.any(near):
+        return t_hit
+    az = _fan(sensor)[0]
+    v = sensor.v_rays
+    # (box, lo/hi, axis), each relative to the origin
+    rel = np.stack([lo[near], hi[near]], axis=1) - origin
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = (1.0 / dirs)[:, None, :]
-        t0 = (lo[near] - origin).T[:, :, None] * inv
-        t1 = (hi[near] - origin).T[:, :, None] * inv
-    t_lo = np.minimum(t0, t1)
-    t_hi = np.maximum(t0, t1, out=t0)
-    tmin = np.fmax(np.fmax(t_lo[0], t_lo[1]), t_lo[2])
-    tmax = np.fmin(np.fmin(t_hi[0], t_hi[1]), t_hi[2])
-    t_ent = np.where((tmax >= tmin) & (tmax >= 0.0), np.maximum(tmin, 0.0),
-                     np.inf)
-    return np.minimum.reduce(t_ent, axis=0, initial=np.inf)
+        for b, ((x0, y0, _), (x1, y1, _)) in zip(rel, rel.tolist()):
+            c0, c1 = _box_columns(x0, y0, x1, y1, az, yaw)
+            if c0 == c1:
+                continue
+            rays = slice(c0 * v, c1 * v)
+            t0, t1 = b[:, :, None] * (1.0 / dirs[:, rays])
+            t_lo = np.minimum(t0, t1)
+            t_hi = np.maximum(t0, t1, out=t0)
+            tmin = np.fmax(np.fmax(t_lo[0], t_lo[1]), t_lo[2])
+            tmax = np.fmin(np.fmin(t_hi[0], t_hi[1]), t_hi[2])
+            t_ent = np.where((tmax >= tmin) & (tmax >= 0.0),
+                             np.maximum(tmin, 0.0), np.inf)
+            np.minimum(t_hit[rays], t_ent, out=t_hit[rays])
+    return t_hit
 
 
 def sense(world: World, position, yaw: float, sensor: SensorParams,
@@ -165,7 +227,7 @@ def sense(world: World, position, yaw: float, sensor: SensorParams,
     """
     origin = np.asarray(position, dtype=float)
     dirs = _ray_directions(sensor, yaw)
-    t_hit = _first_hits(origin, dirs, world.boxes_at(time), sensor.max_range)
+    t_hit = _first_hits(origin, dirs, world.boxes_at(time), sensor, yaw)
     if world.ground_z is not None:
         dz = dirs[2]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -205,11 +267,28 @@ def step_dynamics(state: DroneState, a_n, dt: float, v_max: float) -> DroneState
 
 
 def check_collision(world: World, position, radius: float, time: float) -> bool:
-    """Sphere-vs-world intersection test against the time-indexed boxes."""
+    """Sphere-vs-world intersection test against the time-indexed boxes.
+
+    Only the boxes whose per-axis gaps to the centre are all within
+    radius * (1 + 1e-12) + 1e-150 get the per-box norm test. This is exact:
+    a box's gap on an axis is computed as that axis's component of
+    p - nearest, and the computed norm is never below a component whose
+    square neither underflows nor overflows, so a box with a larger gap
+    misses. The 1e-150 term keeps the boxes whose gaps square to below the
+    smallest normal float, where the norm can read 0. The gaps are Python
+    floats, box by box: with a few boxes, one numpy call costs more than
+    the whole test.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     p = np.asarray(position, dtype=float)
+    px, py, pz = p.tolist()
+    reach = radius * (1.0 + 1e-12) + 1e-150
     for box in world.boxes_at(time):
+        (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
+        if (x0 - px > reach or px - x1 > reach or y0 - py > reach
+                or py - y1 > reach or z0 - pz > reach or pz - z1 > reach):
+            continue
         lo, hi = box.arrays()
         nearest = np.clip(p, lo, hi)
         if np.linalg.norm(p - nearest) <= radius:

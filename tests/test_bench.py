@@ -10,6 +10,7 @@ from dualnav.bench import (bench_map2d, bench_optimizer, export_plots,
                            intruder_world, oracle_shortest_path,
                            random_map_2d, random_world_3d, wall_world)
 from dualnav.map_planner import snapshot_grids
+from dualnav.mapping import LocalMapParams
 from dualnav.sim import Box, World
 
 
@@ -99,6 +100,32 @@ def test_bench_map2d_rejects_min_dist_beyond_the_diagonal():
     # and the draw loop would never end
     with pytest.raises(ValueError, match="diagonal"):
         bench_map2d(map_size=200, trials=1, min_dist=282)
+
+
+@pytest.mark.parametrize("local_size", [3, 10, 22, 25])
+def test_bench_map2d_rejects_local_sizes_whose_drone_cell_leaves_map_c(
+        local_size):
+    # these sizes raised IndexError in the stitched arm's first plan
+    with pytest.raises(ValueError, match="outside Map_c"):
+        bench_map2d(map_size=200, trials=1, min_dist=100,
+                    local_size=local_size)
+
+
+def test_bench_map2d_local_size_bound_matches_the_aligned_window():
+    # a size passes when _window puts the drone cell inside Map_c for every
+    # residue of the drone cell modulo the stride; an accepted size goes on
+    # to the diagonal check, which a 10-cell map fails at once
+    cells = np.zeros((400, 400), dtype=np.uint8)
+    for i in range(3, 130):
+        params = LocalMapParams(h_ms=6.0, i=i, m=int(i * 0.35), k=1,
+                                voxel_size=1.0)
+        lo = i // 2 - params.m // 2
+        inside = all(
+            lo <= c - bench._window(cells, (c, c), i, params.h)[1][0]
+            < lo + params.m for c in range(200, 200 + params.h))
+        with pytest.raises(ValueError,
+                           match="diagonal" if inside else "outside Map_c"):
+            bench_map2d(map_size=10, trials=1, min_dist=100, local_size=i)
 
 
 def test_bench_map2d_gives_up_when_pairs_are_too_rare():

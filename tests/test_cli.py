@@ -64,6 +64,17 @@ def test_bench_map2d_local_size_without_a_fine_window_is_a_usage_error(
     assert not (tmp_path / "bench_map2d.json").exists()
 
 
+def test_bench_map2d_local_size_leaving_map_c_is_a_usage_error(tmp_path):
+    # local size 10: Map_c 3 cells, stride 6; this raised IndexError
+    result = CliRunner().invoke(
+        main, ["bench-map2d", "--trials", "1", "--map-size", "200",
+               "--min-dist", "100", "--local-size", "10",
+               "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "outside Map_c" in result.output
+    assert not (tmp_path / "bench_map2d.json").exists()
+
+
 def test_negative_seed_is_a_usage_error(tmp_path):
     result = CliRunner().invoke(
         main, ["run", "--seed", "-1", "--out", str(tmp_path)])

@@ -178,6 +178,102 @@ def test_sense_boxes_at_and_beyond_range_match_oracle(yaw, seed):
         assert_same_bytes(sense(*scene), oracle_sense(*scene))
 
 
+def _nudge(x, ulps):
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+# sense slab-tests each box only on the fan columns its footprint can reach;
+# these scenes sit on the edges of that cut
+@st.composite
+def culling_scenes(draw):
+    sensor = draw(st.builds(
+        SensorParams,
+        h_fov=st.one_of(st.sampled_from([math.radians(86.0), 3.0]),
+                        st.floats(0.1, 3.0)),
+        v_fov=st.floats(0.1, 3.0), max_range=st.floats(2.0, 8.0),
+        h_rays=st.one_of(st.just(1), st.integers(2, 24)),
+        v_rays=st.integers(1, 9), noise_coeff=st.sampled_from([0.0, 0.005])))
+    yaw = draw(st.one_of(
+        st.sampled_from([math.pi, -math.pi, _nudge(math.pi, -1),
+                         _nudge(-math.pi, 1), 0.0]),
+        st.floats(math.pi - 1e-3, math.pi), st.floats(-math.pi, -math.pi + 1e-3),
+        st.floats(-math.pi, math.pi)))
+    o = draw(origins)
+    az = np.linspace(-sensor.h_fov / 2.0, sensor.h_fov / 2.0, sensor.h_rays)
+    edges = [yaw - sensor.h_fov / 2.0, yaw + sensor.h_fov / 2.0,
+             yaw + az[0], yaw + az[-1]]
+    ulps = st.sampled_from([-1, 0, 1])
+    extent = st.floats(0.05, 2.0)
+    static = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["corner", "around", "over", "line",
+                                     "random"]))
+        z0 = o[2] + draw(st.floats(-2.0, 0.0))
+        z1 = z0 + draw(st.floats(0.05, 3.0))
+        if kind == "corner":
+            # one footprint corner on a fan edge or column azimuth, or one
+            # ulp off it, and the footprint on any side of that corner
+            a = draw(st.one_of(st.sampled_from(edges),
+                               st.sampled_from(list(yaw + az))))
+            a = _nudge(a, draw(ulps))
+            r = draw(st.floats(0.3, 6.0))
+            cx = _nudge(o[0] + r * math.cos(a), draw(ulps))
+            cy = _nudge(o[1] + r * math.sin(a), draw(ulps))
+            w, h = draw(extent), draw(extent)
+            x0, x1 = draw(st.sampled_from([(cx, cx + w), (cx - w, cx)]))
+            y0, y1 = draw(st.sampled_from([(cy, cy + h), (cy - h, cy)]))
+        elif kind == "around":
+            # behind and beside the drone
+            a = yaw + draw(st.sampled_from([math.pi, math.pi / 2.0,
+                                            -math.pi / 2.0]))
+            a += draw(st.floats(-0.5, 0.5))
+            r = draw(st.floats(0.3, 6.0))
+            cx, cy = o[0] + r * math.cos(a), o[1] + r * math.sin(a)
+            w, h = draw(extent), draw(extent)
+            x0, x1, y0, y1 = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
+        elif kind == "over":
+            # the origin inside the footprint, on an edge or on a corner of
+            # it, the box above, below or around the drone
+            dx0, dx1, dy0, dy1 = (
+                draw(st.one_of(st.just(0.0), extent)) for _ in range(4))
+            x0, x1 = o[0] - dx0, o[0] + (dx1 if dx0 + dx1 else 0.5)
+            y0, y1 = o[1] - dy0, o[1] + (dy1 if dy0 + dy1 else 0.5)
+            z_span = draw(st.sampled_from(["above", "below", "around"]))
+            if z_span == "above":
+                z0 = o[2] + draw(st.floats(0.0, 2.0))
+                z1 = z0 + draw(extent)
+            elif z_span == "below":
+                z1 = o[2] - draw(st.floats(0.0, 2.0))
+                z0 = z1 - draw(extent)
+        elif kind == "line":
+            # the origin on the line through one footprint edge, outside it:
+            # off to one side along axis k, one edge at the origin across it
+            k = draw(st.integers(0, 1))
+            gap, w, h = draw(st.floats(0.1, 4.0)), draw(extent), draw(extent)
+            lo, hi = [0.0, 0.0], [0.0, 0.0]
+            lo[k] = o[k] + gap if draw(st.booleans()) else o[k] - gap - w
+            hi[k] = lo[k] + w
+            lo[1 - k], hi[1 - k] = draw(st.sampled_from(
+                [(o[1 - k], o[1 - k] + h), (o[1 - k] - h, o[1 - k])]))
+            (x0, y0), (x1, y1) = lo, hi
+        else:
+            static.append(draw(boxes()))
+            continue
+        static.append(Box((x0, y0, z0), (x1, y1, z1)))
+    ground_z = draw(st.one_of(st.none(), st.floats(-3.0, 1.0)))
+    world = World(static=static, ground_z=ground_z)
+    return (world, o, yaw, sensor, draw(st.floats(0.0, 4.0)),
+            draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=500)
+@given(culling_scenes())
+def test_sense_culling_edges_match_oracle(scene):
+    assert_same_bytes(sense(*scene), oracle_sense(*scene))
+
+
 def test_sense_origin_on_box_face_matches_oracle():
     # rays at elevation 0 start in the box's z = 1 face plane: 0 * inf = NaN
     sensor = SensorParams(h_rays=9, v_rays=7, noise_coeff=0.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualnav.sim import (Box, DroneState, DynamicObstacle, SensorParams,
                          World, check_collision, scan_world, sense,
@@ -88,6 +90,67 @@ def test_check_collision_dynamic_timing():
     w = World(dynamic=[DynamicObstacle((1, 1, 1), [5.0], [(0, 0, 0)])])
     assert not check_collision(w, (0, 0, 0), 0.1, 1.0)
     assert check_collision(w, (0, 0, 0), 0.1, 6.0)
+
+
+def oracle_check_collision(world, position, radius, time):
+    """check_collision as one norm test per box, in order."""
+    p = np.asarray(position, dtype=float)
+    for box in world.boxes_at(time):
+        lo, hi = box.arrays()
+        nearest = np.clip(p, lo, hi)
+        if np.linalg.norm(p - nearest) <= radius:
+            return True
+    return False
+
+
+def _nudge(x, ulps):
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+corners = st.tuples(*[st.floats(-5.0, 5.0)] * 3)
+extents = st.tuples(*[st.floats(0.05, 3.0)] * 3)
+
+
+@st.composite
+def touching_spheres(draw):
+    """A sphere touching a face, an edge or a corner of one box at exactly
+    its radius, or one ulp either side of it, among other boxes."""
+    radius = draw(st.one_of(st.sampled_from([0.0, 0.15, 0.5]),
+                            st.floats(0.0, 2.0)))
+    static = [Box(lo, tuple(a + d for a, d in zip(lo, draw(extents))))
+              for lo in draw(st.lists(corners, min_size=1, max_size=4))]
+    dynamic = []
+    if draw(st.booleans()):
+        t0 = draw(st.floats(0.0, 2.0))
+        dynamic.append(DynamicObstacle(draw(extents), [t0, t0 + 1.0],
+                                       [draw(corners), draw(corners)]))
+    world = World(static=static, dynamic=dynamic)
+    time = draw(st.floats(0.0, 4.0))
+    lo, hi = draw(st.sampled_from(world.boxes_at(time))).arrays()
+    # inside the box's span on the axes the sphere does not cross, radius
+    # away along a drawn direction on the others
+    p = [draw(st.one_of(st.sampled_from([lo[k], hi[k]]),
+                        st.floats(lo[k], hi[k]))) for k in range(3)]
+    axes = draw(st.permutations([0, 1, 2]))[:draw(st.integers(1, 3))]
+    w = np.array([draw(st.floats(0.1, 1.0)) for _ in axes])
+    for k, u in zip(axes, w / np.linalg.norm(w)):
+        p[k] = (hi[k] + radius * u if draw(st.booleans())
+                else lo[k] - radius * u)
+    p = tuple(_nudge(x, draw(st.sampled_from([-1, 0, 1]))) for x in p)
+    return world, p, radius, time
+
+
+# a gap whose square underflows reads as a zero distance
+@example((World(static=[Box((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0))]),
+          (1e-200, -0.5, -0.5), 0.0, 0.0))
+@example((World(static=[Box((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0))]),
+          (2e-170, -0.5, -0.5), 1e-170, 0.0))
+@settings(max_examples=500)
+@given(touching_spheres())
+def test_check_collision_matches_oracle(case):
+    assert check_collision(*case) == oracle_check_collision(*case)
 
 
 def test_scan_world_shell():
