@@ -289,8 +289,8 @@ def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
     when MAP2D_MAX_DRAWS draws in a row keep no trial."""
     # fine window about 35 percent of the full one gives a 4x pooling stride,
     # which keeps the coarse search small and the aligned window reusable
-    params = LocalMapParams(h_ms=6.0, i=local_size, m=int(local_size * 0.35),
-                            k=1, voxel_size=1.0)
+    params = LocalMapParams(i=local_size, m=int(local_size * 0.35), k=1,
+                            voxel_size=1.0)
     # the stitched arm snaps its window origin down to a multiple of h, so
     # the drone cell sits up to h - 1 cells past the window centre i // 2;
     # Map_c starts at i // 2 - m // 2, so it holds that cell only while
@@ -426,7 +426,7 @@ def flight_scenario(world, start, goal, seed: int, use_dags: bool = True,
                     known_world: bool = True, freeze_map: bool = True,
                     **overrides) -> Scenario:
     """Standard desk-scale flight configuration used by the 3D benchmarks."""
-    kwargs = dict(
+    return Scenario(
         world=world, start=start, goal=goal, seed=seed,
         pcp_params=PcpParams(v_max=0.15, a_max=2.0, r_safe=0.4),
         map_params=LocalMapParams(k=7),
@@ -434,9 +434,7 @@ def flight_scenario(world, start, goal, seed: int, use_dags: bool = True,
                         pcp_hz=10.0, sim_dt=0.05),
         dags_params=DagsParams(z_min=0.3),
         use_dags=use_dags, known_world=known_world, freeze_map=freeze_map,
-    )
-    kwargs.update(overrides)
-    return Scenario(**kwargs)
+        **overrides)
 
 
 def bench_flight3d(n_worlds: int = 10, seed: int = 0,
@@ -511,7 +509,8 @@ def bench_optimizer(instances: int = 10000, caps=(5, 10, 20, 80),
             if cmd.converged:
                 ok += 1
             if (np.linalg.norm(cmd.a_n) <= p.a_max + 1e-9
-                    and np.linalg.norm(cmd.v_next) <= p.v_max + 1e-9):
+                    and np.linalg.norm(v_n + cmd.a_n * t_avs)
+                    <= p.v_max + 1e-9):
                 feasible += 1
         elapsed = time_mod.perf_counter() - tic
         table.append({

@@ -14,7 +14,8 @@ from scipy.ndimage import label
 from .geometry import (direction_from_angles, path_clears, path_length,
                        segment_point_distances, spherical_angles, wrap_angle)
 from .jps import jps_search, line_is_free
-from .mapping import GridMap2D, LocalMapParams, cut_center, downsample, inflate
+from .mapping import (H_MS, GridMap2D, LocalMapParams, cut_center, downsample,
+                      inflate)
 
 
 @dataclass
@@ -64,7 +65,7 @@ def cast_local_goal(p_n, global_goal, params: LocalMapParams,
     """
     p = np.asarray(p_n, dtype=float)
     g = np.asarray(global_goal, dtype=float)
-    half = np.array([params.l_ms / 2.0, params.l_ms / 2.0, params.h_ms / 2.0])
+    half = np.array([params.l_ms / 2.0, params.l_ms / 2.0, H_MS / 2.0])
     d = g - p
     if np.all(np.abs(d) <= half + 1e-12):
         g_l = g.copy()
@@ -196,9 +197,10 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
         if k is None:
             # numerically inside after all; plan fine directly to the goal
             k = len(path_b)
-        if k == 0:
-            return None
-        prev_f = _coarse_to_fine_center(path_b[k - 1], h)
+        # with the drone's own coarse cell centred outside Map_c (k == 0),
+        # the cut runs from the drone's fine cell
+        prev_f = (_coarse_to_fine_center(path_b[k - 1], h) if k
+                  else (start_fine[0] + 0.5, start_fine[1] + 0.5))
         if k < len(path_b):
             cur_f = _coarse_to_fine_center(path_b[k], h)
             cross = segment_box_exit(prev_f, cur_f, lo, lo + m)

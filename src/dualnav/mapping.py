@@ -15,9 +15,11 @@ from scipy.ndimage import maximum_filter
 from .jps import JpsGrid
 
 
+H_MS = 6.0      # local map height, meters
+
+
 @dataclass
 class LocalMapParams:
-    h_ms: float = 6.0       # local map height, meters
     i: int = 100            # Map_1 cells per side (i == j)
     m: int = 50             # Map_c cells per side (m == n)
     k: int = 3              # inflation kernel, cells (odd)
@@ -81,7 +83,8 @@ class GridMap2D:
 @dataclass
 class VoxelMap:
     voxel_size: float = 0.2
-    occupied: dict = field(default_factory=dict)   # index tuple -> hit count
+    # the occupied index tuples, in insertion order (the values are None)
+    occupied: dict = field(default_factory=dict, init=False)
     _centers: np.ndarray | None = field(default=None, init=False, repr=False,
                                         compare=False)
 
@@ -91,10 +94,7 @@ class VoxelMap:
         if len(cloud) == 0:
             return
         indices = np.floor(cloud / self.voxel_size).astype(np.int64)
-        occ = self.occupied
-        for ix, iy, iz in indices:
-            key = (int(ix), int(iy), int(iz))
-            occ[key] = occ.get(key, 0) + 1
+        self.occupied.update(dict.fromkeys(map(tuple, indices.tolist())))
 
     def occupied_centers(self) -> np.ndarray:
         """Pcl_m: centers of all occupied voxels, in insertion order.
@@ -125,7 +125,7 @@ def cuboid_cut(centers: np.ndarray, center, params: LocalMapParams) -> np.ndarra
         return centers
     c = np.asarray(center, dtype=float)
     half_xy = params.l_ms / 2.0
-    half_z = params.h_ms / 2.0
+    half_z = H_MS / 2.0
     d = np.abs(centers - c)
     keep = (d[:, 0] <= half_xy) & (d[:, 1] <= half_xy) & (d[:, 2] <= half_z)
     return centers[keep]

@@ -12,16 +12,18 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 
+D_PASS = 4.5        # the distance filter's range, m
+VOXEL_SIZE = 0.2    # the voxel filter's cell side, m
+
+
 @dataclass(frozen=True)
 class FilterParams:
-    d_pass: float = 4.5
-    voxel_size: float = 0.2
-    outlier_radius: float = 0.4   # 2 * voxel_size
+    outlier_radius: float = 0.4   # 2 * VOXEL_SIZE
     outlier_min_neighbors: int = 3
 
     def __post_init__(self):
-        if self.d_pass <= 0 or self.voxel_size <= 0 or self.outlier_radius <= 0:
-            raise ValueError("filter distances must be strictly positive")
+        if self.outlier_radius <= 0:
+            raise ValueError("outlier_radius must be > 0")
         if self.outlier_min_neighbors < 1:
             raise ValueError("outlier_min_neighbors must be >= 1")
 
@@ -98,8 +100,8 @@ def filter_pipeline(cloud_body: np.ndarray, position, yaw: float,
     ground_z, when given, drops Earth-frame points at or below that height so
     the floor never enters the occupancy map.
     """
-    pcl_1 = distance_filter(cloud_body, params.d_pass)
-    pcl_2 = voxel_downsample(pcl_1, params.voxel_size)
+    pcl_1 = distance_filter(cloud_body, D_PASS)
+    pcl_2 = voxel_downsample(pcl_1, VOXEL_SIZE)
     pcl_3 = outlier_filter(pcl_2, params.outlier_radius, params.outlier_min_neighbors)
     pcl_4 = body_to_earth(pcl_3, position, yaw)
     if ground_z is not None and len(pcl_4):

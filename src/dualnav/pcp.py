@@ -25,22 +25,24 @@ import numpy as np
 from .geometry import norm, unit
 
 
+R_DEC = 3.0         # goal-approach deceleration radius, m
+ETA1 = 40.0         # motion cost weight of the distance to the waypoint
+ETA2 = 10.0         # motion cost weight of the heading error
+OPT_TOL = 1e-3      # the optimizer stops once a step moves a by at most this
+
+
 @dataclass
 class PcpParams:
     r_det: float = 2.0
     r_safe: float = 0.5
-    r_dec: float = 3.0            # goal-approach deceleration radius
     waypoint_dist: float = 0.3
     n_use: int = 70
     kappa1: float = 4.2
     kappa2: float = 1.5
-    eta1: float = 40.0
-    eta2: float = 10.0
     v_max: float = 1.0
     a_max: float = 2.0
     das_angle_step: float = math.radians(10.0)
     max_opt_iters: int = 20
-    opt_tol: float = 1e-3
 
     def __post_init__(self):
         if not (self.kappa1 > self.kappa2 > 0):
@@ -54,7 +56,6 @@ class PcpParams:
 @dataclass
 class MotionCommand:
     a_n: np.ndarray
-    v_next: np.ndarray
     mode: str = "normal"          # normal | backup_steer | backup_brake
     converged: bool = True
     iterations: int = 0
@@ -203,18 +204,22 @@ def compute_goal(p_n, v_0, path_waypoints, kappa1: float, kappa2: float):
 # -- point-cloud streamlining ------------------------------------------------
 
 def streamline(pcl_sorted: np.ndarray, dist: np.ndarray, p_n, g_n,
-               n_use: int, d_ft: float, seed: int = 0) -> np.ndarray:
+               n_use: int, seed: int = 0) -> np.ndarray:
     """Cap the sorted collision-check cloud at n_use points: the ascending
     indices of the points kept. `dist` holds the points' distances to p_n.
 
-    Priority points lie within half the far distance or within 90 degrees of
-    the goal direction; surplus is removed by evenly spaced thinning, deficits
-    topped up by seeded sampling from the complement.
+    Priority points lie within half the far distance (that of the last
+    point) or within 90 degrees of the goal direction; surplus is removed by
+    evenly spaced thinning, deficits topped up by seeded sampling from the
+    complement.
     """
     pts = np.asarray(pcl_sorted, dtype=float).reshape(-1, 3)
     if len(pts) <= n_use:
         return np.arange(len(pts))
     p_n = np.asarray(p_n, dtype=float)
+    # a single 3-vector's norm is a dot product, whose last bit can differ
+    # from the row-wise norm's, so d_ft is not dist[-1]
+    d_ft = np.linalg.norm(pts[-1] - p_n)
     g_dir = np.asarray(g_n, dtype=float) - p_n
     rel = pts - p_n
     ahead = rel @ g_dir >= 0.0          # angle to goal direction <= 90 deg
@@ -362,9 +367,9 @@ def plan_motion(p_n, v_n, w_pn, t_avs: float, params: PcpParams) -> MotionComman
     if dw < 1e-12:
         a = _feasible(*_brake_accel(v_n, params.a_max).tolist(),
                       *v_n.tolist(), t_avs, params.v_max, params.a_max)
-        return _finish(np.array(a), v_n, t_avs, "normal", True, 0)
+        return MotionCommand(np.array(a))
 
-    t, eta1, eta2 = t_avs, params.eta1, params.eta2
+    t, eta1, eta2 = t_avs, ETA1, ETA2
     v_max, a_max = params.v_max, params.a_max
     vx, vy, vz = v_n.tolist()
     rx, ry, rz = r.tolist()
@@ -417,18 +422,13 @@ def plan_motion(p_n, v_n, w_pn, t_avs: float, params: PcpParams) -> MotionComman
             converged = True
             break
         moved = _norm_bound(new_a[0] - a[0], new_a[1] - a[1], new_a[2] - a[2],
-                            params.opt_tol)
+                            OPT_TOL)
         a = new_a
-        if moved <= params.opt_tol:
+        if moved <= OPT_TOL:
             converged = True
             break
     a = _feasible(*a, vx, vy, vz, t, v_max, a_max)
-    return _finish(np.array(a), v_n, t_avs, "normal", converged, it)
-
-
-def _finish(a, v_n, t, mode, converged, iters):
-    return MotionCommand(a_n=a, v_next=v_n + a * t, mode=mode,
-                         converged=converged, iterations=iters)
+    return MotionCommand(np.array(a), converged=converged, iterations=it)
 
 
 def hold(v_n, t: float, a_max: float) -> MotionCommand:
@@ -436,7 +436,7 @@ def hold(v_n, t: float, a_max: float) -> MotionCommand:
     nv = np.linalg.norm(v_n)
     a_max = min(a_max, nv / t)
     a = _brake_accel(v_n, a_max) if nv > 1e-9 else np.zeros(3)
-    return _finish(a, v_n, t, "hold", True, 0)
+    return MotionCommand(a, mode="hold")
 
 
 # -- safety backup -----------------------------------------------------------
@@ -479,8 +479,8 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
         cmd.mode = "backup_steer"
         return cmd
     if norm(v_n) > 1e-6:
-        a = _brake_accel(v_n, params.a_max)
-        return _finish(a, v_n, 1e-2, "backup_brake", True, 0)
+        return MotionCommand(_brake_accel(v_n, params.a_max),
+                             mode="backup_brake")
     w = np.asarray(p_prev, dtype=float)
     cmd = plan_motion(p_n, v_n, w, max(params.waypoint_dist / params.v_max, 1e-3),
                       params)

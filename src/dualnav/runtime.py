@@ -30,6 +30,7 @@ import math
 import threading
 import time as time_mod
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,10 +38,14 @@ from .geometry import path_clears, path_length
 from .map_planner import DagsParams, plan_final_path
 from .mapping import LocalMapParams, VoxelMap, cuboid_cut, project_2d
 from .pcl import FilterParams, filter_pipeline
-from .pcp import (PcpParams, compute_goal, das_search, hold, plan_motion,
-                  safety_backup, streamline)
+from .pcp import (R_DEC, PcpParams, compute_goal, das_search, hold,
+                  plan_motion, safety_backup, streamline)
 from .sim import (DroneState, SensorParams, World, check_collision,
                   scan_world, sense, step_dynamics)
+
+
+FILTER_PARAMS = FilterParams()
+SENSOR = SensorParams()
 
 
 @dataclass
@@ -99,17 +104,15 @@ class Scenario:
     start: tuple
     goal: tuple
     seed: int = 0
-    filter_params: FilterParams = field(default_factory=FilterParams)
     map_params: LocalMapParams = field(default_factory=LocalMapParams)
     dags_params: DagsParams = field(default_factory=DagsParams)
     pcp_params: PcpParams = field(default_factory=PcpParams)
-    sensor: SensorParams = field(default_factory=SensorParams)
     rates: LoopRates = field(default_factory=LoopRates)
     use_dags: bool = True
     known_world: bool = False     # pre-seed the voxel map from world geometry
     freeze_map: bool = False      # skip in-flight map integration (known worlds)
-    drone_radius: float = 0.15
-    goal_tol: float = 0.3
+    drone_radius: ClassVar[float] = 0.15
+    goal_tol: ClassVar[float] = 0.3
     timeout: float | None = None       # default 10 * distance / v_max
 
     def timeout_or_default(self) -> float:
@@ -218,14 +221,13 @@ class _EpisodeCore:
 
     def filter_step(self, t):
         st = self.bb.read("state")
-        cloud_body = sense(self.world, st.p, st.yaw, self.sc.sensor, t,
-                           self.sc.seed)
+        cloud_body = sense(self.world, st.p, st.yaw, SENSOR, t, self.sc.seed)
         ground = self.world.ground_z
         if ground is not None:
             # keep the floor out of the map even with range noise on the hits
-            ground = ground + 5.0 * self.sc.sensor.noise_coeff * self.sc.sensor.max_range
-        pcl4 = filter_pipeline(cloud_body, st.p, st.yaw,
-                               self.sc.filter_params, ground_z=ground)
+            ground = ground + 5.0 * SENSOR.noise_coeff * SENSOR.max_range
+        pcl4 = filter_pipeline(cloud_body, st.p, st.yaw, FILTER_PARAMS,
+                               ground_z=ground)
         self.bb.publish("pcl4", pcl4)
 
     def mapping_step(self, t):
@@ -317,7 +319,7 @@ class _EpisodeCore:
         g_n = compute_goal(st.p, st.v, remaining, pp.kappa1, pp.kappa2)
         cloud = self._pcp_cloud(st.p, g_n)
         dist_goal = float(np.linalg.norm(end - st.p))
-        wd = pp.waypoint_dist * min(1.0, max(dist_goal / pp.r_dec, 0.1))
+        wd = pp.waypoint_dist * min(1.0, max(dist_goal / R_DEC, 0.1))
         found = das_search(st.p, g_n, cloud, pp, waypoint_dist=wd,
                            excluded=self.blocked_rays)
         if found is None:
@@ -353,10 +355,7 @@ class _EpisodeCore:
             if len(near):
                 order = np.argsort(d, kind="stable")
                 near, d = near[order], d[order]
-                # a single 3-vector's norm is a dot product, whose last bit
-                # can differ from the row-wise norm's, so it is not d[-1]
-                d_ft = float(np.linalg.norm(near[-1] - p))
-                kept = streamline(near, d, p, g_n, pp.n_use, d_ft,
+                kept = streamline(near, d, p, g_n, pp.n_use,
                                   seed=sc.seed + self.pcp_steps)
                 parts.append(near[kept])
                 dists.append(d[kept])

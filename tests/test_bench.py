@@ -111,14 +111,24 @@ def test_bench_map2d_rejects_local_sizes_whose_drone_cell_leaves_map_c(
                     local_size=local_size)
 
 
+@pytest.mark.parametrize("local_size", [20, 21, 26, 27])
+def test_bench_map2d_plans_when_the_drone_coarse_cell_leaves_map_c(
+        local_size):
+    # the drone's coarse cell is centred outside Map_c at these sizes; the
+    # stitched arm used to fail every draw
+    out = bench_map2d(map_size=200, trials=1, min_dist=100,
+                      local_size=local_size)
+    assert len(out["rows"]) == 1
+    assert out["rows"][0]["len_stitched"] > 0
+
+
 def test_bench_map2d_local_size_bound_matches_the_aligned_window():
     # a size passes when _window puts the drone cell inside Map_c for every
     # residue of the drone cell modulo the stride; an accepted size goes on
     # to the diagonal check, which a 10-cell map fails at once
     cells = np.zeros((400, 400), dtype=np.uint8)
     for i in range(3, 130):
-        params = LocalMapParams(h_ms=6.0, i=i, m=int(i * 0.35), k=1,
-                                voxel_size=1.0)
+        params = LocalMapParams(i=i, m=int(i * 0.35), k=1, voxel_size=1.0)
         lo = i // 2 - params.m // 2
         inside = all(
             lo <= c - bench._window(cells, (c, c), i, params.h)[1][0]

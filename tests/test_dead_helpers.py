@@ -13,10 +13,18 @@ methods (`__init__` included, called by its class's name) is passed, by
 position or by keyword, by at least one call to a function of that name in
 the same files. A parameter nobody passes is a knob with one value in use,
 which a module constant states more plainly. A call with `*args` passes
-every positional parameter and one with `**kwargs` every keyword one.
+every positional parameter and one with `**kwargs` every keyword one,
+except where it forwards the enclosing function's own `**kwargs`: that call
+passes the keywords the enclosing function's callers give it.
+
+A third scan holds the dataclasses of the package to the same rule: each
+defaulted field that `__init__` takes (a `ClassVar` or `field(init=False)`
+is not one) must be set by a call of the class, by Hypothesis's
+`builds(Class, ...)` or by `replace(..., field=...)`.
 """
 import ast
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/dualnav"
@@ -95,23 +103,77 @@ def _defaulted_params(node, is_method):
     return out
 
 
+class CallSite(NamedTuple):
+    callee: str
+    first: str | None       # name of the first positional argument
+    n_pos: int              # positional arguments, a `*` one left out
+    keywords: frozenset
+    star: bool              # has a `*args`: passes every positional parameter
+    double_star: bool       # has a `**` the scan cannot follow: passes every
+                            # keyword parameter
+
+
+def _name(node):
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
 def _calls(tree):
-    """(callee name, positional count, keyword names, *args, **kwargs) for
-    each call in the module."""
+    """(CallSite, forwarder) for each call in the module; the forwarder is
+    the enclosing def when the call passes on that def's own `**kwargs`."""
     out = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
-        if name is None:
-            continue
-        star = any(isinstance(arg, ast.Starred) for arg in node.args)
-        out.append((name, len(node.args) - star,
-                    {k.arg for k in node.keywords if k.arg is not None},
-                    star, any(k.arg is None for k in node.keywords)))
+
+    def visit(node, fn):
+        if isinstance(node, ast.FunctionDef):
+            fn = node
+        if isinstance(node, ast.Call) and _name(node.func) is not None:
+            own = fn.args.kwarg.arg if fn and fn.args.kwarg else None
+            spread = [k.value for k in node.keywords if k.arg is None]
+            forwards = [v for v in spread
+                        if isinstance(v, ast.Name) and v.id == own]
+            star = any(isinstance(arg, ast.Starred) for arg in node.args)
+            out.append((CallSite(
+                _name(node.func),
+                _name(node.args[0]) if node.args else None,
+                len(node.args) - star,
+                frozenset(k.arg for k in node.keywords if k.arg is not None),
+                star, len(forwards) < len(spread)),
+                fn if forwards else None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
     return out
+
+
+def resolved_calls(trees) -> list:
+    """Every CallSite in the trees, with the keywords that each forwarded
+    `**kwargs` carries: those the forwarder's callers pass beyond its named
+    parameters, followed through further forwarding."""
+    raw = [c for tree in trees for c in _calls(tree)]
+
+    def resolve(call, forwarder, seen):
+        if forwarder is None or forwarder.name in seen:
+            return call
+        a = forwarder.args
+        named = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+        for outer, outer_forwarder in raw:
+            if outer.callee == forwarder.name:
+                outer = resolve(outer, outer_forwarder,
+                                seen | {forwarder.name})
+                call = call._replace(
+                    keywords=call.keywords | (outer.keywords - named),
+                    double_star=call.double_star or outer.double_star)
+        return call
+
+    return [resolve(call, forwarder, frozenset()) for call, forwarder in raw]
+
+
+def _passes(call, param, pos, shift=0):
+    """Whether a call passes a parameter at position pos (None for keyword
+    only) when its first `shift` positional arguments go elsewhere."""
+    return (param in call.keywords or call.double_star
+            or (pos is not None and (call.n_pos - shift > pos or call.star)))
 
 
 def unset_parameters(sources: dict) -> list:
@@ -119,7 +181,7 @@ def unset_parameters(sources: dict) -> list:
     `src/dualnav` function or method that no call in {path: source}
     passes."""
     trees = {path: ast.parse(src) for path, src in sources.items()}
-    calls = [c for tree in trees.values() for c in _calls(tree)]
+    calls = resolved_calls(trees.values())
     found = []
     for path, tree in trees.items():
         if not path.startswith(PACKAGE):
@@ -133,13 +195,62 @@ def unset_parameters(sources: dict) -> list:
                          if isinstance(item, ast.FunctionDef)]
         for name, node, is_method in defs:
             for param, pos in _defaulted_params(node, is_method):
-                passed = any(
-                    callee == name and (
-                        param in keywords or double_star
-                        or (pos is not None and (n_pos > pos or star)))
-                    for callee, n_pos, keywords, star, double_star in calls)
-                if not passed:
+                if not any(call.callee == name and _passes(call, param, pos)
+                           for call in calls):
                     found.append(f"{path}:{node.lineno}: {name}({param})")
+    return found
+
+
+def _init_fields(cls):
+    """(name, position, defaulted) of each field a dataclass's `__init__`
+    takes: `ClassVar`s and `field(init=False)` left out."""
+    out = []
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            continue
+        ann = item.annotation
+        if _name(ann.value if isinstance(ann, ast.Subscript)
+                 else ann) == "ClassVar":
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            init = options.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in options or "default_factory" in options
+        else:
+            defaulted = value is not None
+        out.append((item.target.id, len(out), defaulted))
+    return out
+
+
+def unset_fields(sources: dict) -> list:
+    """`path:line: Class.field` for each defaulted `__init__` field of a
+    `src/dualnav` dataclass that no call in {path: source} sets. A field is
+    set by a call of the class, by `builds(Class, ...)` (Hypothesis), or by
+    `replace(..., field=...)`, which the scan cannot tie to one class."""
+    trees = {path: ast.parse(src) for path, src in sources.items()}
+    calls = resolved_calls(trees.values())
+    found = []
+    for path, tree in trees.items():
+        if not path.startswith(PACKAGE):
+            continue
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    _name(d.func if isinstance(d, ast.Call) else d)
+                    == "dataclass" for d in cls.decorator_list)):
+                continue
+            sites = ([(c, 0) for c in calls if c.callee == cls.name]
+                     + [(c, 1) for c in calls
+                        if c.callee == "builds" and c.first == cls.name]
+                     + [(c._replace(n_pos=0, star=False), 0) for c in calls
+                        if c.callee == "replace"])
+            for name, pos, defaulted in _init_fields(cls):
+                if defaulted and not any(_passes(c, name, pos, shift)
+                                         for c, shift in sites):
+                    found.append(f"{path}:{cls.lineno}: {cls.name}.{name}")
     return found
 
 
@@ -192,3 +303,39 @@ def test_no_dead_helpers():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in files}
     found = dead_helpers(sources)
     assert not found, "unreferenced definitions:\n" + "\n".join(found)
+
+
+def test_scan_finds_an_unset_field():
+    package = PACKAGE + "/m.py"
+    sources = {
+        package: ("from dataclasses import dataclass, field\n"
+                  "from typing import ClassVar\n"
+                  "@dataclass\n"
+                  "class Params:\n"
+                  "    name: str\n"
+                  "    size: float = 1.0\n"
+                  "    rate: float = 2.0\n"
+                  "    tol: float = 1e-3\n"
+                  "    gain: float = 3.0\n"
+                  "    width: float = 4.0\n"
+                  "    radius: ClassVar[float] = 0.15\n"
+                  "    cache: dict = field(default_factory=dict, init=False)\n"
+                  "def make(name, **overrides):\n"
+                  "    return Params(name, **overrides)\n"),
+        "tests/test_m.py": ("import dataclasses\n"
+                            "from hypothesis import strategies as st\n"
+                            "from dualnav.m import Params, make\n"
+                            "Params('a', 2.0)\n"
+                            "st.builds(Params, st.just('b'),"
+                            " rate=st.just(1.0))\n"
+                            "params = make(name='c', gain=1.0)\n"
+                            "dataclasses.replace(params, width=1.0)\n"),
+    }
+    assert unset_fields(sources) == [f"{package}:4: Params.tol"]
+
+
+def test_no_unset_fields():
+    files = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in files}
+    found = unset_fields(sources)
+    assert not found, "dataclass fields no call sets:\n" + "\n".join(found)

@@ -15,8 +15,9 @@ from dualnav.map_planner import (AngularGraph, DagsParams, MapPlanResult,
                                  lift_path, plan_final_path,
                                  select_final_path, shortcut_cells,
                                  stitched_plan)
-from dualnav.mapping import (GridMap2D, LocalMapParams, VoxelMap, cut_center,
-                             downsample, inflate, local_map, project_2d)
+from dualnav.mapping import (H_MS, GridMap2D, LocalMapParams, VoxelMap,
+                             cut_center, downsample, inflate, local_map,
+                             project_2d)
 from dualnav.sim import Box, World, scan_world
 
 
@@ -306,6 +307,21 @@ def test_plan_final_path_on_known_wall():
     assert res.path.length() < flat.path.length()
 
 
+def test_plan_final_path_when_the_drone_coarse_cell_is_centred_off_map_c():
+    # h = 50: the drone's coarse cell is centred 25 cells from the drone,
+    # outside the 10-cell Map_c, so the coarse path leaves Map_c at once
+    params = LocalMapParams(i=100, m=10)
+    p_n = np.array([0.0, 0.0, 1.0])
+    pcl_lm = np.zeros((0, 3))
+    map_1 = project_2d(pcl_lm, p_n, params)
+    for goal in ([8.0, 0.0, 1.0], [-6.0, 7.0, 1.0]):
+        res = plan_final_path(p_n, np.array(goal), pcl_lm, map_1, params,
+                              DagsParams(), use_dags=False)
+        assert res is not None
+        assert res.path.waypoints[0].tolist() == p_n.tolist()
+        assert res.path.waypoints[-1].tolist() == goal
+
+
 # -- the memo of a map snapshot's grids ---------------------------------------
 
 def oracle_plan_final_path(p_n, global_goal, pcl_lm, map_1, params,
@@ -358,7 +374,7 @@ def voxel_clouds(draw, p_n, params):
     """Voxel centres inside the local cuboid around p_n, a few of them
     stacked into pillars; with the drone's own cell occupied if drawn."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    half = np.array([params.l_ms / 2.0, params.l_ms / 2.0, params.h_ms / 2.0])
+    half = np.array([params.l_ms / 2.0, params.l_ms / 2.0, H_MS / 2.0])
     pts = p_n + rng.uniform(-half, half, size=(draw(st.integers(0, 200)), 3))
     bases = p_n + rng.uniform(-half, half, size=(draw(st.integers(0, 12)), 3))
     pillars = [b + [0.0, 0.0, dz] for b in bases

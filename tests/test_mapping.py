@@ -27,7 +27,7 @@ def test_voxel_map_integrate_and_centers():
     centers = vm.occupied_centers()
     assert len(centers) == 2
     assert np.allclose(centers[0], [0.1, 0.1, 0.1])
-    assert vm.occupied[(0, 0, 0)] == 2
+    assert list(vm.occupied) == [(0, 0, 0), (5, 5, 5)]
 
 
 def test_occupied_centers_cached_until_a_voxel_is_added():

@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualnav.geometry import norm, segment_point_distances, unit
-from dualnav.pcp import (PcpParams, _feasible, _rays, compute_goal,
-                         das_search, plan_motion, safety_backup)
+from dualnav.pcp import (ETA1, ETA2, OPT_TOL, PcpParams, _feasible, _rays,
+                         compute_goal, das_search, plan_motion, safety_backup)
 from dualnav.runtime import Scenario, _EpisodeCore
 from dualnav.sim import World
 
@@ -199,7 +199,7 @@ def oracle_plan_motion(p_n, v_n, w_pn, t_avs, params):
         return _oracle_finish(a, v_n, t_avs, "normal", True, 0)
     a = np.zeros(3)
     cost, grad = _oracle_motion_cost_grad(a, p_n, v_n, w, t_avs,
-                                          params.eta1, params.eta2)
+                                          ETA1, ETA2)
     converged = False
     it = 0
     step = 0.25
@@ -210,7 +210,7 @@ def oracle_plan_motion(p_n, v_n, w_pn, t_avs, params):
             cand = oracle_feasible(a - trial_step * grad, v_n, t_avs,
                                    params.v_max, params.a_max)
             c2, g2 = _oracle_motion_cost_grad(cand, p_n, v_n, w, t_avs,
-                                              params.eta1, params.eta2)
+                                              ETA1, ETA2)
             if c2 <= cost - 1e-12 * abs(cost) or np.allclose(cand, a):
                 new_a, cost, grad = cand, c2, g2
                 step = trial_step * 1.5
@@ -221,7 +221,7 @@ def oracle_plan_motion(p_n, v_n, w_pn, t_avs, params):
             break
         moved = np.linalg.norm(new_a - a)
         a = new_a
-        if moved <= params.opt_tol:
+        if moved <= OPT_TOL:
             converged = True
             break
     a = oracle_feasible(a, v_n, t_avs, params.v_max, params.a_max)
@@ -319,9 +319,12 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_same_command(cmd, want):
-    for got, ref in zip((cmd.a_n, cmd.v_next), want[:2]):
-        assert_same_bytes(got, ref)
+def assert_same_command(cmd, want, v_n=None, t=None):
+    """Compare a command with an oracle's (a, v_next, mode, ...) tuple; with
+    v_n and the horizon t given, also the velocity the command reaches."""
+    assert_same_bytes(cmd.a_n, want[0])
+    if t is not None:
+        assert_same_bytes(v_n + cmd.a_n * t, want[1])
     assert cmd.mode == want[2]
     if len(want) > 3:
         assert (cmd.converged, cmd.iterations) == want[3:]
@@ -438,7 +441,7 @@ def motion_cases(draw):
 def test_plan_motion_same_bytes(case):
     p, v, w, t, params = case
     assert_same_command(plan_motion(p, v, w, t, params),
-                        oracle_plan_motion(p, v, w, t, params))
+                        oracle_plan_motion(p, v, w, t, params), v, t)
 
 
 # -- DAS rays and search -----------------------------------------------------

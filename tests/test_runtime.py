@@ -1,6 +1,7 @@
 import heapq
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,13 +22,11 @@ FLIGHT_RATES = dict(filter_hz=30.0, mapping_hz=10.0, mp_hz=5.0, pcp_hz=10.0,
                     sim_dt=0.05)
 
 
-def empty_scenario(**overrides):
-    kwargs = dict(world=World(), start=(0.0, 0.0, 1.0), goal=(1.5, 0.0, 1.0),
-                  seed=7, known_world=True, freeze_map=True,
-                  rates=LoopRates(filter_hz=30.0, mapping_hz=10.0, mp_hz=5.0,
-                                  pcp_hz=10.0, sim_dt=0.05))
-    kwargs.update(overrides)
-    return Scenario(**kwargs)
+def empty_scenario(world=None, goal=(1.5, 0.0, 1.0), known_world=True,
+                   freeze_map=True, **overrides):
+    return Scenario(world=world or World(), start=(0.0, 0.0, 1.0), goal=goal,
+                    seed=7, known_world=known_world, freeze_map=freeze_map,
+                    rates=LoopRates(**FLIGHT_RATES), **overrides)
 
 
 def test_loop_rates_validation():
@@ -220,10 +219,10 @@ def test_lazy_map_snapshot_leaves_the_flight_unchanged(monkeypatch):
     rates = LoopRates(filter_hz=30.0, mapping_hz=7.0, mp_hz=3.0, pcp_hz=13.0,
                       sim_dt=0.03)
     scenarios = [
-        flight_scenario(*intruder_world(), seed=3, known_world=False,
-                        freeze_map=False, timeout=11.0, rates=rates),
-        flight_scenario(*random_world_3d(5), seed=3, known_world=False,
-                        freeze_map=False, timeout=8.0, rates=rates)]
+        replace(flight_scenario(*intruder_world(), seed=3, known_world=False,
+                                freeze_map=False, timeout=11.0), rates=rates),
+        replace(flight_scenario(*random_world_3d(5), seed=3, known_world=False,
+                                freeze_map=False, timeout=8.0), rates=rates)]
     projected = [0]
     planned = []
 
