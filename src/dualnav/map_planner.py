@@ -168,8 +168,9 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
     plans to the nearest free cell the start can reach instead (conservative
     pooling can block or isolate the coarse goal cell while the fine goal
     cell is free); the crossing g_ist falls back to the nearest reachable
-    Map_c boundary cell. Returns the path in Earth XY (z = 0) or None on
-    failure.
+    Map_c boundary cell. When the drone's own coarse cell is centred outside
+    Map_c, the coarse path starts from the drone's fine cell instead of that
+    cell's centre. Returns the path in Earth XY (z = 0) or None on failure.
     """
     h = params.h
     i, m = params.i, params.m
@@ -182,6 +183,7 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
 
     inside = lo <= gx < lo + m and lo <= gy < lo + m
     coarse_rest: list = []
+    goal_end: list = []
     if inside:
         fine_path = _search_with_fallback(grid_c, start_c, (gx - lo, gy - lo))
         if fine_path is None:
@@ -192,19 +194,25 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
                                        start_b, (gx // h, gy // h))
         if path_b is None:
             return None
+        if not _coarse_inside(path_b[0], h, lo, m):
+            # the drone's own coarse cell is centred outside Map_c: the
+            # drone's fine cell stands in for it, so the plan does not
+            # detour through that centre
+            path_b = path_b[1:]
         k = next((idx for idx, c in enumerate(path_b)
-                  if not _coarse_inside(c, h, lo, m)), None)
-        if k is None:
-            # numerically inside after all; plan fine directly to the goal
-            k = len(path_b)
-        # with the drone's own coarse cell centred outside Map_c (k == 0),
-        # the cut runs from the drone's fine cell
+                  if not _coarse_inside(c, h, lo, m)), len(path_b))
         prev_f = (_coarse_to_fine_center(path_b[k - 1], h) if k
                   else (start_fine[0] + 0.5, start_fine[1] + 0.5))
         if k < len(path_b):
-            cur_f = _coarse_to_fine_center(path_b[k], h)
-            cross = segment_box_exit(prev_f, cur_f, lo, lo + m)
+            cross = segment_box_exit(
+                prev_f, _coarse_to_fine_center(path_b[k], h), lo, lo + m)
+        elif not path_b:
+            # no coarse cell beyond the drone's own (the goal's, or the only
+            # one it reaches): cut toward the goal's fine cell and end there
+            goal_end = [(gx - lo, gy - lo)]
+            cross = segment_box_exit(prev_f, (gx + 0.5, gy + 0.5), lo, lo + m)
         else:
+            # numerically inside after all; plan fine directly to the goal
             cross = prev_f
         cand = (min(max(int(round(cross[0] - lo)), 0), m - 1),
                 min(max(int(round(cross[1] - lo)), 0), m - 1))
@@ -219,7 +227,8 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
     coarse_sc = (shortcut_cells(coarse_rest, map_1b.cells)
                  if len(coarse_rest) > 2 else coarse_rest)
 
-    pts = [np.append(map_c_inflated.cell_center(c), 0.0) for c in fine_sc]
+    pts = [np.append(map_c_inflated.cell_center(c), 0.0)
+           for c in fine_sc + goal_end]
     pts += [np.append(map_1b.cell_center(c), 0.0) for c in coarse_sc]
     return PlanPath(np.array(pts), kind="2D-lifted")
 

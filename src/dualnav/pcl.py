@@ -1,8 +1,9 @@
-"""Depth point-cloud preprocessing: distance, voxel and outlier filters plus the
-body-to-Earth rigid transform.
+"""Depth point-cloud preprocessing: a floor cut, distance, voxel and outlier
+filters, and the body-to-Earth rigid transform.
 
 All functions are pure and order-stable; the runtime's filter loop chains them
-and publishes the result as an immutable snapshot.
+(floor cut, distance, voxel, outlier, Earth frame, then the floor cut again as
+a guard on the centroids) and publishes the result as an immutable snapshot.
 """
 from __future__ import annotations
 
@@ -95,12 +96,22 @@ def body_to_earth(cloud: np.ndarray, position, yaw: float) -> np.ndarray:
 def filter_pipeline(cloud_body: np.ndarray, position, yaw: float,
                     params: FilterParams,
                     ground_z: float | None = None) -> np.ndarray:
-    """Full chain: distance -> voxel -> outlier -> Earth frame.
+    """Full chain: floor cut -> distance -> voxel -> outlier -> Earth frame.
 
-    ground_z, when given, drops Earth-frame points at or below that height so
-    the floor never enters the occupancy map.
+    ground_z, when given, drops the returns at or below that Earth height
+    first, so the floor never enters the filters or the occupancy map, and
+    again after the Earth frame as a guard on the centroids. The output is
+    the chain distance -> voxel -> outlier -> Earth frame -> cut applied to
+    the returns above the cut: a floor return never vouches for an obstacle
+    return in the outlier filter, and a voxel that straddles the cut takes
+    its centroid from its returns above it.
     """
-    pcl_1 = distance_filter(cloud_body, D_PASS)
+    cloud = np.asarray(cloud_body, dtype=float).reshape(-1, 3)
+    if ground_z is not None:
+        # the frame is yaw-only, so body z plus the position's z is the
+        # Earth z that body_to_earth computes, bit for bit
+        cloud = cloud[cloud[:, 2] + position[2] > ground_z]
+    pcl_1 = distance_filter(cloud, D_PASS)
     pcl_2 = voxel_downsample(pcl_1, VOXEL_SIZE)
     pcl_3 = outlier_filter(pcl_2, params.outlier_radius, params.outlier_min_neighbors)
     pcl_4 = body_to_earth(pcl_3, position, yaw)

@@ -385,7 +385,8 @@ class _EpisodeCore:
         if np.hypot(d[0], d[1]) > 0.2:
             self.state.yaw = math.atan2(d[1], d[0])
         self.bb.publish("state", self.state)
-        self.trajectory.append((t + dt, *self.state.p, *self.state.v, mode))
+        self.trajectory.append((t + dt, *self.state.p.tolist(),
+                                *self.state.v.tolist(), mode))
         if check_collision(self.world, self.state.p, self.sc.drone_radius,
                            t + dt):
             self.status = "collision"

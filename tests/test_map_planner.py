@@ -14,7 +14,7 @@ from dualnav.map_planner import (AngularGraph, DagsParams, MapPlanResult,
                                  PlanPath, cast_local_goal, dags_search,
                                  lift_path, plan_final_path,
                                  select_final_path, shortcut_cells,
-                                 stitched_plan)
+                                 snapshot_grids, stitched_plan)
 from dualnav.mapping import (H_MS, GridMap2D, LocalMapParams, VoxelMap,
                              cut_center, downsample, inflate, local_map,
                              project_2d)
@@ -314,12 +314,34 @@ def test_plan_final_path_when_the_drone_coarse_cell_is_centred_off_map_c():
     p_n = np.array([0.0, 0.0, 1.0])
     pcl_lm = np.zeros((0, 3))
     map_1 = project_2d(pcl_lm, p_n, params)
-    for goal in ([8.0, 0.0, 1.0], [-6.0, 7.0, 1.0]):
+    for goal in ([8.0, 0.0, 1.0], [-6.0, 7.0, 1.0], [3.0, -9.0, 1.0],
+                 [-9.5, -9.5, 1.0]):
         res = plan_final_path(p_n, np.array(goal), pcl_lm, map_1, params,
                               DagsParams(), use_dags=False)
         assert res is not None
         assert res.path.waypoints[0].tolist() == p_n.tolist()
         assert res.path.waypoints[-1].tolist() == goal
+        # no detour through the centre of the drone's own coarse cell
+        straight = float(np.linalg.norm(np.array(goal) - p_n))
+        assert res.path.length() <= 1.1 * straight, goal
+
+
+def test_stitched_plan_ends_at_the_goal_cell_inside_the_drone_coarse_cell():
+    # h = 50: goal (8, 0) lies in the drone's own coarse cell, outside the
+    # 10-cell Map_c, so the coarse path is that one cell; the cut heads for
+    # the goal's fine cell, not for the coarse cell's centre at (5, 5)
+    params = LocalMapParams(i=100, m=10)
+    p_n = np.array([0.0, 0.0, 1.0])
+    map_1 = project_2d(np.zeros((0, 3)), p_n, params)
+    map_1_infl, map_c, map_1b = snapshot_grids(map_1, params.k, params.m,
+                                               params.h)
+    g_cell = map_1_infl.world_to_cell([8.0, 0.0])
+    path = stitched_plan(map_1b, map_c, g_cell, params)
+    assert path is not None
+    wp = path.waypoints
+    assert np.allclose(wp[-1, :2], map_1.cell_center(g_cell), atol=1e-9)
+    assert np.all(np.abs(wp[:, 1]) <= 0.3)
+    assert path.length() <= 1.01 * float(np.linalg.norm(wp[-1] - wp[0]))
 
 
 # -- the memo of a map snapshot's grids ---------------------------------------

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from dualnav.pcl import (FilterParams, body_to_earth, distance_filter,
-                         filter_pipeline, outlier_filter, voxel_downsample)
+from dualnav.pcl import (D_PASS, VOXEL_SIZE, FilterParams, body_to_earth,
+                         distance_filter, filter_pipeline, outlier_filter,
+                         voxel_downsample)
 from dualnav.sim import Box, SensorParams, World, sense
 
 
@@ -96,13 +99,100 @@ def test_sensed_points_land_on_the_world():
 
 
 def test_filter_pipeline_ground_removal():
-    # one wall return and one floor return, noise-free
+    # two wall returns that vouch for each other and one floor return,
+    # noise-free: only the floor cut removes the floor return
+    cloud_body = np.array([[2.0, 0.0, 0.0], [2.0, 0.0, 0.5], [1.0, 0.0, -1.0]])
+    params = FilterParams(outlier_min_neighbors=1, outlier_radius=3.0)
+    out = filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, params,
+                          ground_z=0.05)
+    assert len(out) == 2
+    assert np.all(out[:, 2] > 0.5)
+    assert len(filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, params)) == 3
+
+
+def test_filter_pipeline_floor_returns_do_not_vouch_for_obstacles():
+    # a lone wall return whose only neighbour is a floor return: the floor
+    # goes before the outlier filter, which then drops the wall return too
     cloud_body = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
     params = FilterParams(outlier_min_neighbors=1, outlier_radius=3.0)
     out = filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, params,
                           ground_z=0.05)
-    assert len(out) == 1
-    assert out[0][2] > 0.5
+    assert out.shape == (0, 3)
+    assert len(filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, params)) == 2
+
+
+def _stage_chain(cloud_body, position, yaw, params, ground_z=None):
+    """The filter stages in their order before the floor cut moved to the
+    head of the chain: distance, voxel, outlier, Earth frame, then the cut."""
+    pcl_1 = distance_filter(cloud_body, D_PASS)
+    pcl_2 = voxel_downsample(pcl_1, VOXEL_SIZE)
+    pcl_3 = outlier_filter(pcl_2, params.outlier_radius,
+                           params.outlier_min_neighbors)
+    pcl_4 = body_to_earth(pcl_3, position, yaw)
+    if ground_z is not None:
+        pcl_4 = pcl_4[pcl_4[:, 2] > ground_z]
+    return pcl_4
+
+
+@st.composite
+def floor_scenes(draw):
+    """A body cloud in clusters on a 0.05 m lattice or off it, with returns
+    below, at and above the floor cut; when `floorless`, only above it."""
+    pz = draw(st.sampled_from([0.5, 1.0, 1.25, 3.0]) | st.floats(0.1, 3.0))
+    ground_z = draw(st.sampled_from([0.0, 0.05, 0.25, -0.5])
+                    | st.floats(-0.5, 0.5))
+    position = (draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)),
+                pz)
+    yaw = draw(st.sampled_from([0.0, math.pi / 2, -math.pi])
+               | st.floats(-math.pi, math.pi))
+    floorless = draw(st.booleans())
+    offsets = (st.sampled_from([0.01, 0.05, 0.1, 0.2, 1.0])
+               | st.floats(1e-9, 3.0)) if floorless else (
+        st.sampled_from([-0.2, -0.05, 0.0, 0.0, 0.05, 0.2, 1.0])
+        | st.floats(-1.0, 3.0))
+    lattice = draw(st.booleans())
+    points = []
+    for _ in range(draw(st.integers(0, 4))):
+        centre = (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))
+        spread = draw(st.sampled_from([0.1, 0.5, 2.0]))
+        for _ in range(draw(st.integers(1, 25))):
+            x, y = (c + draw(st.floats(-spread, spread)) for c in centre)
+            if lattice:
+                x, y = round(x * 20.0) / 20.0, round(y * 20.0) / 20.0
+            # ground_z - pz is the body z of the cut, up to one rounding
+            points.append((x, y, ground_z - pz + draw(offsets)))
+    cloud = np.array(points, dtype=float).reshape(-1, 3)
+    params = FilterParams(
+        outlier_radius=draw(st.sampled_from([0.2, 0.4, 1.0])),
+        outlier_min_neighbors=draw(st.integers(1, 4)))
+    return cloud, position, yaw, params, ground_z
+
+
+@given(floor_scenes())
+@example((np.array([[2.0, 0.0, 0.0], [2.0, 0.1, -1.0], [2.0, 0.05, -1.0]]),
+          (0.0, 0.0, 1.0), 0.3, FilterParams(outlier_min_neighbors=1), 0.0))
+# three returns just above the cut whose centroid rounds onto it, and a
+# neighbour: only the final cut drops that centroid
+@example((np.array([[1.0, 0.5, -2.719059361077343]] * 3
+                   + [[1.0, 0.7, -2.719059361077343]]),
+          (0.0, 0.0, 2.8440593610773433), 0.0,
+          FilterParams(outlier_min_neighbors=1), 0.125))
+def test_filter_pipeline_is_the_stage_chain_on_the_returns_above_the_cut(
+        scene):
+    cloud, position, yaw, params, ground_z = scene
+    out = filter_pipeline(cloud, position, yaw, params, ground_z=ground_z)
+    assert out.shape[1] == 3
+    assert np.all(out[:, 2] > ground_z)
+    above = body_to_earth(cloud, position, yaw)[:, 2] > ground_z
+    want = _stage_chain(cloud[above], position, yaw, params, ground_z)
+    assert out.tobytes() == want.tobytes()
+    if above.all():
+        # no return at or below the cut: the old order's bytes
+        old = _stage_chain(cloud, position, yaw, params, ground_z)
+        assert out.tobytes() == old.tobytes()
+    no_cut = filter_pipeline(cloud, position, yaw, params)
+    assert no_cut.tobytes() == _stage_chain(cloud, position, yaw,
+                                            params).tobytes()
 
 
 def test_filter_pipeline_empty():

@@ -296,6 +296,15 @@ def test_empty_world_reaches_goal():
     assert '"schema": 1' in res.metrics_json()
 
 
+def test_trajectory_rows_hold_plain_floats():
+    res = run_episode(empty_scenario(), mode="virtual_time")
+    assert len(res.trajectory) > 0
+    for row in res.trajectory:
+        assert len(row) == 8
+        assert all(type(v) is float for v in row[:7])
+        assert type(row[7]) is str
+
+
 def test_virtual_mode_is_deterministic():
     a = run_episode(empty_scenario(), mode="virtual_time")
     b = run_episode(empty_scenario(), mode="virtual_time")
