@@ -1,15 +1,16 @@
 """Fly the wall world with and without the 3D angular search."""
-from dualnav.bench import flight_scenario, oracle_shortest_path, wall_world
+from dataclasses import replace
+
+from dualnav.bench import oracle_shortest_path, scenario
 from dualnav.runtime import run_episode
 
 
 def main():
-    world, start, goal = wall_world()
-    oracle = oracle_shortest_path(world, start, goal)
+    sc = scenario("wall", 0)
+    oracle = oracle_shortest_path(sc.world, sc.start, sc.goal)
     print(f"oracle shortest path: {oracle[0]:.3f} m")
     for use_dags in (True, False):
-        sc = flight_scenario(world, start, goal, seed=0, use_dags=use_dags)
-        res = run_episode(sc, mode="virtual_time")
+        res = run_episode(replace(sc, use_dags=use_dags), mode="virtual_time")
         label = "with 3D search" if use_dags else "2D only"
         print(f"{label}: {res.status}, "
               f"{res.metrics['trajectory_length']:.3f} m in "

@@ -1,6 +1,6 @@
-"""Benchmark harness: random worlds, a grid-based shortest-path oracle, the
-2D dual-resolution planning study, full-episode 3D flight studies and the
-motion-optimizer convergence study.
+"""Benchmark harness: the scenario catalogue, a grid-based shortest-path
+oracle, the 2D dual-resolution planning study, full-episode 3D flight studies
+and the motion-optimizer convergence study.
 
 All entry points are deterministic for a fixed seed and return plain dicts so
 the CLI can serialize them directly.
@@ -11,6 +11,7 @@ import json
 import math
 import os
 import time as time_mod
+from dataclasses import replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -34,6 +35,7 @@ _OFFSETS_3D = np.array([(dx, dy, dz)
 ORACLE_CLEARANCE = 0.15     # obstacle inflation of the oracle's grid, m
 FEATURE_MAX = 30            # obstacle size bound of a random 2D map, cells
 INTRUDER_X = 2.9            # where the intruder crosses the flight line, m
+INTRUDER_SPAWN = 10.0       # when the intruder appears, s
 MAP2D_MAX_DRAWS = 1000      # 2D-study draws in a row that keep no trial
 
 
@@ -319,6 +321,8 @@ def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
                 f"{map_size}-cell map, or the planners fail on them")
         attempt += 1
         cells = random_map_2d(map_size, seed * 1000 + attempt)
+        if cells.all():     # no free cell to draw start and goal from
+            continue
         start = _free_cell_near(cells, rng)
         goal = _free_cell_near(cells, rng)
         if math.hypot(goal[0] - start[0], goal[1] - start[1]) < min_dist:
@@ -363,7 +367,7 @@ def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
     return summary
 
 
-# -- scripted and random 3D worlds ------------------------------------------
+# -- scenario catalogue: scripted and random 3D worlds ----------------------
 
 def wall_world():
     """The over-the-wall fixture: a 6 m wide, 2 m tall thin wall."""
@@ -409,22 +413,29 @@ def random_world_3d(seed: int):
     return world, tuple(start), tuple(goal)
 
 
-def intruder_world(spawn_time: float = 10.0):
+def intruder_world():
     """Corridor where a box pops up 1.5 m ahead of the cruising drone, right
     on the flight line, then crosses it sideways at 1 m/s."""
     world = World(
-        static=[],
         dynamic=[DynamicObstacle(
             size=(0.4, 0.4, 1.6),
-            times=[spawn_time, spawn_time + 2.5],
+            times=[INTRUDER_SPAWN, INTRUDER_SPAWN + 2.5],
             positions=[(INTRUDER_X, 0.0, 0.8), (INTRUDER_X, 2.5, 0.8)])],
         ground_z=0.0)
     return world, (0.0, 0.0, 1.0), (6.0, 0.0, 1.0)
 
 
-def flight_scenario(world, start, goal, seed: int, use_dags: bool = True,
-                    known_world: bool = True, freeze_map: bool = True,
-                    **overrides) -> Scenario:
+# name -> (world builder of the seed, map known and frozen, else sensed)
+SCENARIOS = {
+    "empty": (lambda seed: (World(ground_z=0.0), (0.0, 0.0, 1.0),
+                            (5.0, 0.0, 1.0)), True),
+    "wall": (lambda seed: wall_world(), True),
+    "random": (random_world_3d, True),
+    "intruder": (lambda seed: intruder_world(), False),
+}
+
+
+def flight_scenario(world, start, goal, seed: int, **overrides) -> Scenario:
     """Standard desk-scale flight configuration used by the 3D benchmarks."""
     return Scenario(
         world=world, start=start, goal=goal, seed=seed,
@@ -432,24 +443,31 @@ def flight_scenario(world, start, goal, seed: int, use_dags: bool = True,
         map_params=LocalMapParams(k=7),
         rates=LoopRates(filter_hz=30.0, mapping_hz=10.0, mp_hz=5.0,
                         pcp_hz=10.0, sim_dt=0.05),
-        dags_params=DagsParams(z_min=0.3),
-        use_dags=use_dags, known_world=known_world, freeze_map=freeze_map,
-        **overrides)
+        dags_params=DagsParams(z_min=0.3), **overrides)
+
+
+def scenario(name: str, seed: int, **overrides) -> Scenario:
+    """The standard flight over catalogue world `name`, built (if random)
+    and flown with `seed`; overrides set the fields `flight_scenario`
+    leaves open, the map kind included."""
+    build, known = SCENARIOS[name]
+    overrides = {"known_world": known, "freeze_map": known, **overrides}
+    return flight_scenario(*build(seed), seed, **overrides)
 
 
 def bench_flight3d(n_worlds: int = 10, seed: int = 0,
                    mode: str = "virtual_time") -> dict:
     """Full-episode study: excess over the oracle, DAGS shortening, safety."""
     reports = []
-    world_list = [("wall", *wall_world())]
-    for k in range(n_worlds):
-        world_list.append((f"random-{k}", *random_world_3d(seed * 100 + k)))
-    for name, world, start, goal in world_list:
-        oracle = oracle_shortest_path(world, start, goal)
+    flights = [("wall", scenario("wall", seed))] + [
+        (f"random-{k}", replace(scenario("random", seed * 100 + k), seed=seed))
+        for k in range(n_worlds)]
+    for name, flight in flights:
+        start, goal = flight.start, flight.goal
+        oracle = oracle_shortest_path(flight.world, start, goal)
         report = {"world": name, "start": list(start), "goal": list(goal)}
         for use_dags in (True, False):
-            sc = flight_scenario(world, start, goal, seed, use_dags=use_dags)
-            res = run_episode(sc, mode=mode)
+            res = run_episode(replace(flight, use_dags=use_dags), mode=mode)
             # charge the goal-tolerance shortfall so lengths compare like
             # for like with the oracle
             final = np.asarray(res.trajectory[-1][1:4], dtype=float)

@@ -332,7 +332,8 @@ class _EpisodeCore:
         else:
             w_pn, ray_idx = found
             cmd = plan_motion(st.p, st.v, w_pn, self.t_avs, pp)
-            self.log(t, "pcp_ray", {"ray": ray_idx})
+            if ray_idx:     # ray 0 heads straight for the goal point
+                self.log(t, "pcp_ray", {"ray": ray_idx})
         self.prev_p = st.p.copy()
         self.bb.publish("cmd", cmd)
 

@@ -8,13 +8,11 @@ import time
 
 import numpy as np
 
-from dualnav.bench import (bench_map2d, bench_optimizer, flight_scenario,
-                           intruder_world, wall_world)
+from dualnav.bench import bench_map2d, bench_optimizer, scenario
 from dualnav.geometry import min_clearance, path_length
 from dualnav.jps import JpsGrid, jps_search, line_is_free
-from dualnav.map_planner import (DagsParams, PlanPath, plan_final_path,
-                                 shortcut_cells)
-from dualnav.mapping import LocalMapParams, VoxelMap, local_map, project_2d
+from dualnav.map_planner import PlanPath, plan_final_path, shortcut_cells
+from dualnav.mapping import VoxelMap, local_map, project_2d
 from dualnav.pcp import PcpParams, fermat_point
 from dualnav.runtime import LoopRates, Scenario, _EpisodeCore, run_episode
 from dualnav.sim import World, scan_world
@@ -129,15 +127,14 @@ def test_criterion_04_3d_shortening(flight3d):
           and wall["no_dags"]["length"] > 0
           and wall["dags"]["length"] <= 0.80 * wall["no_dags"]["length"])
     # the emitted 3D path clears the local cloud by the safety radius
-    world, start, goal = wall_world()
-    params = LocalMapParams(k=7)
-    dags_params = DagsParams(z_min=0.3)
+    sc = scenario("wall", 0)
+    params, dags_params = sc.map_params, sc.dags_params
     vmap = VoxelMap(params.voxel_size)
-    vmap.integrate(scan_world(world, params.voxel_size))
-    p_n = np.asarray(start, dtype=float)
+    vmap.integrate(scan_world(sc.world, params.voxel_size))
+    p_n = np.asarray(sc.start, dtype=float)
     pcl_lm = local_map(vmap, p_n, params)
     map_1 = project_2d(pcl_lm, p_n, params)
-    res = plan_final_path(p_n, np.asarray(goal), pcl_lm, map_1, params,
+    res = plan_final_path(p_n, np.asarray(sc.goal), pcl_lm, map_1, params,
                           dags_params, use_dags=True)
     clear = min_clearance(res.path.waypoints, pcl_lm)
     ok = ok and res.path.kind == "3D" and clear >= dags_params.r_safe - 1e-9
@@ -238,27 +235,21 @@ def test_criterion_07_global_excess(flight3d):
 # -- criterion 8: dynamic-obstacle reaction ----------------------------------
 
 def test_criterion_08_intruder_reaction():
-    spawn_time = 10.0
     ok = True
     worst_delay = 0.0
     for seed in range(20):
-        world, start, goal = intruder_world(spawn_time=spawn_time)
-        sc = flight_scenario(world, start, goal, seed=seed,
-                             known_world=False, freeze_map=False)
+        sc = scenario("intruder", seed)
+        spawn_time = sc.world.dynamic[0].times[0]
         res = run_episode(sc, mode="virtual_time")
         # the intruder is first visible on the next sensor tick after spawn
         period = 1.0 / sc.rates.filter_hz
         period_us = int(round(period * 1e6))
         t_enter = math.ceil(spawn_time * 1e6 / period_us) * period_us / 1e6
         deadline = t_enter + 1.0 / sc.rates.pcp_hz + 1e-6
-        reaction = None
-        for t, kind, payload in res.events:
-            if t < t_enter:
-                continue
-            if kind == "backup_triggered" or (kind == "pcp_ray"
-                                              and payload["ray"] > 0):
-                reaction = t
-                break
+        reaction = next((t for t, kind, payload in res.events
+                         if t >= t_enter and (kind == "backup_triggered" or (
+                             kind == "pcp_ray" and payload["ray"] > 0))),
+                        None)
         ok = ok and reaction is not None and reaction <= deadline
         ok = ok and res.status == "goal_reached"
         ok = ok and res.metrics["collisions"] == 0
@@ -308,11 +299,8 @@ def test_criterion_09_safety_backup_branches():
 # -- criterion 10: determinism -----------------------------------------------
 
 def test_criterion_10_determinism():
-    world, start, goal = wall_world()
-    runs = []
-    for _ in range(2):
-        sc = flight_scenario(world, start, goal, seed=11)
-        runs.append(run_episode(sc, mode="virtual_time"))
+    runs = [run_episode(scenario("wall", 11), mode="virtual_time")
+            for _ in range(2)]
     ok = (runs[0].trajectory_csv() == runs[1].trajectory_csv()
           and runs[0].metrics_json() == runs[1].metrics_json())
     report(10, "determinism", ok,

@@ -147,6 +147,17 @@ def test_bench_map2d_gives_up_when_pairs_are_too_rare():
     assert time.perf_counter() - tic < 15.0
 
 
+def test_bench_map2d_counts_a_full_map_as_a_failed_draw(monkeypatch):
+    # drawing a free cell from a full map never ended; every 1-cell map is
+    # full, and so is the first 10-cell map of seed 0
+    draw = bench._free_cell_near
+    monkeypatch.setattr(bench, "_free_cell_near", lambda cells, rng: draw(
+        cells, rng) if not cells.all() else pytest.fail("drew from a full map"))
+    with pytest.raises(ValueError, match="1000 draws"):
+        bench_map2d(map_size=1, trials=1, min_dist=0)
+    assert len(bench_map2d(map_size=10, trials=1, min_dist=0)["rows"]) == 1
+
+
 def test_stitched_study_derives_grids_once_per_window_origin(monkeypatch):
     origins = []
     window = bench._window

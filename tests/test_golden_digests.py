@@ -17,10 +17,9 @@ import json
 import numpy as np
 import pytest
 
-from dualnav.bench import (bench_map2d, flight_scenario, intruder_world,
-                           random_world_3d, wall_world)
-from dualnav.map_planner import DagsParams, plan_final_path
-from dualnav.mapping import LocalMapParams, VoxelMap, local_map, project_2d
+from dualnav.bench import bench_map2d, scenario
+from dualnav.map_planner import plan_final_path
+from dualnav.mapping import VoxelMap, local_map, project_2d
 from dualnav.runtime import run_episode
 from dualnav.sim import scan_world
 
@@ -32,21 +31,14 @@ GOLDEN = {
         "b4051dc399d7721823a1a707b0e47337acc89a6a070d183309c0de083cd6ce1a",
 }
 
-# (world, start, goal), and whether the map is known and frozen
-FLIGHTS = {
-    "wall": (wall_world, True),
-    "random-0": (lambda: random_world_3d(0), True),
-    "intruder": (intruder_world, False),
-}
+# the catalogue name and seed of each flight
+FLIGHTS = {"wall": ("wall", 0), "random-0": ("random", 0),
+           "intruder": ("intruder", 0)}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_flight_digest(name):
-    make_world, known = FLIGHTS[name]
-    world, start, goal = make_world()
-    scenario = flight_scenario(world, start, goal, 0, use_dags=True,
-                               known_world=known, freeze_map=known)
-    result = run_episode(scenario)
+    result = run_episode(scenario(*FLIGHTS[name]))
     digest = hashlib.sha256(
         (result.trajectory_csv() + result.metrics_json()).encode()).hexdigest()
     assert digest == GOLDEN[name]
@@ -83,12 +75,12 @@ MP_QUERIES = (
 def test_map_planner_plans_digest():
     """The flight configuration's map planner on known local maps; the DAGS
     candidate is hashed too, so a rejected one still locks the search."""
-    params, dags = LocalMapParams(k=7), DagsParams(z_min=0.3)
     h = hashlib.sha256()
     for seed, p_n, goal in MP_QUERIES:
-        world, _, _ = random_world_3d(seed)
+        sc = scenario("random", seed)
+        params, dags = sc.map_params, sc.dags_params
         vmap = VoxelMap(params.voxel_size)
-        vmap.integrate(scan_world(world, params.voxel_size))
+        vmap.integrate(scan_world(sc.world, params.voxel_size))
         pcl_lm = local_map(vmap, p_n, params)
         map_1 = project_2d(pcl_lm, p_n, params)
         for use_dags in (True, False):

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dualnav import runtime
-from dualnav.bench import flight_scenario, intruder_world, random_world_3d
+from dualnav.bench import scenario
 from dualnav.geometry import min_clearance
 from dualnav.map_planner import PlanPath, plan_final_path
 from dualnav.mapping import local_map, project_2d
@@ -18,15 +18,14 @@ from dualnav.runtime import (Blackboard, LoopRates, Scenario, run_episode,
                              virtual_schedule)
 from dualnav.sim import Box, World
 
-FLIGHT_RATES = dict(filter_hz=30.0, mapping_hz=10.0, mp_hz=5.0, pcp_hz=10.0,
-                    sim_dt=0.05)
+FLIGHT_RATES = scenario("empty", 0).rates
 
 
 def empty_scenario(world=None, goal=(1.5, 0.0, 1.0), known_world=True,
                    freeze_map=True, **overrides):
     return Scenario(world=world or World(), start=(0.0, 0.0, 1.0), goal=goal,
                     seed=7, known_world=known_world, freeze_map=freeze_map,
-                    rates=LoopRates(**FLIGHT_RATES), **overrides)
+                    rates=FLIGHT_RATES, **overrides)
 
 
 def test_loop_rates_validation():
@@ -116,7 +115,7 @@ def schedule_rates(draw):
 
 @given(schedule_rates(), st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 3.0))
 @example(LoopRates(), 1.0)
-@example(LoopRates(**FLIGHT_RATES), 10.0)
+@example(FLIGHT_RATES, 10.0)
 # coprime periods, 1/7 s and 1/3 s
 @example(LoopRates(filter_hz=7.0, mapping_hz=3.0, mp_hz=3.0, pcp_hz=3.0,
                    sim_dt=0.05), 2.0)
@@ -135,9 +134,8 @@ def test_virtual_schedule_drops_only_unread_frames(rates, duration):
 def test_virtual_schedule_filter_counts():
     def filters(seq):
         return sum(name == "filter" for _, name in seq)
-    flight = LoopRates(**FLIGHT_RATES)
-    assert filters(oracle_schedule(flight, 10.0)) == 301
-    assert filters(virtual_schedule(flight, 10.0)) == 101
+    assert filters(oracle_schedule(FLIGHT_RATES, 10.0)) == 301
+    assert filters(virtual_schedule(FLIGHT_RATES, 10.0)) == 101
     # at the defaults the PCP reads every frame, so none is dropped
     assert filters(oracle_schedule(LoopRates(), 1.0)) == 31
     assert filters(virtual_schedule(LoopRates(), 1.0)) == 31
@@ -150,9 +148,7 @@ def test_virtual_schedule_filter_counts():
 
 def test_dropped_frames_leave_the_flight_unchanged(monkeypatch):
     # past the box's spawn at 10 s: map writes, a replan, the moving box
-    world, start, goal = intruder_world()
-    sc = flight_scenario(world, start, goal, seed=3, known_world=False,
-                         freeze_map=False, timeout=11.0)
+    sc = scenario("intruder", 3, timeout=11.0)
     got = run_episode(sc)
     monkeypatch.setattr(runtime, "virtual_schedule", oracle_schedule)
     want = run_episode(sc)
@@ -219,10 +215,9 @@ def test_lazy_map_snapshot_leaves_the_flight_unchanged(monkeypatch):
     rates = LoopRates(filter_hz=30.0, mapping_hz=7.0, mp_hz=3.0, pcp_hz=13.0,
                       sim_dt=0.03)
     scenarios = [
-        replace(flight_scenario(*intruder_world(), seed=3, known_world=False,
-                                freeze_map=False, timeout=11.0), rates=rates),
-        replace(flight_scenario(*random_world_3d(5), seed=3, known_world=False,
-                                freeze_map=False, timeout=8.0), rates=rates)]
+        replace(scenario("intruder", 3, timeout=11.0), rates=rates),
+        replace(scenario("random", 5, known_world=False, freeze_map=False,
+                         timeout=8.0), seed=3, rates=rates)]
     projected = [0]
     planned = []
 
@@ -262,8 +257,8 @@ def test_lazy_map_snapshot_leaves_the_flight_unchanged(monkeypatch):
 def test_walled_in_drone_times_out_instead_of_raising():
     # at 47 s inflation walls the drone's own Map_c cell in: the MP finds
     # no path instead of publishing a one-cell one, and the drone holds
-    sc = flight_scenario(*random_world_3d(20), seed=0, known_world=False,
-                         freeze_map=False, timeout=48.0)
+    sc = replace(scenario("random", 20, known_world=False, freeze_map=False,
+                          timeout=48.0), seed=0)
     res = run_episode(sc)
     assert res.status == "timeout"
     failed = [t for t, kind, payload in res.events
