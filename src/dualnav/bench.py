@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .geometry import path_length
+from .geometry import path_length, row_norms
 from .jps import JpsGrid, jps_search
 from .map_planner import (DagsParams, nearest_free_in_grid, segment_box_exit,
                           shortcut_cells, snapshot_grids, stitched_plan)
@@ -71,7 +71,7 @@ def _segment_clear_of_boxes(a, b, boxes, clearance, step):
     for box in boxes:
         lo, hi = box.arrays()
         nearest = np.clip(samples, lo, hi)
-        if np.min(np.linalg.norm(samples - nearest, axis=1)) < clearance:
+        if np.min(row_norms(samples - nearest)) < clearance:
             return False
     return True
 
@@ -325,7 +325,9 @@ def bench_map2d(map_size: int = 800, trials: int = 10, seed: int = 0,
             continue
         start = _free_cell_near(cells, rng)
         goal = _free_cell_near(cells, rng)
-        if math.hypot(goal[0] - start[0], goal[1] - start[1]) < min_dist:
+        # a goal on the start gives no step to time
+        if (start == goal or math.hypot(goal[0] - start[0],
+                                        goal[1] - start[1]) < min_dist):
             continue
         tic = time_mod.perf_counter()
         res_g = jps_search(JpsGrid(cells), start, goal)

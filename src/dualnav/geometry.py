@@ -11,6 +11,10 @@ nearest kept distance lies within 1e-12 relative of r, the full
 `min_clearance` scan decides, so the answer holds even under a BLAS kernel
 whose last bit depends on how many rows it is given: a distance farther
 from r than that is on the same side of r in both scans.
+
+`row_norms(d)` is `np.linalg.norm(d, axis=1)` bit for bit: numpy sums the
+squares of a short row from left to right, ((a + b) + c), and so does the
+column sum, which skips numpy's reduction over a length-3 axis.
 """
 from __future__ import annotations
 
@@ -26,6 +30,17 @@ def norm(v) -> float:
     argument handling, which costs more than the sum on a 3-vector.
     """
     return math.sqrt(float(v.dot(v)))
+
+
+def row_norms(d) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D float array, bit-equal to
+    `np.linalg.norm(d, axis=1)`: the squares of the columns summed left to
+    right, then the square root."""
+    first, *rest = d.T
+    s = first * first
+    for c in rest:
+        s += c * c
+    return np.sqrt(s, out=s)
 
 
 def unit(v):
@@ -46,17 +61,17 @@ def segment_point_distances(a, b, points):
     ab = b - a
     denom = float(np.dot(ab, ab))
     if denom == 0.0:
-        return np.linalg.norm(pts - a, axis=1)
+        return row_norms(pts - a)
     t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
     proj = a + t[:, None] * ab
-    return np.linalg.norm(pts - proj, axis=1)
+    return row_norms(pts - proj)
 
 
 def path_length(waypoints) -> float:
     wp = np.asarray(waypoints, dtype=float)
     if len(wp) < 2:
         return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(wp, axis=0), axis=1)))
+    return float(np.sum(row_norms(np.diff(wp, axis=0))))
 
 
 def min_clearance(waypoints, points) -> float:
@@ -66,7 +81,7 @@ def min_clearance(waypoints, points) -> float:
         return np.inf
     wp = np.asarray(waypoints, dtype=float)
     if len(wp) == 1:
-        return float(np.min(np.linalg.norm(pts - wp[0], axis=1)))
+        return float(np.min(row_norms(pts - wp[0])))
     best = np.inf
     for i in range(len(wp) - 1):
         d = segment_point_distances(wp[i], wp[i + 1], pts)

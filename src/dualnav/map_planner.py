@@ -12,7 +12,8 @@ import numpy as np
 from scipy.ndimage import label
 
 from .geometry import (direction_from_angles, path_clears, path_length,
-                       segment_point_distances, spherical_angles, wrap_angle)
+                       row_norms, segment_point_distances, spherical_angles,
+                       wrap_angle)
 from .jps import jps_search, line_is_free
 from .mapping import (H_MS, GridMap2D, LocalMapParams, cut_center, downsample,
                       inflate)
@@ -292,15 +293,16 @@ class AngularGraph:
     def __init__(self, points: np.ndarray, origin, goal, alpha_res: float):
         self.alpha_res = alpha_res
         self.az_g, self.el_g = spherical_angles(np.asarray(goal) - np.asarray(origin))
-        d = (np.asarray(points, dtype=float).reshape(-1, 3)
-             - np.asarray(origin, dtype=float))
-        az = np.arctan2(d[:, 1], d[:, 0])
-        el = np.arctan2(d[:, 2], np.hypot(d[:, 0], d[:, 1]))
+        pts = np.asarray(points, dtype=float).reshape(-1, 3)
+        ox, oy, oz = np.asarray(origin, dtype=float).tolist()
+        dx, dy, dz = pts[:, 0] - ox, pts[:, 1] - oy, pts[:, 2] - oz
+        az = np.arctan2(dy, dx)
+        el = np.arctan2(dz, np.hypot(dx, dy))
         rel_az = wrap_angle(az - self.az_g)
         self._ka = np.floor(rel_az / alpha_res).astype(np.int64)
         self._kb = np.floor((el - self.el_g) / alpha_res).astype(np.int64)
         self.cells: set = set()
-        if len(d):
+        if len(pts):
             a0, b0 = self._ka.min(), self._kb.min()
             nb = self._kb.max() - b0 + 1
             keys = np.unique((self._ka - a0) * nb + (self._kb - b0))
@@ -351,7 +353,7 @@ def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
     split_r = float(np.linalg.norm(p_n - jp1))
 
     if len(pts):
-        dist = np.linalg.norm(pts - p_n, axis=1)
+        dist = row_norms(pts - p_n)
         subsets = [pts[dist < split_r], pts[dist >= split_r]]
     else:
         subsets = [pts, pts]
@@ -404,7 +406,7 @@ def select_final_path(lifted: PlanPath, path_3d: PlanPath | None) -> PlanPath:
 
 def lift_path(path_2d: PlanPath, z_start: float, z_goal: float) -> PlanPath:
     wp = path_2d.waypoints.copy()
-    seg = np.linalg.norm(np.diff(wp[:, :2], axis=0), axis=1)
+    seg = row_norms(np.diff(wp[:, :2], axis=0))
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     total = arc[-1]
     frac = arc / total if total > 0 else np.zeros_like(arc)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import row_norms
+
 
 D_PASS = 4.5        # the distance filter's range, m
 VOXEL_SIZE = 0.2    # the voxel filter's cell side, m
@@ -34,7 +36,7 @@ def distance_filter(cloud: np.ndarray, d_pass: float) -> np.ndarray:
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     if len(cloud) == 0:
         return cloud
-    keep = np.linalg.norm(cloud, axis=1) <= d_pass
+    keep = row_norms(cloud) <= d_pass
     return cloud[keep]
 
 

@@ -11,8 +11,10 @@ runs on Python floats wherever that gives the bits of the numpy expression it
 stands for: an elementwise +, -, * or / and a comparison are the same IEEE
 operation either way. Two rules keep every command byte-equal: a 3-vector
 norm is sqrt(x.dot(x)), which is what `np.linalg.norm` computes, and a float
-shortcut decides a comparison only outside a proven guard band
-(`_norm_bound`).
+shortcut decides a comparison of a norm with a bound only outside a guard
+band around the squared bound: 4e-15 relative, about 36 times the unit
+roundoff 2**-53, where rounding needs about 10 (`_norm_bound`). numpy
+decides the rest, which lie within a few ulps of the bound.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import norm, unit
+from .geometry import norm, row_norms, unit
 
 
 R_DEC = 3.0         # goal-approach deceleration radius, m
@@ -63,7 +65,7 @@ class MotionCommand:
 
 # -- same-bytes 3-vector arithmetic on floats ---------------------------------
 
-_GUARD = 1e-12   # relative half-width of the guard band around a squared bound
+_GUARD = 4e-15   # relative half-width of the guard band around a squared bound
 _TINY = 1e-300   # absolute slack for squares that round in the subnormal range
 
 
@@ -92,14 +94,16 @@ def _band(r):
 def _norm_bound(x, y, z, r) -> float:
     """A stand-in for `_vnorm((x, y, z))` that compares with r as it does.
 
-    The naive s = x*x + y*y + z*z and numpy's dot both add three rounded
-    non-negative squares of the same components, so each lies within about
-    3 * 2**-53 (relative) of the exact sum of squares, plus at most
-    3 * 2**-1075 from squares that round in the subnormal range. When s lies
-    below r*r by more than the guard band (1e-12 relative plus 1e-300), the
-    dot lies below r*r * (1 - 1e-12 / 2), so its rounded square root stays
-    below r: the stand-in is 0.0. Above the band it is inf, by the same
-    argument. Inside the band, and for NaN, it is the exact norm.
+    With u = 2**-53: the naive s = x*x + y*y + z*z and numpy's dot (an FMA
+    chain) each lie within gamma3 ~ 3u (relative) of the exact sum of
+    squares, plus at most 3 * 2**-1075 from squares that round in the
+    subnormal range, so the dot lies within about 6u of s. The band's bounds
+    r*r * (1 -+ g) round twice, by up to 2u. A dot below r*r has a rounded
+    square root of at most r, and one above r*r * (1 + 2u) a root above r.
+    So a relative half-width g above about 10u ~ 1.1e-15 decides as the dot
+    does; _GUARD is 4e-15 ~ 36u, which leaves margin, and _TINY covers the
+    subnormal terms. Below the band the stand-in is 0.0, above it inf;
+    inside the band, and for NaN, it is the exact norm.
     """
     s = x * x + y * y + z * z
     below, above = _band(r)
@@ -219,7 +223,7 @@ def streamline(pcl_sorted: np.ndarray, dist: np.ndarray, p_n, g_n,
     p_n = np.asarray(p_n, dtype=float)
     # a single 3-vector's norm is a dot product, whose last bit can differ
     # from the row-wise norm's, so d_ft is not dist[-1]
-    d_ft = np.linalg.norm(pts[-1] - p_n)
+    d_ft = norm(pts[-1] - p_n)
     g_dir = np.asarray(g_n, dtype=float) - p_n
     rel = pts - p_n
     ahead = rel @ g_dir >= 0.0          # angle to goal direction <= 90 deg
@@ -251,9 +255,8 @@ def _ray_distances(p_n, ray, r_det, pts, rel):
     else:
         t = np.clip(rel @ ab / denom, 0.0, 1.0)
         diff = pts - (p_n + t[:, None] * ab)
-    # np.linalg.norm(diff, axis=1) without its argument handling: for real
-    # entries numpy computes the same sqrt(add.reduce(diff * diff, axis=1))
-    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+    # the same row norms as `segment_point_distances`
+    return row_norms(diff)
 
 
 @functools.lru_cache(maxsize=8)
@@ -314,7 +317,7 @@ def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
 
 def _feasible(ax, ay, az, vx, vy, vz, t, v_max, a_max):
     """Clip a = (ax, ay, az) to a_max, then shrink it along itself until
-    |v_n + a t| <= v_max (60 bisection steps); brake when |v_n| alone
+    |v_n + a t| <= v_max (at most 60 bisection steps); brake when |v_n| alone
     exceeds v_max. Returns the projected (ax, ay, az)."""
     if _norm_bound(ax, ay, az, a_max) > a_max:
         k = a_max / _vnorm((ax, ay, az))
@@ -325,15 +328,23 @@ def _feasible(ax, ay, az, vx, vy, vz, t, v_max, a_max):
         # shrink a along itself until the predicted speed is feasible; each
         # step decides |v_n + mid * a * t| <= v_max as `_norm_bound` does
         below, above = _band(v_max)
+        decided = {}    # the in-band decision of each (x, y, z) met
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
+            # lo only ever takes feasible mids and hi infeasible ones (1.0 by
+            # the entry test), so once mid is either, every step is a no-op
+            if mid == lo or mid == hi:
+                break
             x = vx + mid * ax * t
             y = vy + mid * ay * t
             z = vz + mid * az * t
             s = x * x + y * y + z * z
             if below <= s <= above:
-                feasible = _vnorm((x, y, z)) <= v_max
+                key = (x, y, z)
+                feasible = decided.get(key)
+                if feasible is None:
+                    feasible = decided[key] = _vnorm(key) <= v_max
             else:
                 feasible = s < below
             if feasible:
@@ -433,7 +444,7 @@ def plan_motion(p_n, v_n, w_pn, t_avs: float, params: PcpParams) -> MotionComman
 
 def hold(v_n, t: float, a_max: float) -> MotionCommand:
     """Hold command: brake to a stop within the horizon t, at most at a_max."""
-    nv = np.linalg.norm(v_n)
+    nv = norm(v_n)
     a_max = min(a_max, nv / t)
     a = _brake_accel(v_n, a_max) if nv > 1e-9 else np.zeros(3)
     return MotionCommand(a, mode="hold")
@@ -458,7 +469,7 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
     pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
     d_bkd = braking_distance(v_n, params.a_max)
     rel = pts - p_n
-    min_obs = (float(np.min(np.linalg.norm(rel, axis=1)))
+    min_obs = (float(np.min(row_norms(rel)))
                if len(pts) else math.inf)
     if min_obs > d_bkd:
         goal_dir = unit(np.asarray(p_prev, dtype=float) - p_n)

@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import path_clears, path_length
+from .geometry import norm, path_clears, path_length, row_norms
 from .map_planner import DagsParams, plan_final_path
 from .mapping import LocalMapParams, VoxelMap, cuboid_cut, project_2d
 from .pcl import FilterParams, filter_pipeline
@@ -300,7 +300,7 @@ class _EpisodeCore:
                 # a waypoint counts as reached when the drone is close or has
                 # crossed the plane through it, so an avoidance swing past a
                 # corner never drags the drone back to the corner itself
-                if (np.linalg.norm(st.p - cur) < 0.35
+                if (norm(st.p - cur) < 0.35
                         or float(np.dot(st.p - cur, seg)) > 0.0):
                     self.wp_index += 1
                     self.blocked_rays = set()
@@ -310,15 +310,15 @@ class _EpisodeCore:
             idx = min(self.wp_index, len(wp) - 1)
         remaining = wp[idx:]
         end = wp[-1]
-        if (np.linalg.norm(st.p - end) < sc.goal_tol
-                and np.linalg.norm(end - self.goal) > sc.goal_tol):
+        if (norm(st.p - end) < sc.goal_tol
+                and norm(end - self.goal) > sc.goal_tol):
             # local goal reached but not the global one: force a replan
             self.bb.publish("path", None)
             self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
             return
         g_n = compute_goal(st.p, st.v, remaining, pp.kappa1, pp.kappa2)
         cloud = self._pcp_cloud(st.p, g_n)
-        dist_goal = float(np.linalg.norm(end - st.p))
+        dist_goal = norm(end - st.p)
         wd = pp.waypoint_dist * min(1.0, max(dist_goal / R_DEC, 0.1))
         found = das_search(st.p, g_n, cloud, pp, waypoint_dist=wd,
                            excluded=self.blocked_rays)
@@ -350,7 +350,7 @@ class _EpisodeCore:
         parts, dists = [], []
         pcl4 = self.bb.read("pcl4")
         if pcl4 is not None and len(pcl4):
-            d = np.linalg.norm(pcl4 - p, axis=1)
+            d = row_norms(pcl4 - p)
             keep = d <= pp.r_det
             near, d = pcl4[keep], d[keep]
             if len(near):
@@ -364,7 +364,7 @@ class _EpisodeCore:
         if snap is not None:
             pcl_m = snap[0]
             if len(pcl_m):
-                d = np.linalg.norm(pcl_m - p, axis=1)
+                d = row_norms(pcl_m - p)
                 keep = d <= pp.r_det
                 parts.append(pcl_m[keep])
                 dists.append(d[keep])
@@ -392,7 +392,7 @@ class _EpisodeCore:
                            t + dt):
             self.status = "collision"
             self.log(t + dt, "collision", None)
-        elif np.linalg.norm(self.state.p - self.goal) < self.sc.goal_tol:
+        elif norm(self.state.p - self.goal) < self.sc.goal_tol:
             self.status = "goal_reached"
             self.log(t + dt, "goal_reached", None)
 

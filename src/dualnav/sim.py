@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import norm
+
 
 @dataclass(frozen=True)
 class Box:
@@ -229,11 +231,12 @@ def sense(world: World, position, yaw: float, sensor: SensorParams,
     dirs = _ray_directions(sensor, yaw)
     t_hit = _first_hits(origin, dirs, world.boxes_at(time), sensor, yaw)
     if world.ground_z is not None:
-        dz = dirs[2]
+        # a ray's distance to the floor depends only on its elevation
+        dz = _fan(sensor)[2]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_pl = (world.ground_z - origin[2]) / dz
         t_pl = np.where((dz != 0.0) & (t_pl >= 0.0), t_pl, np.inf)
-        t_hit = np.minimum(t_hit, t_pl)
+        t_hit = np.minimum(t_hit.reshape(sensor.h_rays, -1), t_pl).ravel()
     hit = t_hit <= sensor.max_range
     if not np.any(hit):
         return np.zeros((0, 3))
@@ -243,13 +246,15 @@ def sense(world: World, position, yaw: float, sensor: SensorParams,
             np.random.SeedSequence([int(seed), int(round(time * 1e6))]))
         # abs: a ray starting on a surface hits at -0.0, a scale numpy rejects
         t = t + rng.normal(0.0, sensor.noise_coeff * np.abs(t))
-    pts_e = origin + t[:, None] * dirs[:, hit].T
-    # back to the yaw-aligned body frame
-    rel = pts_e - origin
+    # the Earth-frame hit minus the origin, axis by axis, then back to the
+    # yaw-aligned body frame
+    rx, ry, rz = ((o + t * d) - o for o, d in zip(origin.tolist(),
+                                                  dirs[:, hit]))
     c, s = math.cos(yaw), math.sin(yaw)
-    body = np.stack([c * rel[:, 0] + s * rel[:, 1],
-                     -s * rel[:, 0] + c * rel[:, 1],
-                     rel[:, 2]], axis=1)
+    body = np.empty((len(t), 3))
+    body[:, 0] = c * rx + s * ry
+    body[:, 1] = -s * rx + c * ry
+    body[:, 2] = rz
     return body
 
 
@@ -260,7 +265,7 @@ def step_dynamics(state: DroneState, a_n, dt: float, v_max: float) -> DroneState
     a = np.asarray(a_n, dtype=float)
     p = state.p + state.v * dt + 0.5 * a * dt * dt
     v = state.v + a * dt
-    nv = np.linalg.norm(v)
+    nv = norm(v)
     if nv > v_max:
         v = v * (v_max / nv)
     return DroneState(p=p, v=v, yaw=state.yaw)
@@ -291,7 +296,7 @@ def check_collision(world: World, position, radius: float, time: float) -> bool:
             continue
         lo, hi = box.arrays()
         nearest = np.clip(p, lo, hi)
-        if np.linalg.norm(p - nearest) <= radius:
+        if norm(p - nearest) <= radius:
             return True
     return False
 

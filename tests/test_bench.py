@@ -158,6 +158,16 @@ def test_bench_map2d_counts_a_full_map_as_a_failed_draw(monkeypatch):
     assert len(bench_map2d(map_size=10, trials=1, min_dist=0)["rows"]) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(10))
+def test_bench_map2d_counts_a_goal_on_the_start_as_a_failed_draw(seed):
+    # min_dist 0 accepted start == goal on a 3-cell map: the local arms took
+    # no step, and the mean of their empty step times wrote NaN
+    out = bench_map2d(map_size=3, trials=3, seed=seed, min_dist=0)
+    assert len(out["rows"]) == 3
+    json.dumps(out, allow_nan=False)
+
+
 def test_stitched_study_derives_grids_once_per_window_origin(monkeypatch):
     origins = []
     window = bench._window

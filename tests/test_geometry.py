@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualnav.geometry import (direction_from_angles, min_clearance,
-                              path_clears, path_length,
+                              path_clears, path_length, row_norms,
                               segment_point_distances, spherical_angles, unit,
                               wrap_angle)
 
@@ -135,3 +135,41 @@ def test_segment_distances_of_a_row_subset_are_bit_equal(seed, step, n):
     full = segment_point_distances(a, b, cloud)
     part = segment_point_distances(a, b, cloud[rows])
     assert part.tobytes() == full[rows].tobytes()
+
+
+# squares 1.0, 0.04000000000000001 and 0.09: (a + b) + c and a + (b + c)
+# round to different sums, and their square roots differ in the last bit
+ORDER_SENSITIVE = np.array([[1.0, 0.2, 0.3]])
+
+
+def test_order_sensitive_row_tells_the_orders_apart():
+    a, b, c = (ORDER_SENSITIVE[0] ** 2).tolist()
+    assert np.sqrt((a + b) + c) != np.sqrt(a + (b + c))
+
+
+@st.composite
+def row_arrays(draw):
+    """1 to 3,000 rows of 2 or 3 columns, C-order, F-order or a strided
+    view, with magnitudes from the subnormal range to 1e150."""
+    n = draw(st.integers(1, 3000))
+    k = draw(st.sampled_from([2, 3]))
+    lo = draw(st.integers(-323, 150))
+    hi = draw(st.integers(lo, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.uniform(-9.9, 9.9, (n, k)) * 10.0 ** rng.integers(lo, hi + 1,
+                                                               (n, k))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(d)
+    if layout == "strided":
+        wide = np.zeros((2 * n, k + 1))
+        wide[::2, 1:] = d
+        return wide[::2, 1:]
+    return d
+
+
+@settings(max_examples=200)
+@given(row_arrays())
+@example(ORDER_SENSITIVE)
+def test_row_norms_are_bit_equal_to_numpy(d):
+    assert row_norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()

@@ -351,6 +351,11 @@ def limits(draw):
     return v_max, a_max
 
 
+# speeds pinned within a few ulps of v_max, where the flights hold |v| and
+# the feasibility bisection meets most steps inside its guard band
+PINNED = [1.0 + k * 2.0 ** -52 for k in range(-4, 5)]
+
+
 @st.composite
 def velocities(draw, v_max):
     """A velocity inside the speed ball, often on its sphere up to rounding."""
@@ -358,7 +363,8 @@ def velocities(draw, v_max):
     n = np.linalg.norm(v)
     if n == 0.0:
         return v
-    scale = draw(st.sampled_from([1.0, 1.0 - 1e-15]) | st.floats(0.0, 1.0))
+    scale = draw(st.sampled_from([1.0, 1.0 - 1e-15] + PINNED)
+                 | st.floats(0.0, 1.0))
     return v / n * (v_max * scale)
 
 
@@ -367,9 +373,13 @@ horizons = st.sampled_from([1e-3, 0.1, 0.125, 1.0]) | st.floats(1e-3, 1.0)
 
 @st.composite
 def feasibility_cases(draw):
-    v_max, a_max = draw(limits())
+    if draw(st.booleans()):
+        # the flights' limits and PCP horizon
+        v_max, a_max, t = 0.15, 2.0, 0.1
+    else:
+        v_max, a_max = draw(limits())
+        t = draw(horizons)
     a = draw(vec3(-10.0, 10.0))
-    t = draw(horizons)
     if draw(st.booleans()):
         v = draw(velocities(v_max))
     else:
@@ -393,6 +403,11 @@ def feasibility_cases(draw):
 @example((np.array([0.0, -0.0, 3.0]), np.array([-0.0, 0.0, 0.9]), 1e-3, 1.0, 2.0))
 # |v_n| > v_max: brake
 @example((np.array([1.0, 0.0, 0.0]), np.array([1.5, 0.0, 0.0]), 0.1, 1.0, 2.0))
+# |v_n| == v_max and a across it: the steps from mid = 2**-25 on land inside
+# the guard band, and the kept mid, about 2**-27, is what rounding leaves on
+# the speed sphere
+@example((np.array([0.0, 2.0, 0.0]), np.array([0.15, 0.0, 0.0]), 0.1, 0.15,
+          2.0))
 def test_project_feasible_same_bytes(case):
     a, v, t, v_max, a_max = case
     assert_same_bytes(np.array(_feasible(*a.tolist(), *v.tolist(), t, v_max,
