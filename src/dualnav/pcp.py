@@ -9,12 +9,13 @@ for the acceleration command. A safety backup covers the no-ray case, and
 The planner runs at the framework's highest rate, so its 3-vector arithmetic
 runs on Python floats wherever that gives the bits of the numpy expression it
 stands for: an elementwise +, -, * or / and a comparison are the same IEEE
-operation either way. Two rules keep every command byte-equal: a 3-vector
-norm is sqrt(x.dot(x)), which is what `np.linalg.norm` computes, and a float
+operation either way. Three rules keep every command byte-equal. A 3-vector
+norm is sqrt(x.dot(x)), which is what `np.linalg.norm` computes. A float
 shortcut decides a comparison of a norm with a bound only outside a guard
 band around the squared bound: 4e-15 relative, about 36 times the unit
-roundoff 2**-53, where rounding needs about 10 (`_norm_bound`). numpy
-decides the rest, which lie within a few ulps of the bound.
+roundoff 2**-53, where rounding needs about 10 (`_norm_bound`); numpy
+decides the rest, which lie within a few ulps of the bound. A batched
+clearance decides a DAS ray only outside a guard band (`_fan_clearance`).
 """
 from __future__ import annotations
 
@@ -53,6 +54,8 @@ class PcpParams:
             raise ValueError("waypoint_dist must be < r_det")
         if self.v_max ** 2 / (2.0 * self.a_max) >= self.r_safe:
             raise ValueError("braking distance v_max^2/(2 a_max) must be < r_safe")
+        if not (self.r_det > 0 and self.das_angle_step > 0):
+            raise ValueError("r_det and das_angle_step must be > 0")
 
 
 @dataclass
@@ -67,6 +70,8 @@ class MotionCommand:
 
 _GUARD = 4e-15   # relative half-width of the guard band around a squared bound
 _TINY = 1e-300   # absolute slack for squares that round in the subnormal range
+_FAN_GUARD = 1e-12  # guard band of `_fan_clearance`, relative to its scale**2
+_FAN_CHUNK = 12     # DAS rays per `_fan_clearance` call: three rounds of four
 
 
 def _dot(a, b) -> float:
@@ -259,6 +264,32 @@ def _ray_distances(p_n, ray, r_det, pts, rel):
     return row_norms(diff)
 
 
+def _fan_clearance(rays, rel, rel2, r_det):
+    """Smallest squared distance from the points to each segment of a fan:
+    rel2 - t (2P - t), with P = rays @ rel.T and t = clip(P, 0, r_det).
+
+    The rays have norms of about 1, rel = pts - p_n and rel2 holds its
+    squared row norms; inf with no points. Let u = 2**-53, S =
+    max|p_n| + max|rel| + r_det + |r_safe| and D <= |rel| <= S the real
+    distance to the segment along the exact ray e = unit(fan[i]). Then:
+    - the exact path, `_ray_distances`, rounds in world coordinates, (p_n +
+      r_det e) - p_n, then pts - (p_n + t ab): within about 16u S of D;
+    - the rays here divide by `row_norms`, e by the dot of `norm`; each is
+      within 2u of the true norm, which moves a segment end by 9u r_det;
+    - gemm here and gemv there each lie within 3u |rel| of the true dot,
+      so t is off by about 10u |rel|, the value by 24u S D;
+    - rel2 - t (2P - t) cancels terms up to (|rel| + r_det)**2: 25u S**2.
+    So near r_safe the value is within about 81u S**2 of the exact squared
+    distance. `das_search` calls a ray blocked below r_safe**2 - b and free
+    above r_safe**2 + b, b = _FAN_GUARD S**2 + _TINY, and leaves the band and
+    NaN to the exact path. _FAN_GUARD = 1e-12, about 9,000u, leaves a wide
+    margin for these rough constants; _TINY covers the subnormals.
+    """
+    p = rays @ rel.T
+    t = np.minimum(np.maximum(p, 0.0), r_det)
+    return (rel2 - t * (2.0 * p - t)).min(axis=1, initial=math.inf)
+
+
 @functools.lru_cache(maxsize=8)
 def _fan_rounds(angle_step: float) -> tuple:
     """(cos, sin) of the offset angle of each DAS round after round 0."""
@@ -271,45 +302,72 @@ def _fan_rounds(angle_step: float) -> tuple:
     return tuple(rounds)
 
 
-def _rays(direction, angle_step: float):
-    """DAS ray directions in search order, one at a time: the goal
-    direction, then per round the two horizontal and the two vertical
-    symmetric offsets, stopping past 90 degrees."""
-    d = unit(direction)
+def _fan_vectors(d, angle_step: float) -> np.ndarray:
+    """The DAS fan after ray 0, the unit goal direction d, one row per ray in
+    search order: per round the two horizontal and the two vertical symmetric
+    offsets c d +- s axis, stopping past 90 degrees; `unit(row)` is the ray."""
     horiz = unit(np.array([d[0], d[1], 0.0]))
     if norm(horiz) == 0.0:
         horiz = np.array([1.0, 0.0, 0.0])
-    dx, dy, dz = d.tolist()
     hx, hy, _ = horiz.tolist()
     side = (-hy, hx, 0.0)                              # horizontal-plane normal
-    vert = unit(np.array(_cross(side, (dx, dy, dz))))  # vertical-plane axis
+    vert = unit(np.array(_cross(side, d.tolist())))    # vertical-plane axis
+    cs = np.array(_fan_rounds(angle_step)).reshape(-1, 2)
+    cd, s = cs[:, :1] * d, cs[:, 1:]
+    return np.stack((cd + s * side, cd - s * side, cd + s * vert,
+                     cd - s * vert), axis=1).reshape(-1, 3)
+
+
+def _rays(direction, angle_step: float):
+    """DAS ray directions in search order, one at a time: the goal
+    direction, then the rest of the fan (`_fan_vectors`)."""
+    d = unit(direction)
     yield d
-    for c, s in _fan_rounds(angle_step):
-        cx, cy, cz = c * dx, c * dy, c * dz
-        for ox, oy, oz in (side, vert.tolist()):
-            sx, sy, sz = s * ox, s * oy, s * oz
-            yield unit(np.array((cx + sx, cy + sy, cz + sz)))
-            yield unit(np.array((cx - sx, cy - sy, cz - sz)))
+    for f in _fan_vectors(d, angle_step):
+        yield unit(f)
 
 
 def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
                waypoint_dist: float | None = None,
                excluded: set | None = None):
-    """First collision-free candidate ray; returns (w_pn, ray_index) or None."""
+    """First collision-free candidate ray; returns (w_pn, ray_index) or None.
+
+    Ray 0 is scored alone. The rest of the fan is built only when ray 0 is
+    blocked or excluded, and scored `_FAN_CHUNK` rays at a time.
+    """
     p_n = np.asarray(p_n, dtype=float)
     g_n = np.asarray(g_n, dtype=float)
     d = g_n - p_n
-    if norm(d) == 0.0:
+    nd = norm(d)
+    if nd == 0.0:
         return None
+    ray = d / nd                                        # unit(d): ray 0
     wd = params.waypoint_dist if waypoint_dist is None else waypoint_dist
+    excluded = excluded or ()
+    r_det, r_safe = params.r_det, params.r_safe
     pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
     rel = pts - p_n
-    for idx, ray in enumerate(_rays(d, params.das_angle_step)):
-        if excluded and idx in excluded:
-            continue
-        if not (_ray_distances(p_n, ray, params.r_det, pts, rel)
-                < params.r_safe).any():
-            return p_n + wd * ray, idx
+    rel2 = np.einsum("ij,ij->i", rel, rel)
+    scale = (max(map(abs, p_n.tolist())) + math.sqrt(rel2.max(initial=0.0))
+             + r_det + abs(r_safe))
+    band = _FAN_GUARD * scale * scale + _TINY
+    lo, hi = r_safe * r_safe - band, r_safe * r_safe + band
+
+    def free(m, ray):   # a ray whose `_fan_clearance` m is not below the band
+        return m > hi or not (_ray_distances(p_n, ray, r_det, pts, rel)
+                              < r_safe).any()
+
+    if 0 not in excluded:
+        m = _fan_clearance(ray[None], rel, rel2, r_det)[0]
+        if not m < lo and free(m, ray):
+            return p_n + wd * ray, 0
+    fan = _fan_vectors(ray, params.das_angle_step)
+    rays = fan / row_norms(fan)[:, None]
+    for c in range(0, len(fan), _FAN_CHUNK):
+        clear = _fan_clearance(rays[c:c + _FAN_CHUNK], rel, rel2, r_det)
+        for i, m in enumerate(clear.tolist(), c + 1):
+            if i not in excluded and not m < lo and free(m, unit(fan[i - 1])):
+                return p_n + wd * unit(fan[i - 1]), i
     return None
 
 
@@ -460,9 +518,9 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
                   params: PcpParams, blocked_rays: set) -> MotionCommand:
     """Fallback when no candidate ray is collision-free.
 
-    Steers along the max-clearance ray while the braking distance still fits,
-    otherwise brakes and retreats toward the previous position, excluding the
-    formerly chosen ray.
+    Steers along the max-clearance ray not in blocked_rays while the braking
+    distance still fits; otherwise, or when blocked_rays holds every ray,
+    brakes and retreats toward the previous position.
     """
     p_n = np.asarray(p_n, dtype=float)
     v_n = np.asarray(v_n, dtype=float)
@@ -484,11 +542,12 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
                      if len(pts) else math.inf)
             if clear > best_clear:
                 best_ray, best_clear = ray, clear
-        w = p_n + params.waypoint_dist * best_ray
-        cmd = plan_motion(p_n, v_n, w, max(params.waypoint_dist / params.v_max, 1e-3),
-                          params)
-        cmd.mode = "backup_steer"
-        return cmd
+        if best_ray is not None:
+            w = p_n + params.waypoint_dist * best_ray
+            cmd = plan_motion(p_n, v_n, w, max(params.waypoint_dist / params.v_max, 1e-3),
+                              params)
+            cmd.mode = "backup_steer"
+            return cmd
     if norm(v_n) > 1e-6:
         return MotionCommand(_brake_accel(v_n, params.a_max),
                              mode="backup_brake")

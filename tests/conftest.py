@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -13,3 +17,22 @@ settings.load_profile("dualnav")
 def flight3d():
     """The wall world and random-0..9 flown with and without DAGS."""
     return bench_flight3d(n_worlds=10, seed=0)
+
+
+NAVBENCH = Path(__file__).resolve().parents[1] / "navbench"
+
+
+def _load_navbench(name):
+    spec = importlib.util.spec_from_file_location(
+        "navbench_" + name, NAVBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while they are built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def navbench_module():
+    """A loader of the benchmark's modules by name, from their files."""
+    return _load_navbench

@@ -2,12 +2,13 @@
 replay to the same bytes.
 
 Each flight digest is the sha256 of an episode's trajectory CSV plus its
-metrics JSON, for the worlds and configuration the benchmark flies (episode
-seed 0). The map-planner digest covers the plans of fixed `plan_final_path`
-queries with and without DAGS. The 2D-study digest covers the seed and length
-columns of `bench_map2d`'s rows; its time columns vary between runs and are
-left out. The flight3d digest covers the reports of the wall world and
-random-0..9, each flown with and without DAGS, less their `timing` entries.
+metrics JSON, for the four flights the benchmark flies (episode seed 0);
+`course-2` is built from the benchmark's own inputs. The map-planner digest
+covers the plans of fixed `plan_final_path` queries with and without DAGS.
+The 2D-study digest covers the seed and length columns of `bench_map2d`'s
+rows; its time columns vary between runs and are left out. The flight3d
+digest covers the reports of the wall world and random-0..9, each flown with
+and without DAGS, less their `timing` entries.
 A change that claims to keep behaviour must keep these digests; one that
 changes behaviour on purpose updates them and says why.
 """
@@ -29,6 +30,8 @@ GOLDEN = {
         "df6ceed3ee1d7d14c9ebb079c8997c0892f6a713a49cf396c7d6bca04b5d0876",
     "intruder":
         "b4051dc399d7721823a1a707b0e47337acc89a6a070d183309c0de083cd6ce1a",
+    "course-2":
+        "d5f5025d342031580f6317a25a3810230f138106f69d11cdbe228f241ee6dda2",
 }
 
 # the catalogue name and seed of each flight
@@ -37,8 +40,15 @@ FLIGHTS = {"wall": ("wall", 0), "random-0": ("random", 0),
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_flight_digest(name):
-    result = run_episode(scenario(*FLIGHTS[name]))
+def test_flight_digest(name, navbench_module):
+    if name in FLIGHTS:
+        sc = scenario(*FLIGHTS[name])
+    else:
+        # the benchmark's two-tile pillar course, which only it builds
+        workloads = navbench_module("workloads")
+        sc = {f.name: f.scenario
+              for f in workloads.flight_inputs("flight-explore")}[name]
+    result = run_episode(sc)
     digest = hashlib.sha256(
         (result.trajectory_csv() + result.metrics_json()).encode()).hexdigest()
     assert digest == GOLDEN[name]

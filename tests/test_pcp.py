@@ -25,6 +25,17 @@ def test_params_validation():
         PcpParams(v_max=2.0, a_max=2.0, r_safe=0.5)
     with pytest.raises(ValueError):
         PcpParams(waypoint_dist=3.0, r_det=2.0)
+    # a DAS ray needs a length
+    with pytest.raises(ValueError):
+        PcpParams(waypoint_dist=-1.0, r_det=0.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, -math.radians(10.0), math.nan])
+def test_params_reject_an_angle_step_that_never_widens_the_fan(step):
+    # the fan adds rounds until the step passes 90 degrees, which a step of
+    # 0, below 0 or NaN never does; only the constructor runs here
+    with pytest.raises(ValueError):
+        PcpParams(das_angle_step=step)
 
 
 def test_fermat_equilateral_centroid():
@@ -162,6 +173,22 @@ def test_safety_backup_brake_branch():
     cmd = safety_backup([0, 0, 0], [1.3, 0, 0], [-0.1, 0, 0], cloud, p, set())
     assert cmd.mode == "backup_brake"
     # braking opposes the velocity
+    assert cmd.a_n[0] < 0
+
+
+def test_safety_backup_brakes_when_every_ray_is_blocked():
+    p = PcpParams(v_max=1.0, a_max=2.0)
+    # the braking distance fits, as in the steer branch, but no ray is left
+    cloud = np.array([[0.4, 0.0, 0.0]])
+    every_ray = set(range(len(list(_rays([1.0, 0, 0], p.das_angle_step)))))
+    cmd = safety_backup([0, 0, 0], [0.1, 0, 0], [-0.1, 0, 0], cloud, p,
+                        every_ray)
+    assert cmd.mode == "backup_brake"
+    assert cmd.a_n.tolist() == [-p.a_max, 0.0, 0.0]
+    # at rest it retreats toward the previous position
+    cmd = safety_backup([0, 0, 0], [0, 0, 0], [-0.1, 0, 0], cloud, p,
+                        every_ray)
+    assert cmd.mode == "backup_brake"
     assert cmd.a_n[0] < 0
 
 

@@ -4,15 +4,19 @@ version it replaced, over generated inputs.
 The oracles below are the earlier implementations: every 3-vector norm a
 `np.linalg.norm` call, cross products by `np.cross`, the closeness test by
 `np.allclose`, the feasibility bisection on numpy arrays, the DAS fan built
-whole on every call, and a collision-check cloud that computes each point's
-distance anew for every cut and sort.
+whole on every call and each of its rays checked by its own segment
+distances, and a collision-check cloud that computes each point's distance
+anew for every cut and sort.
 """
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dualnav import pcp
 from dualnav.geometry import norm, segment_point_distances, unit
 from dualnav.pcp import (ETA1, ETA2, OPT_TOL, PcpParams, _feasible, _rays,
                          compute_goal, das_search, plan_motion, safety_backup)
@@ -506,13 +510,109 @@ def das_cases(draw):
 def test_das_search_same_bytes(case):
     p, g, cloud, params, wd, excluded = case
     got = das_search(p, g, cloud, params, waypoint_dist=wd, excluded=excluded)
-    want = oracle_das_search(p, g, cloud, params, waypoint_dist=wd,
-                             excluded=excluded)
+    assert_same_search(got, oracle_das_search(p, g, cloud, params,
+                                              waypoint_dist=wd,
+                                              excluded=excluded))
+
+
+def assert_same_search(got, want):
     if want is None:
         assert got is None
     else:
-        assert got[1] == want[1]
+        assert got is not None and got[1] == want[1]
         assert_same_bytes(got[0], want[0])
+
+
+# -- the batched DAS fan -----------------------------------------------------
+#
+# `das_search` decides a ray from a batched clearance, twelve rays to a call,
+# and leaves a ray near r_safe to the exact per-ray distances. The draws below
+# put a point on that boundary, reach rays in each chunk past walls and
+# exclusions, and fly far from the origin, where the band is widest.
+
+FAN_STEP = math.radians(10.0)   # 37 rays: 0, then chunks 1-12, 13-24, 25-36
+CHUNK_EDGES = [0, 12, 13, 24, 25, 36]
+
+
+def wall(p, rays, blocked, rng, per_ray=8):
+    """Points within 0.052 of each blocked ray, 1.5-1.95 m along it. With
+    r_safe = 0.1 each point blocks its own ray and no other: two rays of a
+    10-degree fan are at least 10 degrees apart, and 1.5 sin(10 deg) - 0.052
+    is above 0.2."""
+    pts = [p + t * rays[j] + rng.uniform(-0.03, 0.03, 3)
+           for j in blocked for t in rng.uniform(1.5, 1.95, per_ray)]
+    return np.array(pts).reshape(-1, 3)
+
+
+@st.composite
+def boundary_cases(draw):
+    """One point at r_safe (1 + k 2**-52), k in -4..4, from the segment of a
+    chosen ray, which the search reaches because a wall blocks the rays
+    before it or they are excluded; more exclusions fall on ray 0 and the
+    chunk edges."""
+    walled = draw(st.booleans())
+    r_safe = 0.1 if walled else draw(st.sampled_from([0.5, 0.1]))
+    params = PcpParams(r_safe=r_safe, v_max=0.3, das_angle_step=FAN_STEP)
+    p = draw(vec3(-5.0, 5.0) | vec3(-1e3, 1e3))
+    g = p + draw(vec3(-3.0, 3.0))
+    assume(norm(g - p) > 1e-3)
+    rays = list(_rays(g - p, FAN_STEP))
+    target = draw(st.sampled_from(CHUNK_EDGES) | st.integers(0, 36))
+    excluded = draw(st.sets(st.sampled_from(CHUNK_EDGES), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if walled:
+        cloud = wall(p, rays, range(target), rng)
+    else:
+        cloud = np.zeros((0, 3))
+        excluded |= set(range(target))
+    normal = np.cross(rays[target], draw(vec3(-1.0, 1.0)))
+    assume(norm(normal) > 1e-3)
+    t = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    k = draw(st.integers(-4, 4))
+    point = (p + (t * params.r_det) * rays[target]
+             + (r_safe * (1.0 + k * 2.0 ** -52)) * unit(normal))
+    return p, g, np.vstack([cloud, point]), params, excluded, target
+
+
+@settings(max_examples=300)
+@given(boundary_cases())
+@example((np.zeros(3), np.array([2.0, 0.0, 0.0]),
+          np.array([[1.0, 0.5, 0.0]]), PcpParams(), set(), 0))
+@example((np.array([1e3, -1e3, 1e3]), np.array([1e3 + 1.0, -1e3, 1e3]),
+          np.array([[1e3 + 1.0, -1e3 + 0.5, 1e3]]), PcpParams(), set(), 0))
+def test_das_fan_boundary_same_bytes(case):
+    p, g, cloud, params, excluded, target = case
+    with mock.patch.object(pcp, "_ray_distances",
+                           wraps=pcp._ray_distances) as exact:
+        got = das_search(p, g, cloud, params, excluded=excluded)
+    assert_same_search(got, oracle_das_search(p, g, cloud, params,
+                                              excluded=excluded))
+    # the boundary ray lies inside the guard band: the exact path decides it
+    if target not in excluded:
+        assert exact.call_count >= 1
+
+
+@pytest.mark.parametrize("p", [np.array([0.5, -0.25, 1.1]),
+                               np.array([-987.5, 640.25, 1000.0])])
+@pytest.mark.parametrize("first_free", [13, 20, 24, 25, 30, 36, None])
+def test_das_fan_decides_walls_without_the_exact_path(p, first_free):
+    """Dense walls whose first free ray lies in the second or third chunk,
+    or that leave no ray free; every ray lies far outside the band."""
+    params = PcpParams(r_safe=0.1, v_max=0.3, das_angle_step=FAN_STEP)
+    g = p + np.array([1.0, 2.0, -0.5])
+    rays = list(_rays(g - p, FAN_STEP))
+    stop = len(rays) if first_free is None else first_free
+    blocked = [j for j in range(len(rays)) if j != stop]
+    cloud = wall(p, rays, blocked, np.random.default_rng(stop))
+    for excluded in (set(), {0}, {12, 13}, {24, 25}):
+        with mock.patch.object(pcp, "_ray_distances",
+                               wraps=pcp._ray_distances) as exact:
+            got = das_search(p, g, cloud, params, excluded=excluded)
+        assert exact.call_count == 0
+        assert_same_search(got, oracle_das_search(p, g, cloud, params,
+                                                  excluded=excluded))
+        want = None if first_free in excluded else first_free
+        assert (got and got[1]) == want
 
 
 # -- the PCP's collision-check cloud ------------------------------------------
