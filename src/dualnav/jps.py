@@ -216,8 +216,6 @@ def traversed_cells(a, b):
             tx += tdx
             ty += tdy
             cells.append((cx, cy))
-            if (cx, cy) == (ex, ey):
-                break
         elif tx < ty:
             cx += sx
             tx += tdx

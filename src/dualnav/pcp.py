@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import norm, row_norms, unit
+from .geometry import norm, row_norms, segment_point_distances, unit
 
 
 R_DEC = 3.0         # goal-approach deceleration radius, m
@@ -48,14 +48,17 @@ class PcpParams:
     max_opt_iters: int = 20
 
     def __post_init__(self):
+        if not all(x > 0 for x in (self.r_det, self.r_safe, self.v_max,
+                                   self.a_max, self.das_angle_step)):
+            raise ValueError("r_det, r_safe, v_max, a_max, das_angle_step must be > 0")
+        if not (self.n_use >= 1 and self.max_opt_iters >= 1):
+            raise ValueError("n_use and max_opt_iters must be >= 1")
         if not (self.kappa1 > self.kappa2 > 0):
             raise ValueError("need kappa1 > kappa2 > 0")
         if not (self.waypoint_dist < self.r_det):
             raise ValueError("waypoint_dist must be < r_det")
         if self.v_max ** 2 / (2.0 * self.a_max) >= self.r_safe:
             raise ValueError("braking distance v_max^2/(2 a_max) must be < r_safe")
-        if not (self.r_det > 0 and self.das_angle_step > 0):
-            raise ValueError("r_det and das_angle_step must be > 0")
 
 
 @dataclass
@@ -71,7 +74,6 @@ class MotionCommand:
 _GUARD = 4e-15   # relative half-width of the guard band around a squared bound
 _TINY = 1e-300   # absolute slack for squares that round in the subnormal range
 _FAN_GUARD = 1e-12  # guard band of `_fan_clearance`, relative to its scale**2
-_FAN_CHUNK = 12     # DAS rays per `_fan_clearance` call: three rounds of four
 
 
 def _dot(a, b) -> float:
@@ -235,34 +237,17 @@ def streamline(pcl_sorted: np.ndarray, dist: np.ndarray, p_n, g_n,
     priority = (dist <= 0.5 * d_ft) | ahead
     pri_idx = np.flatnonzero(priority)
     if len(pri_idx) > n_use:
-        pick = np.unique(np.linspace(0, len(pri_idx) - 1, n_use).round().astype(int))
-        while len(pick) < n_use:        # rounding collisions: fill greedily
-            missing = np.setdiff1d(np.arange(len(pri_idx)), pick)
-            pick = np.sort(np.append(pick, missing[:n_use - len(pick)]))
-        chosen = pri_idx[pick]
-    else:
-        rest = np.flatnonzero(~priority)
-        rng = np.random.default_rng(seed)
-        extra = rng.choice(rest, size=n_use - len(pri_idx), replace=False)
-        chosen = np.concatenate([pri_idx, extra])
-    return np.sort(chosen)
+        # picks (L - 1) / (n_use - 1) > 1 apart round to n_use distinct
+        # ascending indices into the ascending pri_idx
+        pick = np.linspace(0, len(pri_idx) - 1, n_use).round().astype(int)
+        return pri_idx[pick]
+    rest = np.flatnonzero(~priority)
+    rng = np.random.default_rng(seed)
+    extra = rng.choice(rest, size=n_use - len(pri_idx), replace=False)
+    return np.sort(np.concatenate([pri_idx, extra]))
 
 
 # -- collision checking and waypoint search ----------------------------------
-
-def _ray_distances(p_n, ray, r_det, pts, rel):
-    """`segment_point_distances(p_n, p_n + r_det * ray, pts)`, given
-    rel = pts - p_n, which every ray of a fan shares."""
-    ab = (p_n + r_det * ray) - p_n
-    denom = float(ab.dot(ab))
-    if denom == 0.0:
-        diff = rel
-    else:
-        t = np.clip(rel @ ab / denom, 0.0, 1.0)
-        diff = pts - (p_n + t[:, None] * ab)
-    # the same row norms as `segment_point_distances`
-    return row_norms(diff)
-
 
 def _fan_clearance(rays, rel, rel2, r_det):
     """Smallest squared distance from the points to each segment of a fan:
@@ -272,8 +257,8 @@ def _fan_clearance(rays, rel, rel2, r_det):
     squared row norms; inf with no points. Let u = 2**-53, S =
     max|p_n| + max|rel| + r_det + |r_safe| and D <= |rel| <= S the real
     distance to the segment along the exact ray e = unit(fan[i]). Then:
-    - the exact path, `_ray_distances`, rounds in world coordinates, (p_n +
-      r_det e) - p_n, then pts - (p_n + t ab): within about 16u S of D;
+    - the exact path, `segment_point_distances`, rounds in world coordinates,
+      (p_n + r_det e) - p_n, then pts - (p_n + t ab): within about 16u S of D;
     - the rays here divide by `row_norms`, e by the dot of `norm`; each is
       within 2u of the true norm, which moves a segment end by 9u r_det;
     - gemm here and gemv there each lie within 3u |rel| of the true dot,
@@ -333,7 +318,7 @@ def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
     """First collision-free candidate ray; returns (w_pn, ray_index) or None.
 
     Ray 0 is scored alone. The rest of the fan is built only when ray 0 is
-    blocked or excluded, and scored `_FAN_CHUNK` rays at a time.
+    blocked or excluded, and scored in one `_fan_clearance` call.
     """
     p_n = np.asarray(p_n, dtype=float)
     g_n = np.asarray(g_n, dtype=float)
@@ -354,20 +339,18 @@ def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
     lo, hi = r_safe * r_safe - band, r_safe * r_safe + band
 
     def free(m, ray):   # a ray whose `_fan_clearance` m is not below the band
-        return m > hi or not (_ray_distances(p_n, ray, r_det, pts, rel)
-                              < r_safe).any()
+        return m > hi or not (segment_point_distances(
+            p_n, p_n + r_det * ray, pts) < r_safe).any()
 
     if 0 not in excluded:
         m = _fan_clearance(ray[None], rel, rel2, r_det)[0]
         if not m < lo and free(m, ray):
             return p_n + wd * ray, 0
     fan = _fan_vectors(ray, params.das_angle_step)
-    rays = fan / row_norms(fan)[:, None]
-    for c in range(0, len(fan), _FAN_CHUNK):
-        clear = _fan_clearance(rays[c:c + _FAN_CHUNK], rel, rel2, r_det)
-        for i, m in enumerate(clear.tolist(), c + 1):
-            if i not in excluded and not m < lo and free(m, unit(fan[i - 1])):
-                return p_n + wd * unit(fan[i - 1]), i
+    clear = _fan_clearance(fan / row_norms(fan)[:, None], rel, rel2, r_det)
+    for i, m in enumerate(clear.tolist(), 1):
+        if i not in excluded and not m < lo and free(m, unit(fan[i - 1])):
+            return p_n + wd * unit(fan[i - 1]), i
     return None
 
 
@@ -526,9 +509,8 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
     v_n = np.asarray(v_n, dtype=float)
     pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
     d_bkd = braking_distance(v_n, params.a_max)
-    rel = pts - p_n
-    min_obs = (float(np.min(row_norms(rel)))
-               if len(pts) else math.inf)
+    t_avs = max(params.waypoint_dist / params.v_max, 1e-3)
+    min_obs = float(np.min(row_norms(pts - p_n))) if len(pts) else math.inf
     if min_obs > d_bkd:
         goal_dir = unit(np.asarray(p_prev, dtype=float) - p_n)
         if norm(goal_dir) == 0.0:
@@ -537,23 +519,21 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
         for idx, ray in enumerate(_rays(goal_dir, params.das_angle_step)):
             if idx in blocked_rays:
                 continue
-            clear = (float(np.min(_ray_distances(p_n, ray, params.r_det,
-                                                 pts, rel)))
+            clear = (float(np.min(segment_point_distances(
+                p_n, p_n + params.r_det * ray, pts)))
                      if len(pts) else math.inf)
             if clear > best_clear:
                 best_ray, best_clear = ray, clear
         if best_ray is not None:
             w = p_n + params.waypoint_dist * best_ray
-            cmd = plan_motion(p_n, v_n, w, max(params.waypoint_dist / params.v_max, 1e-3),
-                              params)
+            cmd = plan_motion(p_n, v_n, w, t_avs, params)
             cmd.mode = "backup_steer"
             return cmd
     if norm(v_n) > 1e-6:
         return MotionCommand(_brake_accel(v_n, params.a_max),
                              mode="backup_brake")
     w = np.asarray(p_prev, dtype=float)
-    cmd = plan_motion(p_n, v_n, w, max(params.waypoint_dist / params.v_max, 1e-3),
-                      params)
+    cmd = plan_motion(p_n, v_n, w, t_avs, params)
     cmd.mode = "backup_brake"
     return cmd
 

@@ -6,7 +6,9 @@ and each method of its top-level classes, must be referenced by name
 outside its own definition, in the package, the tests, the demos or the
 benchmark. A reference is a name, an attribute or a string equal to it
 (the runtime dispatches its loop bodies by name). Dunder methods, which
-Python calls, and click commands, which click calls, are exempt.
+Python calls, and click commands, which click calls, are exempt. Each
+module-level constant of `src/dualnav` must likewise be referenced outside
+its own assignment.
 
 A second scan checks that each defaulted parameter of those functions and
 methods (`__init__` included, called by its class's name) is passed, by
@@ -68,16 +70,31 @@ def references(tree):
     return out
 
 
-def dead_helpers(sources: dict) -> list:
-    """`path:line: name` for each definition in a `src/dualnav` module of
-    {path: source} that nothing outside its own body references."""
+def constants(tree):
+    """(name, node) for each name a module-level assignment binds, dunders
+    left out."""
+    out = []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        out += [(name.id, node) for target in targets
+                for name in ast.walk(target) if isinstance(name, ast.Name)
+                and not name.id.startswith("__")]
+    return out
+
+
+def unreferenced(sources: dict, named) -> list:
+    """`path:line: name` for each (name, node) that `named` finds in a
+    `src/dualnav` module of {path: source} and that nothing outside the
+    node references."""
     trees = {path: ast.parse(src) for path, src in sources.items()}
     refs = {path: references(tree) for path, tree in trees.items()}
     found = []
     for path, tree in trees.items():
         if not path.startswith(PACKAGE):
             continue
-        for name, node in definitions(tree):
+        for name, node in named(tree):
             used = any(
                 ref == name and not (other == path
                                      and node.lineno <= line <= node.end_lineno)
@@ -293,16 +310,40 @@ def test_scan_finds_a_dead_helper():
                   "@click.command()\ndef cmd():\n    pass\n"),
         "tests/test_m.py": "from dualnav.m import Box\nBox().read()\n",
     }
-    assert dead_helpers(sources) == [f"{package}:4: recursive",
-                                     f"{package}:11: unread"]
+    assert unreferenced(sources, definitions) == [
+        f"{package}:4: recursive", f"{package}:11: unread"]
 
 
 def test_no_dead_helpers():
     files = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py"))
     assert any(str(p.relative_to(ROOT)).startswith(PACKAGE) for p in files)
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in files}
-    found = dead_helpers(sources)
+    found = unreferenced(sources, definitions)
     assert not found, "unreferenced definitions:\n" + "\n".join(found)
+
+
+def test_scan_finds_a_dead_constant():
+    package = PACKAGE + "/m.py"
+    sources = {
+        package: ("import numpy as np\n"
+                  "__all__ = ['STEP']\n"
+                  "STEP = 0.5\n"
+                  "_CHUNK = 12     # read by nothing\n"
+                  "_LIMIT: int = 3\n"
+                  "_A, _B = 1, 2\n"
+                  "_ROUNDS = (\n    _A,\n)\n"
+                  "def f(x):\n    return np.clip(x, 0, _LIMIT)\n"),
+        "tests/test_m.py": "from dualnav import m\nm.STEP\n",
+    }
+    assert unreferenced(sources, constants) == [
+        f"{package}:4: _CHUNK", f"{package}:6: _B", f"{package}:7: _ROUNDS"]
+
+
+def test_no_dead_constants():
+    files = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in files}
+    found = unreferenced(sources, constants)
+    assert not found, "unread module constants:\n" + "\n".join(found)
 
 
 def test_scan_finds_an_unset_field():

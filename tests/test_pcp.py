@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dualnav.pcp import (PcpParams, _rays, braking_distance, compute_goal,
@@ -28,6 +28,19 @@ def test_params_validation():
     # a DAS ray needs a length
     with pytest.raises(ValueError):
         PcpParams(waypoint_dist=-1.0, r_det=0.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"a_max": -2.0}, {"a_max": 0.0}, {"a_max": math.nan},
+    {"v_max": 0.0}, {"v_max": -1.0}, {"v_max": math.nan},
+    {"r_safe": 0.0}, {"r_safe": math.nan},
+    {"n_use": 0}, {"max_opt_iters": 0}])
+def test_params_reject_limits_that_break_the_pcp(bad):
+    # a_max < 0 makes `hold` speed up, a_max = 0 and v_max = 0 divide by
+    # zero, n_use = 0 drops the whole cloud and max_opt_iters = 0 returns
+    # a = 0 unsolved
+    with pytest.raises(ValueError):
+        PcpParams(**bad)
 
 
 @pytest.mark.parametrize("step", [0.0, -0.0, -math.radians(10.0), math.nan])
@@ -89,6 +102,22 @@ def test_streamline_caps_and_sorts():
     assert len(out) == 70
     d = np.linalg.norm(out - p, axis=1)
     assert np.all(np.diff(d) >= -1e-12)
+
+
+@given(st.integers(1, 3000), st.integers(1, 3000))
+@example(1, 1)
+@example(2, 1)
+@example(3000, 1)
+def test_streamline_thins_priority_points_evenly(n_use, surplus):
+    # every point lies ahead of the goal direction, so all L are priority
+    # points; picks (L - 1) / (n_use - 1) > 1 apart never round together
+    L = n_use + surplus
+    pts = np.zeros((L, 3))
+    pts[:, 0] = np.arange(1.0, L + 1.0)
+    out = streamline(pts, pts[:, 0].copy(), np.zeros(3), [1.0, 0, 0], n_use)
+    assert len(out) == n_use
+    assert np.all(np.diff(out) > 0)
+    assert np.array_equal(out, np.round(np.linspace(0, L - 1, n_use)))
 
 
 def test_streamline_short_input_passthrough():

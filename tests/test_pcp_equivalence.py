@@ -525,13 +525,14 @@ def assert_same_search(got, want):
 
 # -- the batched DAS fan -----------------------------------------------------
 #
-# `das_search` decides a ray from a batched clearance, twelve rays to a call,
-# and leaves a ray near r_safe to the exact per-ray distances. The draws below
-# put a point on that boundary, reach rays in each chunk past walls and
-# exclusions, and fly far from the origin, where the band is widest.
+# `das_search` decides a ray from a batched clearance, ray 0 alone and the
+# rest of the fan in one call, and leaves a ray near r_safe to the exact
+# per-ray distances. The draws below put a point on that boundary, reach rays
+# across the fan past walls and exclusions, and fly far from the origin, where
+# the band is widest.
 
-FAN_STEP = math.radians(10.0)   # 37 rays: 0, then chunks 1-12, 13-24, 25-36
-CHUNK_EDGES = [0, 12, 13, 24, 25, 36]
+FAN_STEP = math.radians(10.0)   # 37 rays: 0, then rounds of four up to 36
+CHUNK_EDGES = [0, 12, 13, 24, 25, 36]   # ray 0, rounds 3|4 and 6|7, ray 36
 
 
 def wall(p, rays, blocked, rng, per_ray=8):
@@ -548,8 +549,7 @@ def wall(p, rays, blocked, rng, per_ray=8):
 def boundary_cases(draw):
     """One point at r_safe (1 + k 2**-52), k in -4..4, from the segment of a
     chosen ray, which the search reaches because a wall blocks the rays
-    before it or they are excluded; more exclusions fall on ray 0 and the
-    chunk edges."""
+    before it or they are excluded; more exclusions fall on CHUNK_EDGES."""
     walled = draw(st.booleans())
     r_safe = 0.1 if walled else draw(st.sampled_from([0.5, 0.1]))
     params = PcpParams(r_safe=r_safe, v_max=0.3, das_angle_step=FAN_STEP)
@@ -582,8 +582,8 @@ def boundary_cases(draw):
           np.array([[1e3 + 1.0, -1e3 + 0.5, 1e3]]), PcpParams(), set(), 0))
 def test_das_fan_boundary_same_bytes(case):
     p, g, cloud, params, excluded, target = case
-    with mock.patch.object(pcp, "_ray_distances",
-                           wraps=pcp._ray_distances) as exact:
+    with mock.patch.object(pcp, "segment_point_distances",
+                           wraps=pcp.segment_point_distances) as exact:
         got = das_search(p, g, cloud, params, excluded=excluded)
     assert_same_search(got, oracle_das_search(p, g, cloud, params,
                                               excluded=excluded))
@@ -596,8 +596,8 @@ def test_das_fan_boundary_same_bytes(case):
                                np.array([-987.5, 640.25, 1000.0])])
 @pytest.mark.parametrize("first_free", [13, 20, 24, 25, 30, 36, None])
 def test_das_fan_decides_walls_without_the_exact_path(p, first_free):
-    """Dense walls whose first free ray lies in the second or third chunk,
-    or that leave no ray free; every ray lies far outside the band."""
+    """Dense walls whose first free ray lies past ray 12, or that leave no
+    ray free; every ray lies far outside the band."""
     params = PcpParams(r_safe=0.1, v_max=0.3, das_angle_step=FAN_STEP)
     g = p + np.array([1.0, 2.0, -0.5])
     rays = list(_rays(g - p, FAN_STEP))
@@ -605,8 +605,8 @@ def test_das_fan_decides_walls_without_the_exact_path(p, first_free):
     blocked = [j for j in range(len(rays)) if j != stop]
     cloud = wall(p, rays, blocked, np.random.default_rng(stop))
     for excluded in (set(), {0}, {12, 13}, {24, 25}):
-        with mock.patch.object(pcp, "_ray_distances",
-                               wraps=pcp._ray_distances) as exact:
+        with mock.patch.object(pcp, "segment_point_distances",
+                               wraps=pcp.segment_point_distances) as exact:
             got = das_search(p, g, cloud, params, excluded=excluded)
         assert exact.call_count == 0
         assert_same_search(got, oracle_das_search(p, g, cloud, params,
