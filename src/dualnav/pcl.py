@@ -25,7 +25,7 @@ class FilterParams:
     outlier_min_neighbors: int = 3
 
     def __post_init__(self):
-        if self.outlier_radius <= 0:
+        if not self.outlier_radius > 0:
             raise ValueError("outlier_radius must be > 0")
         if self.outlier_min_neighbors < 1:
             raise ValueError("outlier_min_neighbors must be >= 1")
@@ -44,35 +44,41 @@ def voxel_downsample(cloud: np.ndarray, voxel_size: float) -> np.ndarray:
     """Replace the points of each voxel by their centroid.
 
     Output order follows the first occurrence of each voxel in the input.
-    Each point's voxel key is the voxel's rank in a lexicographic sort of the
-    voxel indices, so keys are dense (< n) and distinct voxels never share one.
+    The kernel works on the three coordinate columns: each column's voxel
+    index is floor(c / voxel_size), a stable lexsort of the three orders
+    the points by voxel, and a voxel starts wherever any column's index
+    differs from the previous point's. A NaN index differs from every
+    index, so each point with a NaN coordinate is a voxel of its own, and
+    -0.0 equals 0.0. Each point's voxel key is the voxel's rank in that
+    sort, so keys are dense (< n) and distinct voxels never share one; one
+    bincount per column then sums each voxel's points in input order.
     """
-    if voxel_size <= 0:
+    if not voxel_size > 0:
         raise ValueError("voxel_size must be > 0")
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     if len(cloud) == 0:
         return cloud
-    cells = np.floor(cloud / voxel_size)
-    by_voxel = np.lexsort(cells.T)       # stable: equal voxels keep input order
-    sorted_cells = cells[by_voxel]
+    columns = cloud.T
+    cells = [np.floor(c / voxel_size) for c in columns]
+    by_voxel = np.lexsort(cells)         # stable: equal voxels keep input order
+    sx, sy, sz = (c[by_voxel] for c in cells)
     starts = np.ones(len(cloud), dtype=bool)
-    np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1, out=starts[1:])
+    starts[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1]) | (sz[1:] != sz[:-1])
     inverse = np.empty(len(cloud), dtype=np.intp)
     inverse[by_voxel] = np.cumsum(starts) - 1
     first = by_voxel[starts]
-    # bincount adds each voxel's points in input order, one axis at a time
-    sums = np.stack([np.bincount(inverse, weights=cloud[:, k],
-                                 minlength=first.size) for k in range(3)],
-                    axis=1)
     counts = np.bincount(inverse, minlength=first.size).astype(float)
-    centroids = sums / counts[:, None]
     order = np.argsort(first, kind="stable")
-    return centroids[order]
+    centroids = np.empty((first.size, 3))
+    for k, c in enumerate(columns):
+        sums = np.bincount(inverse, weights=c, minlength=first.size)
+        centroids[:, k] = (sums / counts)[order]
+    return centroids
 
 
 def outlier_filter(cloud: np.ndarray, radius: float, min_neighbors: int) -> np.ndarray:
     """Keep points with at least min_neighbors other points within radius."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be > 0")
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     if len(cloud) == 0:

@@ -183,6 +183,16 @@ def fermat_point(vertices) -> np.ndarray:
     e2p = [x - k * y for x, y in zip(e2, u)]
     n2 = _vnorm(e2p)
     v = [x / n2 for x in e2p] if n2 > 1e-15 else _any_orthogonal(u)
+    # when e2 runs along e1, e2p is mostly rounding error and v can lean
+    # on u, which the plane coordinates below take as orthonormal; a lean
+    # c moves the mapped point by up to |c| times its distance from v0, so
+    # above 1e-9 remove u from v once more, or, when v lies along u, use
+    # any orthogonal direction (the height is then of the rounding's order)
+    c = _dot(v, u)
+    if abs(c) > 1e-9:
+        w = [x - c * y for x, y in zip(v, u)]
+        nw = _vnorm(w)
+        v = [x / nw for x in w] if nw > 0.5 else _any_orthogonal(u)
     D = V - V[0]
     plane = zip((D @ np.array(u)).tolist(), (D @ np.array(v)).tolist())
     f0, f1 = _fermat_point_2d(tuple(plane))

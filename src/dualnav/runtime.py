@@ -20,6 +20,20 @@ The mapping tick publishes the map as a snapshot `(pcl_m, p)`: the occupied
 voxel centres and the drone position at that tick. The MP derives the local
 map Pcl_lm and its projection Map_1 from the snapshot only when it replans,
 so a snapshot that no replan reads costs nothing beyond the integration.
+
+The MP's validity gate keeps the (path, Pcl_m) pair it last found clear,
+both references held, and skips `path_clears` when a tick reads the same
+two objects (compared with `is`). The kept verdict is the one a new check
+would give, because:
+- every replan publishes a new `PlanPath`;
+- `VoxelMap.occupied_centers` returns the same read-only array until the
+  voxel set changes, and a new one after; a map that forgets voxels must
+  keep this, publishing a new read-only array whenever it changes;
+- between replans `wp_index` only grows, so each later remaining path is
+  the one checked or a suffix of it with at least two waypoints;
+- `path_clears` answers `min_clearance >= margin`, and over a suffix that
+  is a minimum over a subset of the same per-segment distances.
+A blocked verdict always replans, so only clear verdicts are kept.
 """
 from __future__ import annotations
 
@@ -198,6 +212,7 @@ class _EpisodeCore:
         self.blocked_rays = set()
         self.pcp_steps = 0
         self.mp_replans = 0
+        self.mp_cleared = (None, None)   # (path, pcl_m) last found clear
         self.backup_count = 0
         self.timing = {name: [] for name, _ in scenario.rates.periods()}
         self._lock = threading.Lock()
@@ -257,10 +272,18 @@ class _EpisodeCore:
             # a voxel of chord clearance, so gating on r_safe here would force
             # a replan on every cycle. path_clears reads only the voxels near
             # each remaining segment and answers as the full min_clearance
-            # scan would.
+            # scan would. A path found clear against this very Pcl_m array
+            # stays clear: its remaining part only shrinks to a suffix, whose
+            # clearance is a minimum over a subset of the same segments, and
+            # the map publishes a new array whenever its voxels change (see
+            # the module docstring).
+            cleared_path, cleared_map = self.mp_cleared
+            if current is cleared_path and pcl_m is cleared_map:
+                return                      # suspended: path still valid
             margin = self.sc.drone_radius + self.sc.map_params.voxel_size / 2.0
             remaining = current.waypoints[max(self.wp_index - 1, 0):]
             if path_clears(remaining, pcl_m, margin):
+                self.mp_cleared = (current, pcl_m)
                 return                      # suspended: path still valid
             reason = "collided"
         else:

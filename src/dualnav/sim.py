@@ -95,8 +95,12 @@ class SensorParams:
     def __post_init__(self):
         if not (0.0 < self.h_fov < math.pi and 0.0 < self.v_fov < math.pi):
             raise ValueError("FOVs must lie in (0, pi)")
-        if self.max_range <= 0:
+        if self.h_rays < 1 or self.v_rays < 1:
+            raise ValueError("h_rays and v_rays must be >= 1")
+        if not self.max_range > 0:
             raise ValueError("max_range must be > 0")
+        if not self.noise_coeff >= 0:
+            raise ValueError("noise_coeff must be >= 0")
 
 
 @dataclass
@@ -244,8 +248,15 @@ def sense(world: World, position, yaw: float, sensor: SensorParams,
     if sensor.noise_coeff > 0.0:
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), int(round(time * 1e6))]))
-        # abs: a ray starting on a surface hits at -0.0, a scale numpy rejects
-        t = t + rng.normal(0.0, sensor.noise_coeff * np.abs(t))
+        # rng.normal(0.0, scale) computes 0.0 + scale * z over this same
+        # stream, but broadcasts and checks its scale element by element. A
+        # ray starting on a surface hits at t = -0.0: abs keeps its scale
+        # +0.0, and + 0.0 turns a -0.0 product into the +0.0 that normal's
+        # loc gives, so t keeps normal's bits
+        z = rng.standard_normal(len(t))
+        z *= sensor.noise_coeff * np.abs(t)
+        z += 0.0
+        t = t + z
     # the Earth-frame hit minus the origin, axis by axis, then back to the
     # yaw-aligned body frame
     rx, ry, rz = ((o + t * d) - o for o, d in zip(origin.tolist(),

@@ -7,6 +7,8 @@ import math
 import time
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dualnav.bench import bench_map2d, bench_optimizer, scenario
 from dualnav.geometry import min_clearance, path_length
@@ -200,6 +202,43 @@ def test_criterion_05_triangle_goal_oracle():
         worst = max(worst, abs(cost - ref) / max(ref, 1.0))
     report(5, "triangle goal oracle", worst <= 1e-6,
            f"1000 triangles, worst rel error {worst:.2e}")
+
+
+@st.composite
+def triangles(draw):
+    """Generic triangles, near-degenerate ones (a vertex within 1e-9 of
+    the line through the other two, or on another vertex) and ones with an
+    angle of 120-179 degrees at a vertex."""
+    coord = st.floats(-3.0, 3.0)
+    point = st.tuples(coord, coord, coord).map(np.array)
+    a, b, c = draw(point), draw(point), draw(point)
+    kind = draw(st.sampled_from(["generic", "degenerate", "obtuse"]))
+    if kind == "degenerate":
+        t = draw(st.floats(-0.5, 1.5))
+        jitter = np.array(draw(st.tuples(*[st.floats(-1e-9, 1e-9)] * 3)))
+        c = a.copy() if draw(st.booleans()) else a + t * (b - a) + jitter
+    elif kind == "obtuse":
+        # c - a makes an angle theta with b - a, in their plane
+        d1 = b - a
+        n1 = np.linalg.norm(d1)
+        if n1 < 1e-3:
+            return np.stack([a, b, c])
+        ortho = c - a - np.dot(c - a, d1) / n1 ** 2 * d1
+        n2 = np.linalg.norm(ortho)
+        if n2 < 1e-3:
+            return np.stack([a, b, c])
+        theta = math.radians(draw(st.floats(120.0, 179.0)))
+        d2 = math.cos(theta) * d1 / n1 + math.sin(theta) * ortho / n2
+        c = a + d2 * draw(st.floats(0.05, 3.0))
+    return np.stack([a, b, c])
+
+
+@given(triangles())
+def test_fermat_point_matches_weiszfeld_over_generated_triangles(V):
+    """Criterion 5's bound over Hypothesis-drawn triangles."""
+    cost = _median_cost(V, fermat_point(V))
+    ref = _oracle_cost(V)
+    assert abs(cost - ref) / max(ref, 1.0) <= 1e-6
 
 
 # -- criterion 6: motion optimizer convergence -------------------------------

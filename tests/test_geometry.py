@@ -119,6 +119,41 @@ def test_path_clears_matches_min_clearance(case):
     assert path_clears(wp, cloud, r) == (min_clearance(wp, cloud) >= r)
 
 
+@st.composite
+def suffix_cases(draw):
+    """A polyline of 2-6 waypoints, a cloud and a radius r; some points
+    lie off a segment's side at r times (1 + e), |e| <= 1e-12, where
+    path_clears hands the verdict to the full scan."""
+    coord = st.floats(-3.0, 3.0)
+    point = st.tuples(coord, coord, coord).map(np.array)
+    wp = np.array(draw(st.lists(point, min_size=2, max_size=6)))
+    r = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]) | st.floats(0.01, 1.0))
+    pts = draw(st.lists(point, max_size=6))
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(wp) - 2))
+        a, b = wp[i], wp[i + 1]
+        side = np.cross(b - a, draw(point))
+        n = np.linalg.norm(side)
+        if n == 0.0:
+            continue
+        base = a + draw(st.floats(0.0, 1.0)) * (b - a)
+        e = draw(st.sampled_from([-1e-12, 0.0, 1e-12]) | st.floats(-1e-12,
+                                                                   1e-12))
+        pts.append(base + r * (1.0 + e) * side / n)
+    return wp, np.array(pts, dtype=float).reshape(-1, 3), r
+
+
+@settings(max_examples=300)
+@given(suffix_cases())
+def test_a_clear_path_stays_clear_on_every_suffix(case):
+    """The MP gate keeps a clear verdict while the drone moves along the
+    path; its remaining part is then a suffix of the one it checked."""
+    wp, cloud, r = case
+    if path_clears(wp, cloud, r):
+        for k in range(len(wp) - 1):
+            assert path_clears(wp[k:], cloud, r)
+
+
 @settings(max_examples=100)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.2, None]),
        st.integers(1, 3000))

@@ -26,8 +26,23 @@ def test_voxel_downsample_centroids():
 
 
 def test_voxel_downsample_validates():
+    for size in (0.0, -0.2, math.nan):
+        with pytest.raises(ValueError):
+            voxel_downsample(np.zeros((1, 3)), size)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.4, math.nan])
+def test_outlier_filter_validates(radius):
     with pytest.raises(ValueError):
-        voxel_downsample(np.zeros((1, 3)), 0.0)
+        outlier_filter(np.zeros((1, 3)), radius, 3)
+
+
+@pytest.mark.parametrize("bad", [
+    {"outlier_radius": 0.0}, {"outlier_radius": -0.4},
+    {"outlier_radius": math.nan}, {"outlier_min_neighbors": 0}])
+def test_filter_params_validation(bad):
+    with pytest.raises(ValueError):
+        FilterParams(**bad)
 
 
 def test_voxel_downsample_keeps_far_apart_voxels_apart():

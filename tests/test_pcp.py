@@ -75,6 +75,19 @@ def test_fermat_coincident_vertices():
     assert np.allclose(fermat_point(V), [1, 1, 1])
 
 
+def test_fermat_collinear_vertices_with_rounding_noise():
+    # e2 runs along e1, so e2p is rounding error that leans on u: the
+    # plane basis must be made orthogonal before the middle vertex maps back
+    V = np.array([[2.0, 3.0, 2.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.allclose(fermat_point(V), 0.0, atol=1e-12)
+    d = np.array([0.0, 1.0, 1.0])
+    for k in (2.1, 1.5):
+        V = np.array([4.2 * d, k * d, np.zeros(3)])
+        assert np.allclose(fermat_point(V), k * d, atol=1e-12)
+        assert np.allclose(compute_goal(np.zeros(3), np.zeros(3), [d], 4.2, k),
+                           k * d, atol=1e-12)
+
+
 def test_fermat_3d_plane_invariance():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -6,7 +6,11 @@ The oracles below are the earlier implementations: every 3-vector norm a
 `np.allclose`, the feasibility bisection on numpy arrays, the DAS fan built
 whole on every call and each of its rays checked by its own segment
 distances, and a collision-check cloud that computes each point's distance
-anew for every cut and sort.
+anew for every cut and sort. One step is newer than those versions:
+`oracle_fermat_point` removes u once more from a plane direction v that
+leans on it by more than 1e-9, as `pcp.fermat_point` does. Without it, a
+collinear triangle whose e2p is rounding error gets a skewed plane basis
+and a goal off the triangle: (4.2, 2.1, 0) * (0, 1, 1) gave (0, 0, 0).
 """
 import math
 from unittest import mock
@@ -76,6 +80,11 @@ def oracle_fermat_point(vertices):
     e2p = e2 - np.dot(e2, u) * u
     n2 = np.linalg.norm(e2p)
     v = e2p / n2 if n2 > 1e-15 else _oracle_any_orthogonal(u)
+    c = np.dot(v, u)
+    if abs(c) > 1e-9:
+        w = v - c * u
+        nw = np.linalg.norm(w)
+        v = w / nw if nw > 0.5 else _oracle_any_orthogonal(u)
     plane = np.stack([(V - V[0]) @ u, (V - V[0]) @ v], axis=1)
     f2 = _oracle_fermat_point_2d(plane)
     return V[0] + f2[0] * u + f2[1] * v
@@ -755,6 +764,8 @@ def goal_cases(draw):
 @example((np.zeros(3), np.zeros(3), np.zeros((2, 3)), 4.2, 1.5))
 @example((np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0, 0.0]),
           np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]), 4.2, 1.5))
+# collinear, with an e2p of pure rounding error
+@example((np.zeros(3), np.zeros(3), np.array([[0.0, 1.0, 1.0]]), 4.2, 2.1))
 def test_compute_goal_same_bytes(case):
     p, v, wps, kappa1, kappa2 = case
     assert_same_bytes(compute_goal(p, v, wps, kappa1, kappa2),

@@ -2,14 +2,16 @@
 versions they replaced, over generated worlds and clouds.
 
 The oracles below are the earlier implementations of `sim.sense` (one slab
-test per box, nanmax/nanmin reductions, the fan rebuilt per call),
-`pcl.voxel_downsample` (`np.unique` over int64 rows) and
-`pcl.outlier_filter` (a `query_ball_point` count per point).
+test per box, nanmax/nanmin reductions, the fan rebuilt per call, the
+noise drawn with `rng.normal`), `pcl.voxel_downsample` (`np.unique` over
+int64 rows, and the row-wise lexsort kernel that the column kernel
+replaced) and `pcl.outlier_filter` (a `query_ball_point` count per point).
 """
 import math
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -82,6 +84,29 @@ def oracle_voxel_downsample(cloud, voxel_size):
     )
     sums = np.zeros((first.size, 3))
     np.add.at(sums, inverse, cloud)
+    counts = np.bincount(inverse, minlength=first.size).astype(float)
+    centroids = sums / counts[:, None]
+    order = np.argsort(first, kind="stable")
+    return centroids[order]
+
+
+def oracle_rowwise_voxel_downsample(cloud, voxel_size):
+    """The lexsort kernel on the (n, 3) voxel index rows, with a row-wise
+    `any` for the voxel starts and the sums stacked into rows."""
+    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    if len(cloud) == 0:
+        return cloud
+    cells = np.floor(cloud / voxel_size)
+    by_voxel = np.lexsort(cells.T)
+    sorted_cells = cells[by_voxel]
+    starts = np.ones(len(cloud), dtype=bool)
+    np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(cloud), dtype=np.intp)
+    inverse[by_voxel] = np.cumsum(starts) - 1
+    first = by_voxel[starts]
+    sums = np.stack([np.bincount(inverse, weights=cloud[:, k],
+                                 minlength=first.size) for k in range(3)],
+                    axis=1)
     counts = np.bincount(inverse, minlength=first.size).astype(float)
     centroids = sums / counts[:, None]
     order = np.argsort(first, kind="stable")
@@ -286,15 +311,37 @@ def test_sense_origin_on_box_face_matches_oracle():
         assert_same_bytes(got, oracle_sense(*scene))
 
 
+def test_noisy_sense_from_a_box_face_matches_oracle():
+    # the origin sits on the box's x = 0 face and on the floor, with -0.0
+    # coordinates: rays into the box hit at a zero t and rays down at
+    # t = -0.0, whose scale the abs makes +0.0 and whose offset normal's
+    # loc makes +0.0. The body-frame point (o + t * d) - o is +0.0 for
+    # either zero, so the output cannot show the offset's sign
+    world = World(static=[Box((0.0, -1.0, 0.0), (2.0, 1.0, 2.0))],
+                  ground_z=0.0)
+    sensor = SensorParams(h_rays=9, v_rays=7)
+    for origin in ((-0.0, 0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, -0.0, -0.0)):
+        for yaw in (0.0, math.pi, -2.5):
+            scene = (world, origin, yaw, sensor, 0.25, 11)
+            got = sense(*scene)
+            assert np.count_nonzero(~got.any(axis=1)) > 0
+            assert_same_bytes(got, oracle_sense(*scene))
+
+
 # -- voxel and outlier filters ----------------------------------------------
 
 @st.composite
 def clouds(draw, max_points=80):
     n = draw(st.integers(0, max_points))
-    kind = draw(st.sampled_from(["float", "lattice"]))
+    kind = draw(st.sampled_from(["float", "lattice", "edge"]))
     if kind == "float":
         cloud = draw(hnp.arrays(np.float64, (n, 3),
                                 elements=st.floats(-5.0, 5.0)))
+    elif kind == "edge":
+        # +-0.0, voxel boundaries and coordinates about 1e6 m out
+        cloud = draw(hnp.arrays(np.float64, (n, 3), elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 0.2, -0.2, 1e6, -1e6, 1e6 + 0.2]),
+            st.floats(-1.0, 1.0), st.floats(1e6 - 1.0, 1e6 + 1.0))))
     else:
         # points on a 0.1 m lattice: pairs sit exactly at 0.1 m multiples and
         # points on voxel boundaries, negative ones included
@@ -333,3 +380,53 @@ def test_filters_on_empty_and_single_point_clouds():
                           oracle_voxel_downsample(cloud, 0.2))
         assert_same_bytes(outlier_filter(cloud, 0.4, 1),
                           oracle_outlier_filter(cloud, 0.4, 1))
+
+
+# -- the column kernel's edge cases -------------------------------------------
+
+_rng = np.random.default_rng(0)
+NAN = np.nan
+EDGE_CLOUDS = {
+    # each point with a NaN coordinate in a voxel of its own on the other
+    # two axes
+    "nan": np.array([[NAN, 0.1, 0.1], [0.3, 0.3, 0.3], [NAN, 0.5, 0.1],
+                     [0.1, NAN, NAN], [0.31, 0.29, 0.33], [NAN] * 3]),
+    # +-0.0 in every position, and a tiny negative in the next voxel down
+    "signed_zero": np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0],
+                             [-0.0, -0.0, -0.0], [0.0, -0.0, 0.1],
+                             [-1e-300, 0.0, 0.0], [0.1, -0.0, 0.0]]),
+    # about 1e6 m out, on a 0.05 m lattice across voxel boundaries and at
+    # scattered offsets
+    "far": np.concatenate([
+        np.stack(np.meshgrid(*[1e6 + 0.05 * np.arange(-3, 4)] * 3),
+                 -1).reshape(-1, 3) * [1.0, -1.0, 1.0],
+        1e6 + _rng.uniform(-1.0, 1.0, size=(40, 3))]),
+    "one_voxel": 0.2 + _rng.uniform(0.0, 0.2, size=(60, 3)) * (1 - 1e-12),
+    "own_voxels": _rng.permutation(
+        (np.stack(np.meshgrid(*[np.arange(-3, 3)] * 3), -1).reshape(-1, 3)
+         + 0.5) * 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CLOUDS))
+def test_voxel_downsample_edge_clouds_match_oracles(name):
+    cloud = EDGE_CLOUDS[name]
+    got = voxel_downsample(cloud, 0.2)
+    assert_same_bytes(got, oracle_rowwise_voxel_downsample(cloud, 0.2))
+    with np.errstate(invalid="ignore"):     # the int64 cast of a NaN
+        assert_same_bytes(got, oracle_voxel_downsample(cloud, 0.2))
+    want = {"one_voxel": 1, "own_voxels": len(cloud)}.get(name)
+    if want is not None:
+        assert len(got) == want
+
+
+def test_voxel_downsample_keeps_nan_points_apart():
+    # np.unique's oracle casts a NaN index to one int64, so it merges NaN
+    # points whose other indices agree; the lexsort kernels, row-wise and
+    # by columns alike, keep each NaN point as a voxel of its own
+    cloud = np.array([[NAN, 0.1, 0.1], [NAN, 0.15, 0.05], [0.3, 0.3, 0.3]])
+    got = voxel_downsample(cloud, 0.2)
+    assert_same_bytes(got, oracle_rowwise_voxel_downsample(cloud, 0.2))
+    assert_same_bytes(got, cloud)
+    with np.errstate(invalid="ignore"):
+        assert len(oracle_voxel_downsample(cloud, 0.2)) == 2

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from dualnav import runtime
 from dualnav.bench import scenario
-from dualnav.geometry import min_clearance
+from dualnav.geometry import min_clearance, path_clears
 from dualnav.map_planner import PlanPath, plan_final_path
-from dualnav.mapping import local_map, project_2d
+from dualnav.mapping import cuboid_cut, local_map, project_2d
 from dualnav.pcp import PcpParams
 from dualnav.runtime import (Blackboard, LoopRates, Scenario, run_episode,
                              virtual_schedule)
@@ -252,6 +252,90 @@ def test_lazy_map_snapshot_leaves_the_flight_unchanged(monkeypatch):
         assert res.trajectory_csv() == want.trajectory_csv()
         assert res.metrics_json() == want.metrics_json()
         assert res.events == want.events
+
+
+def unmemoized_mp_step(self, t):
+    """`_EpisodeCore.mp_step` as it was before the gate kept its clear
+    verdict: every tick that reads a path runs path_clears."""
+    snap = self.bb.read("map")
+    if snap is None:
+        return
+    pcl_m, p_map = snap
+    st = self.bb.read("state")
+    current = self.bb.read("path")
+    if current is not None:
+        margin = self.sc.drone_radius + self.sc.map_params.voxel_size / 2.0
+        remaining = current.waypoints[max(self.wp_index - 1, 0):]
+        if path_clears(remaining, pcl_m, margin):
+            return
+        reason = "collided"
+    else:
+        reason = "absent"
+    pcl_lm = cuboid_cut(pcl_m, p_map, self.sc.map_params)
+    map_1 = project_2d(pcl_lm, p_map, self.sc.map_params)
+    result = runtime.plan_final_path(st.p, self.goal, pcl_lm, map_1,
+                                     self.sc.map_params, self.sc.dags_params,
+                                     use_dags=self.sc.use_dags)
+    self.mp_replans += 1
+    if result is None:
+        self.bb.publish("path", None)
+        self.log(t, "mp_replan", {"reason": reason, "ok": False})
+        return
+    with self._lock:
+        self.wp_index = 1
+        self.blocked_rays = set()
+    self.bb.publish("path", result.path)
+    self.bb.publish("g_l", result.g_l)
+    self.log(t, "mp_replan", {"reason": reason, "ok": True,
+                              "kind": result.path.kind})
+
+
+def test_gate_memo_leaves_the_flight_unchanged(monkeypatch):
+    # in both flights the sensor-built map grows until it blocks a path the
+    # gate found clear; at the lazy-map test's rates the MP and mapping
+    # ticks rarely coincide
+    rates = LoopRates(filter_hz=30.0, mapping_hz=7.0, mp_hz=3.0, pcp_hz=13.0,
+                      sim_dt=0.03)
+    flights = [scenario("intruder", 3),
+               replace(scenario("random", 5, known_world=False,
+                                freeze_map=False), seed=3)]
+    scenarios = flights + [replace(sc, rates=rates) for sc in flights]
+    got = [run_episode(sc) for sc in scenarios]
+    monkeypatch.setattr(runtime._EpisodeCore, "mp_step", unmemoized_mp_step)
+    for sc, res in zip(scenarios, got):
+        want = run_episode(sc)
+        assert res.trajectory_csv() == want.trajectory_csv()
+        assert res.metrics_json() == want.metrics_json()
+        assert res.events == want.events
+    for res in got[:2]:
+        assert any(kind == "mp_replan" and payload["reason"] == "collided"
+                   for _, kind, payload in res.events)
+
+
+def test_gate_checks_each_path_against_a_snapshot_once(monkeypatch):
+    # the (path, Pcl_m) pair each MP tick reads, and one entry per gate
+    # check; the entries hold their objects, so no id is reused
+    reading = [None]
+    checked = []
+    mp_step = runtime._EpisodeCore.mp_step
+
+    def recorded_mp_step(self, t):
+        snap = self.bb.read("map")
+        reading[0] = (self.bb.read("path"),
+                      None if snap is None else snap[0])
+        mp_step(self, t)
+
+    def counted_path_clears(*args):
+        checked.append(reading[0])
+        return path_clears(*args)
+
+    monkeypatch.setattr(runtime._EpisodeCore, "mp_step", recorded_mp_step)
+    monkeypatch.setattr(runtime, "path_clears", counted_path_clears)
+    res = run_episode(scenario("wall", 0))
+    assert res.status == "goal_reached"
+    assert checked
+    pairs = [(id(path), id(pcl_m)) for path, pcl_m in checked]
+    assert len(pairs) == len(set(pairs))
 
 
 def test_walled_in_drone_times_out_instead_of_raising():

@@ -15,6 +15,15 @@ def test_box_validation():
         Box((0, 0, 0), (0, 1, 1))
 
 
+@pytest.mark.parametrize("bad", [
+    {"h_rays": 0}, {"v_rays": 0}, {"h_rays": -3}, {"max_range": 0.0},
+    {"max_range": -1.0}, {"max_range": math.nan}, {"noise_coeff": -0.01},
+    {"noise_coeff": math.nan}, {"h_fov": 0.0}, {"v_fov": math.pi}])
+def test_sensor_params_validation(bad):
+    with pytest.raises(ValueError):
+        SensorParams(**bad)
+
+
 def test_dynamic_obstacle_schedule():
     d = DynamicObstacle(size=(1, 1, 1), times=[1.0, 3.0],
                         positions=[(0, 0, 0), (2, 0, 0)])
