@@ -53,8 +53,12 @@ class DagsParams:
     def __post_init__(self):
         if not (0.0 < self.alpha_res <= math.pi / 4):
             raise ValueError("alpha_res must be in (0, pi/4]")
-        if self.r_safe <= 0:
-            raise ValueError("r_safe must be > 0")
+        # a NaN r_safe never blocks a path and an infinite one blocks every
+        # path, which turns DAGS off; a NaN z_min never rejects one
+        if not 0.0 < self.r_safe < math.inf:
+            raise ValueError("r_safe must be > 0 and finite")
+        if self.z_min is not None and not math.isfinite(self.z_min):
+            raise ValueError("z_min must be finite or None")
 
 
 def cast_local_goal(p_n, global_goal, params: LocalMapParams,

@@ -9,13 +9,16 @@ for the acceleration command. A safety backup covers the no-ray case, and
 The planner runs at the framework's highest rate, so its 3-vector arithmetic
 runs on Python floats wherever that gives the bits of the numpy expression it
 stands for: an elementwise +, -, * or / and a comparison are the same IEEE
-operation either way. Three rules keep every command byte-equal. A 3-vector
+operation either way. Four rules keep every command byte-equal. A 3-vector
 norm is sqrt(x.dot(x)), which is what `np.linalg.norm` computes. A float
 shortcut decides a comparison of a norm with a bound only outside a guard
 band around the squared bound: 4e-15 relative, about 36 times the unit
 roundoff 2**-53, where rounding needs about 10 (`_norm_bound`); numpy
 decides the rest, which lie within a few ulps of the bound. A batched
 clearance decides a DAS ray only outside a guard band (`_fan_clearance`).
+The safety backup's widest ray is chosen by exact clearances, but only
+among the rays whose batched score lies within two guard bands of the best
+score; every other ray is provably narrower (`safety_backup`).
 """
 from __future__ import annotations
 
@@ -55,8 +58,10 @@ class PcpParams:
             raise ValueError("n_use and max_opt_iters must be >= 1")
         if not (self.kappa1 > self.kappa2 > 0):
             raise ValueError("need kappa1 > kappa2 > 0")
-        if not (self.waypoint_dist < self.r_det):
-            raise ValueError("waypoint_dist must be < r_det")
+        # at 0 every DAS waypoint is the drone's own position, and below 0
+        # the drone flies away from the ray it chose
+        if not (0.0 < self.waypoint_dist < self.r_det):
+            raise ValueError("waypoint_dist must be in (0, r_det)")
         if self.v_max ** 2 / (2.0 * self.a_max) >= self.r_safe:
             raise ValueError("braking distance v_max^2/(2 a_max) must be < r_safe")
 
@@ -265,8 +270,9 @@ def _fan_clearance(rays, rel, rel2, r_det):
 
     The rays have norms of about 1, rel = pts - p_n and rel2 holds its
     squared row norms; inf with no points. Let u = 2**-53, S =
-    max|p_n| + max|rel| + r_det + |r_safe| and D <= |rel| <= S the real
-    distance to the segment along the exact ray e = unit(fan[i]). Then:
+    max|p_n| + max|rel| + r_det or more (`_fan_band`) and D <= |rel| <= S
+    the real distance to the segment along the exact ray e = unit(fan[i]).
+    Then:
     - the exact path, `segment_point_distances`, rounds in world coordinates,
       (p_n + r_det e) - p_n, then pts - (p_n + t ab): within about 16u S of D;
     - the rays here divide by `row_norms`, e by the dot of `norm`; each is
@@ -277,12 +283,22 @@ def _fan_clearance(rays, rel, rel2, r_det):
     So near r_safe the value is within about 81u S**2 of the exact squared
     distance. `das_search` calls a ray blocked below r_safe**2 - b and free
     above r_safe**2 + b, b = _FAN_GUARD S**2 + _TINY, and leaves the band and
-    NaN to the exact path. _FAN_GUARD = 1e-12, about 9,000u, leaves a wide
+    NaN to the exact path; `safety_backup` skips the rays scored more than
+    2b below its best. _FAN_GUARD = 1e-12, about 9,000u, leaves a wide
     margin for these rough constants; _TINY covers the subnormals.
     """
     p = rays @ rel.T
     t = np.minimum(np.maximum(p, 0.0), r_det)
     return (rel2 - t * (2.0 * p - t)).min(axis=1, initial=math.inf)
+
+
+def _fan_band(p_n, rel2, reach):
+    """The guard band b = _FAN_GUARD S**2 + _TINY of `_fan_clearance` around
+    a squared clearance, S = max|p_n| + max|rel| + reach, reach >= r_det;
+    inf or NaN when a point is not finite."""
+    scale = (max(map(abs, p_n.tolist())) + math.sqrt(rel2.max(initial=0.0))
+             + reach)
+    return _FAN_GUARD * scale * scale + _TINY
 
 
 @functools.lru_cache(maxsize=8)
@@ -313,15 +329,6 @@ def _fan_vectors(d, angle_step: float) -> np.ndarray:
                      cd - s * vert), axis=1).reshape(-1, 3)
 
 
-def _rays(direction, angle_step: float):
-    """DAS ray directions in search order, one at a time: the goal
-    direction, then the rest of the fan (`_fan_vectors`)."""
-    d = unit(direction)
-    yield d
-    for f in _fan_vectors(d, angle_step):
-        yield unit(f)
-
-
 def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
                waypoint_dist: float | None = None,
                excluded: set | None = None):
@@ -343,9 +350,7 @@ def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
     pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
     rel = pts - p_n
     rel2 = np.einsum("ij,ij->i", rel, rel)
-    scale = (max(map(abs, p_n.tolist())) + math.sqrt(rel2.max(initial=0.0))
-             + r_det + abs(r_safe))
-    band = _FAN_GUARD * scale * scale + _TINY
+    band = _fan_band(p_n, rel2, r_det + abs(r_safe))
     lo, hi = r_safe * r_safe - band, r_safe * r_safe + band
 
     def free(m, ray):   # a ray whose `_fan_clearance` m is not below the band
@@ -514,23 +519,55 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
     Steers along the max-clearance ray not in blocked_rays while the braking
     distance still fits; otherwise, or when blocked_rays holds every ray,
     brakes and retreats toward the previous position.
+
+    The clearance c_i of ray i is the least exact distance
+    (`segment_point_distances`) from the points to its segment, and the
+    first ray of the largest one wins: a loop over the fan in order, with a
+    strict >, that skips NaN. One `_fan_clearance` call scores the fan, and
+    only the rays that can still win get the exact scan. Why the winner is
+    the same: c_i is the rounded root of s_i, the exact path's least squared
+    distance, and the score m_i lies within e ~ 81u S**2 of s_i, with u, S
+    and b = `_fan_band(p_n, rel2, r_det)` as in `_fan_clearance`, so
+    b > 100e. Let ray k score M, the largest score that is not NaN among the
+    open rays, and skip the open rays with m_i < M - g|M| - 2b, g = _GUARD.
+    A skipped ray has s_i < M - g|M| - 2b + e and s_k > M - e, so
+    s_i < s_k (1 - 4u), and the root of s_i rounds strictly below that of
+    s_k: c_i < c_k. (Two squares less than 4u apart can round to one
+    distance; the margin g|M| ~ 36u |M| keeps such a pair together even
+    without the band's slack.) So every skipped ray has a clearance strictly
+    below the winner's, the first ray of the largest clearance is scanned,
+    and so is every ray before it that ties with it. A NaN score is
+    scanned, and with b or M inf or NaN the cut is NaN or -inf and skips
+    nothing.
     """
     p_n = np.asarray(p_n, dtype=float)
     v_n = np.asarray(v_n, dtype=float)
     pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
     d_bkd = braking_distance(v_n, params.a_max)
     t_avs = max(params.waypoint_dist / params.v_max, 1e-3)
-    min_obs = float(np.min(row_norms(pts - p_n))) if len(pts) else math.inf
+    rel = pts - p_n
+    min_obs = float(np.min(row_norms(rel))) if len(pts) else math.inf
     if min_obs > d_bkd:
         goal_dir = unit(np.asarray(p_prev, dtype=float) - p_n)
         if norm(goal_dir) == 0.0:
             goal_dir = unit(v_n) if norm(v_n) else np.array([1.0, 0, 0])
+        d = unit(goal_dir)
+        fan = np.vstack((d, _fan_vectors(d, params.das_angle_step)))
+        r_det = params.r_det
+        rel2 = np.einsum("ij,ij->i", rel, rel)
+        score = _fan_clearance(fan / row_norms(fan)[:, None], rel, rel2,
+                               r_det).tolist()
+        open_rays = [i for i in range(len(fan)) if i not in blocked_rays]
+        top = max((score[i] for i in open_rays if not math.isnan(score[i])),
+                  default=math.nan)
+        cut = top - _GUARD * abs(top) - 2.0 * _fan_band(p_n, rel2, r_det)
         best_ray, best_clear = None, -1.0
-        for idx, ray in enumerate(_rays(goal_dir, params.das_angle_step)):
-            if idx in blocked_rays:
+        for i in open_rays:
+            if score[i] < cut:
                 continue
+            ray = unit(fan[i]) if i else d
             clear = (float(np.min(segment_point_distances(
-                p_n, p_n + params.r_det * ray, pts)))
+                p_n, p_n + r_det * ray, pts)))
                      if len(pts) else math.inf)
             if clear > best_clear:
                 best_ray, best_clear = ray, clear
@@ -546,4 +583,3 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
     cmd = plan_motion(p_n, v_n, w, t_avs, params)
     cmd.mode = "backup_brake"
     return cmd
-

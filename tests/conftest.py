@@ -1,10 +1,13 @@
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import dualnav
 from dualnav.bench import bench_flight3d
 
 # Property tests draw the same examples on every run, and a slow example on
@@ -36,3 +39,16 @@ def _load_navbench(name):
 def navbench_module():
     """A loader of the benchmark's modules by name, from their files."""
     return _load_navbench
+
+
+# Hypothesis also draws constants that it reads from the source of every
+# loaded module outside the tests, adding a module's constants when it first
+# loads, so a property's draws depend on the modules a run has loaded (the
+# CLI and the benchmark's modules load only with their tests). Loading every
+# module of both packages here, before the first test, gives every run the
+# same pool; the benchmark's modules import each other as `navbench`.
+if str(NAVBENCH.parent) not in sys.path:
+    sys.path.append(str(NAVBENCH.parent))
+for _info in [*pkgutil.iter_modules(dualnav.__path__, "dualnav."),
+              *pkgutil.iter_modules([str(NAVBENCH)], "navbench.")]:
+    importlib.import_module(_info.name)

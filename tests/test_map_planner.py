@@ -270,6 +270,22 @@ def test_dags_z_min_rejects_underground():
         assert np.all(path.waypoints[:, 2] >= 0.1)
 
 
+@pytest.mark.parametrize("bad", [
+    {"r_safe": 0.0}, {"r_safe": -0.5}, {"r_safe": math.nan},
+    {"r_safe": math.inf}, {"z_min": math.nan}, {"z_min": math.inf},
+    {"z_min": -math.inf}, {"alpha_res": 0.0}, {"alpha_res": math.nan}])
+def test_dags_params_reject_limits_that_turn_checks_off(bad):
+    # a NaN r_safe lets `path_clears` pass every path and an infinite one
+    # fails every path, so DAGS never runs; a NaN z_min passes every altitude
+    with pytest.raises(ValueError):
+        DagsParams(**bad)
+
+
+def test_dags_params_accept_finite_limits():
+    assert DagsParams(r_safe=0.3, z_min=-1.0).z_min == -1.0
+    assert DagsParams(z_min=None).z_min is None
+
+
 def test_lift_and_select():
     p2 = PlanPath(np.array([[0, 0, 0], [1, 1, 0], [2, 0, 0]]))
     lifted = lift_path(p2, 1.0, 2.0)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dualnav.pcp import (PcpParams, _rays, braking_distance, compute_goal,
-                         das_search, fermat_point, hold, plan_motion,
-                         safety_backup, streamline)
+from dualnav.geometry import unit
+from dualnav.pcp import (PcpParams, _fan_vectors, braking_distance,
+                         compute_goal, das_search, fermat_point, hold,
+                         plan_motion, safety_backup, streamline)
 
 VELOCITY = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(
     np.array)
@@ -34,11 +35,15 @@ def test_params_validation():
     {"a_max": -2.0}, {"a_max": 0.0}, {"a_max": math.nan},
     {"v_max": 0.0}, {"v_max": -1.0}, {"v_max": math.nan},
     {"r_safe": 0.0}, {"r_safe": math.nan},
-    {"n_use": 0}, {"max_opt_iters": 0}])
+    {"n_use": 0}, {"max_opt_iters": 0},
+    {"waypoint_dist": 0.0}, {"waypoint_dist": -0.3},
+    {"waypoint_dist": math.nan}])
 def test_params_reject_limits_that_break_the_pcp(bad):
     # a_max < 0 makes `hold` speed up, a_max = 0 and v_max = 0 divide by
     # zero, n_use = 0 drops the whole cloud and max_opt_iters = 0 returns
-    # a = 0 unsolved
+    # a = 0 unsolved; waypoint_dist = 0 puts every DAS waypoint on the
+    # drone, so it brakes on every tick, and below 0 the drone flies away
+    # from the free ray it chose
     with pytest.raises(ValueError):
         PcpParams(**bad)
 
@@ -141,7 +146,8 @@ def test_streamline_short_input_passthrough():
 
 
 def test_candidate_rays_structure():
-    rays = list(_rays([1.0, 0.0, 0.0], math.radians(10.0)))
+    d = unit([1.0, 0.0, 0.0])
+    rays = [d] + [unit(f) for f in _fan_vectors(d, math.radians(10.0))]
     assert np.allclose(rays[0], [1, 0, 0])
     # 9 rounds of 4 rays plus the center ray
     assert len(rays) == 1 + 4 * 9
@@ -222,7 +228,8 @@ def test_safety_backup_brakes_when_every_ray_is_blocked():
     p = PcpParams(v_max=1.0, a_max=2.0)
     # the braking distance fits, as in the steer branch, but no ray is left
     cloud = np.array([[0.4, 0.0, 0.0]])
-    every_ray = set(range(len(list(_rays([1.0, 0, 0], p.das_angle_step)))))
+    fan = _fan_vectors(np.array([1.0, 0, 0]), p.das_angle_step)
+    every_ray = set(range(1 + len(fan)))
     cmd = safety_backup([0, 0, 0], [0.1, 0, 0], [-0.1, 0, 0], cloud, p,
                         every_ray)
     assert cmd.mode == "backup_brake"

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from dualnav import pcp
 from dualnav.geometry import norm, segment_point_distances, unit
-from dualnav.pcp import (ETA1, ETA2, OPT_TOL, PcpParams, _feasible, _rays,
-                         compute_goal, das_search, plan_motion, safety_backup)
+from dualnav.pcp import (ETA1, ETA2, OPT_TOL, PcpParams, _fan_vectors,
+                         _feasible, compute_goal, das_search, plan_motion,
+                         safety_backup)
 from dualnav.runtime import Scenario, _EpisodeCore
 from dualnav.sim import World
 
@@ -484,7 +485,8 @@ angle_steps = (st.sampled_from([math.radians(10.0), math.radians(15.0),
 @example(np.array([0.0, -0.0, -2.0]), math.radians(10.0))
 @example(np.zeros(3), math.radians(10.0))
 def test_candidate_rays_same_bytes(direction, angle_step):
-    got = list(_rays(direction, angle_step))
+    d = unit(direction)
+    got = [d] + [unit(f) for f in _fan_vectors(d, angle_step)]
     want = oracle_rays(direction, angle_step)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -565,7 +567,7 @@ def boundary_cases(draw):
     p = draw(vec3(-5.0, 5.0) | vec3(-1e3, 1e3))
     g = p + draw(vec3(-3.0, 3.0))
     assume(norm(g - p) > 1e-3)
-    rays = list(_rays(g - p, FAN_STEP))
+    rays = oracle_rays(g - p, FAN_STEP)
     target = draw(st.sampled_from(CHUNK_EDGES) | st.integers(0, 36))
     excluded = draw(st.sets(st.sampled_from(CHUNK_EDGES), max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -609,7 +611,7 @@ def test_das_fan_decides_walls_without_the_exact_path(p, first_free):
     ray free; every ray lies far outside the band."""
     params = PcpParams(r_safe=0.1, v_max=0.3, das_angle_step=FAN_STEP)
     g = p + np.array([1.0, 2.0, -0.5])
-    rays = list(_rays(g - p, FAN_STEP))
+    rays = oracle_rays(g - p, FAN_STEP)
     stop = len(rays) if first_free is None else first_free
     blocked = [j for j in range(len(rays)) if j != stop]
     cloud = wall(p, rays, blocked, np.random.default_rng(stop))
@@ -696,12 +698,51 @@ def test_pcp_cloud_same_bytes(case):
 
 
 # -- safety backup -----------------------------------------------------------
+#
+# `safety_backup` scores its fan in one `_fan_clearance` call and runs the
+# exact scan only on the rays whose score lies within the guard band of the
+# best one. The draws below tie many rays at one clearance, put a runner-up
+# within a few ulps of the leader, give the kernel inf and NaN scores, and
+# leave a single ray open.
+
+def wall_behind(p, d, h):
+    """A 3 m square wall on a 0.25 m grid, h behind p along the unit d. The
+    whole fan lies on the other side of p, so its nearest point, p - h d,
+    is every ray's nearest, and every ray ties at that point's distance:
+    the wall world's backups, with the drone backing away from the wall."""
+    e1 = unit(np.cross(d, [0.0, 0.0, 1.0] if abs(d[2]) < 0.9 else
+                       [1.0, 0.0, 0.0]))
+    e2 = np.cross(d, e1)
+    a, b = (g.ravel() for g in np.meshgrid(*2 * [np.arange(-1.5, 1.51, 0.25)]))
+    return p - h * d + a[:, None] * e1 + b[:, None] * e2
+
+
+def near_tie(p, rays, i, j, k, rng):
+    """A `wall` on every ray but i and j, and one point 0.15 m from the far
+    end of each of their segments, the one of ray j about k ulps farther: the
+    two lead the fan, at clearances a few ulps apart or tied. Wall points lie
+    above 0.2 m from rays i and j, and each added point lies farther than
+    0.3 m from the other ray's segment."""
+    cloud = wall(p, rays, [m for m in range(len(rays)) if m not in (i, j)],
+                 rng)
+    normal = unit(np.cross(rays[i], rays[j]))
+    far = [p + 1.9 * rays[m] + (0.15 * f) * normal
+           for m, f in ((i, 1.0), (j, 1.0 + k * 2.0 ** -52))]
+    return np.vstack([cloud, far])
+
 
 @st.composite
 def backup_cases(draw):
+    """The steer, brake and retreat branches on random clouds, and clouds
+    built for the guarded argmax: a wall behind the fan ("behind"), two
+    leading rays a few ulps apart ("near-tie"), a point with an inf, NaN or
+    1e200 coordinate, whose scores are inf or NaN ("nonfinite"), and every
+    ray blocked but one ("one-open")."""
     params = PcpParams()
     p = draw(vec3(-5.0, 5.0))
-    branch = draw(st.sampled_from(["steer", "brake", "retreat", "any"]))
+    branch = draw(st.sampled_from(["steer", "brake", "retreat", "any",
+                                   "behind", "near-tie", "nonfinite",
+                                   "one-open"]))
     if branch == "retreat":
         v = draw(st.sampled_from([np.zeros(3), np.array([0.0, -0.0, 1e-7])]))
     else:
@@ -718,10 +759,44 @@ def backup_cases(draw):
         cloud = cloud[far]
     prev = p + draw(vec3(-0.5, 0.5))
     blocked = draw(st.sets(st.integers(0, 36), max_size=8))
+    if branch in ("behind", "near-tie"):
+        assume(norm(prev - p) > 1e-3)
+        # the backup's fan, which points at the previous position
+        rays = oracle_rays(_oracle_unit(prev - p), params.das_angle_step)
+    if branch == "behind":
+        cloud = wall_behind(p, rays[0], draw(st.floats(0.3, 1.5)))
+    elif branch == "near-tie":
+        i, j = draw(st.lists(st.integers(0, 36), min_size=2, max_size=2,
+                             unique=True))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cloud = near_tie(p, rays, i, j, draw(st.integers(-4, 4)), rng)
+        blocked -= {i, j}
+    elif branch == "nonfinite":
+        q = p + draw(vec3(-2.5, 2.5))
+        q[draw(st.integers(0, 2))] = draw(st.sampled_from(
+            [math.inf, -math.inf, math.nan, 1e200, -1e200]))
+        cloud = np.vstack([cloud, q])
+    elif branch == "one-open":
+        blocked = set(range(37)) - {draw(st.integers(0, 36))}
     return p, v, prev, cloud, params, blocked
 
 
-@settings(max_examples=60)
+def near_tie_case(p, prev, i, j, k, seed, blocked=()):
+    """A `backup_cases` draw at rest with a `near_tie` cloud."""
+    p, prev = np.array(p, dtype=float), np.array(prev, dtype=float)
+    rays = oracle_rays(_oracle_unit(prev - p), FAN_STEP)
+    cloud = near_tie(p, rays, i, j, k, np.random.default_rng(seed))
+    return p, np.zeros(3), prev, cloud, PcpParams(), set(blocked)
+
+
+_AHEAD = np.array([-0.1, 0.0, 0.0])    # puts the backup's fan along -x
+# a previous position whose unit direction d = unit(unit(prev)) is not a
+# fixed point of `unit`
+_UNSTEADY = np.array([-0.7511428035313013, 0.2324835005941024,
+                      -0.4575866344760682])
+
+
+@settings(max_examples=100)
 @given(backup_cases())
 @example((np.zeros(3), np.array([0.1, 0.0, 0.0]), np.array([-0.1, 0.0, 0.0]),
           np.array([[0.4, 0.0, 0.0]]), PcpParams(), set()))
@@ -731,11 +806,63 @@ def backup_cases(draw):
           np.array([[0.1, 0.0, 0.0]]), PcpParams(), set()))
 @example((np.ones(3), np.zeros(3), np.zeros(3), np.ones((1, 3)),
           PcpParams(), set()))
+# all 37 rays tie at the nearest point's distance, 0.8
+@example((np.zeros(3), np.array([0.1, 0.0, 0.0]), _AHEAD,
+          wall_behind(np.zeros(3), np.array([-1.0, 0.0, 0.0]), 0.8),
+          PcpParams(), set()))
+# ray 0 wins a tie, and unit(ray 0) differs from it in the last bit
+@example((np.zeros(3), np.zeros(3), _UNSTEADY, -_UNSTEADY[None],
+          PcpParams(), set()))
+# rays 13 and 14 lead, one ulp apart either way; rays 35 and 36 tie
+@example(near_tie_case(np.zeros(3), _AHEAD, 13, 14, 1, 0))
+@example(near_tie_case(np.zeros(3), _AHEAD, 13, 14, -1, 0))
+@example(near_tie_case(np.zeros(3), _AHEAD, 35, 36, 0, 1))
+# the kernel scores the runner-up above the leader: ray 7 above ray 27,
+# ray 1 above ray 7
+@example(near_tie_case([-0.5, -0.5, -2.0], [-1.0, -0.25, -2.5], 27, 7, -1, 0))
+@example(near_tie_case([3.5, 1.5, 4.5], [3.375, 1.25, 4.875], 7, 1, -1, 0))
+# NaN scores on the rays with no z, an exact clearance of inf elsewhere
+@example((np.zeros(3), np.zeros(3), _AHEAD,
+          np.array([[0.0, 0.0, math.inf], [0.5, 0.0, 0.0]]), PcpParams(),
+          set()))
+# squares that overflow: an infinite band and inf scores
+@example((np.zeros(3), np.zeros(3), _AHEAD,
+          np.array([[1e200, 0.0, 0.0], [0.0, 0.6, 0.0]]), PcpParams(),
+          set()))
+# every ray blocked but one, which wins at a lower clearance than others
+@example(near_tie_case(np.zeros(3), _AHEAD, 13, 14, 0, 0,
+                       set(range(37)) - {17}))
 def test_safety_backup_same_bytes(case):
     p, v, prev, cloud, params, blocked = case
-    cmd = safety_backup(p, v, prev, cloud, params, blocked)
-    assert_same_command(cmd, oracle_safety_backup(p, v, prev, cloud, params,
-                                                  blocked))
+    with np.errstate(invalid="ignore", over="ignore"):
+        cmd = safety_backup(p, v, prev, cloud, params, blocked)
+        want = oracle_safety_backup(p, v, prev, cloud, params, blocked)
+    assert_same_command(cmd, want)
+
+
+@pytest.mark.parametrize("p", [np.array([0.5, -0.25, 1.1]),
+                               np.array([-987.5, 640.25, 1000.0])])
+@pytest.mark.parametrize("free", [(13,), (20, 36), (0, 24, 25)])
+def test_safety_backup_scans_only_the_rays_tied_with_the_best(p, free):
+    """Dense walls that leave a few rays free, whose clearances differ by
+    far more than the guard band: the exact path runs on at most the open
+    rays whose exact clearance ties with the best one."""
+    params = PcpParams(r_safe=0.1, v_max=0.3, das_angle_step=FAN_STEP)
+    prev = p + np.array([-0.1, 0.2, 0.05])
+    rays = oracle_rays(_oracle_unit(prev - p), FAN_STEP)
+    cloud = wall(p, rays, [j for j in range(len(rays)) if j not in free],
+                 np.random.default_rng(len(free)))
+    clear = [float(np.min(segment_point_distances(p, p + params.r_det * r,
+                                                  cloud))) for r in rays]
+    for blocked in (set(), {0}, {13, 24}):
+        best = max(c for j, c in enumerate(clear) if j not in blocked)
+        tied = sum(c == best for j, c in enumerate(clear) if j not in blocked)
+        with mock.patch.object(pcp, "segment_point_distances",
+                               wraps=pcp.segment_point_distances) as exact:
+            cmd = safety_backup(p, np.zeros(3), prev, cloud, params, blocked)
+        assert 1 <= exact.call_count <= tied
+        assert_same_command(cmd, oracle_safety_backup(
+            p, np.zeros(3), prev, cloud, params, blocked))
 
 
 # -- compute_goal ------------------------------------------------------------
