@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+TWO_PI = 2.0 * np.pi
+
 
 def norm(v) -> float:
     """Euclidean norm of a 1-D float array, bit-equal to `np.linalg.norm(v)`.
@@ -112,16 +114,28 @@ def path_clears(waypoints, points, r) -> bool:
         d = float(np.min(segment_point_distances(
             wp[i], wp[i + 1], pts[np.flatnonzero(near)])))
         if abs(d - r) <= 1e-12 * abs(r):
-            return min_clearance(wp, pts) >= r
+            # on rows in C order, whatever the caller's layout: a matrix
+            # product's last bit can depend on it
+            return min_clearance(wp, np.ascontiguousarray(pts)) >= r
         if d < r:
             return False
     return True
 
 
 def wrap_angle(a):
-    """Wrap angle(s) to (-pi, pi]."""
-    a = np.asarray(a, dtype=float)
-    out = -((-a + np.pi) % (2.0 * np.pi) - np.pi)
+    """Wrap angle(s) in [-2 pi, 2 pi], such as the difference of two
+    azimuths, to [-pi, pi].
+
+    Bit-equal there to `-((-a + pi) % (2 pi) - pi)`, NaN and signed zeros
+    included: u = -a + pi lies in [-pi, 3 pi], where the floored remainder
+    is u + 2 pi below 0, u - 2 pi (exact) from 2 pi on, and u itself
+    between. It turns by one turn at most, so it is no wrap for larger
+    angles.
+    """
+    u = -np.asarray(a, dtype=float) + np.pi
+    u -= np.where(u >= TWO_PI, TWO_PI, np.where(u < 0.0, -TWO_PI, 0.0))
+    u -= np.pi
+    out = -u
     return out if out.ndim else float(out)
 
 

@@ -44,6 +44,13 @@ class PlanPath:
         return path_length(self.waypoints)
 
 
+# the finest DAGS cell: relative azimuth and elevation both lie in
+# [-pi, pi], so a cell axis spans at most 2 pi / alpha_res + 2 = 1026 keys
+# and the angular grid, with its free border, at most 1028^2 (about 1.06 M)
+# one-byte cells
+ALPHA_RES_MIN = math.pi / 512
+
+
 @dataclass
 class DagsParams:
     alpha_res: float = math.radians(10.0)
@@ -51,8 +58,8 @@ class DagsParams:
     z_min: float | None = None            # minimum allowed flight altitude
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_res <= math.pi / 4):
-            raise ValueError("alpha_res must be in (0, pi/4]")
+        if not ALPHA_RES_MIN <= self.alpha_res <= math.pi / 4:
+            raise ValueError("alpha_res must be in [pi/512, pi/4]")
         # a NaN r_safe never blocks a path and an infinite one blocks every
         # path, which turns DAGS off; a NaN z_min never rejects one
         if not 0.0 < self.r_safe < math.inf:
@@ -282,119 +289,99 @@ def _nearest_reachable(cells: np.ndarray, start, ref, boundary_only=False):
     return nearest_free_in_grid(~mask, ref)
 
 
-class AngularGraph:
-    """Goal-relative discretized direction cells for one search round.
+def angular_cells(offsets, az_g, el_g, alpha_res):
+    """Goal-relative direction cells of the points at `offsets` (the columns
+    dx, dy, dz from the search origin), and the edge cell DAGS steers by.
 
-    Each point's direction from the origin is taken relative to the goal
-    direction: azimuth difference wrapped to (-pi, pi], elevation difference
-    as is. Both are floored in units of alpha_res to the integer cell key
-    (a, b). `cells` is the set of keys that hold at least one point, found
-    with one np.unique over a packed scalar key (the key stays inside int64
-    for any alpha_res above about 1e-9 rad); `members(cell)` gives the
-    indices of a cell's points in ascending order.
+    A point's azimuth relative to the goal direction (az_g, el_g), wrapped
+    to [-pi, pi], and its relative elevation are floored in units of
+    alpha_res to the integer cell (a, b). The occupied cells are marked on
+    a dense grid over the keys' range with a free border, at most 1028 x
+    1028 cells (see ALPHA_RES_MIN); an occupied cell is an edge cell when
+    one of its four neighbours is free. The chosen cell is the edge cell of
+    least (hypot(ca, cb), -cb, (a, b)), where (ca, cb) is its centre: the
+    nearest to the goal direction, and of two such the higher one (climb
+    over an obstacle rather than duck under it).
+
+    Returns each point's grid key, the chosen cell's key and the cell.
     """
+    dx, dy, dz = offsets
+    az = np.arctan2(dy, dx)
+    el = np.arctan2(dz, np.hypot(dx, dy))
+    ka = np.floor(wrap_angle(az - az_g) / alpha_res).astype(np.int64)
+    kb = np.floor((el - el_g) / alpha_res).astype(np.int64)
+    a0, b0 = int(ka.min()) - 1, int(kb.min()) - 1
+    nb = int(kb.max()) - b0 + 2
+    keys = (ka - a0) * nb + (kb - b0)
+    grid = np.zeros((int(ka.max()) - a0 + 2) * nb, dtype=bool)
+    grid[keys] = True
+    occ = np.flatnonzero(grid)
+    edge = occ[~(grid[occ - nb] & grid[occ + nb]
+                 & grid[occ - 1] & grid[occ + 1])]
 
-    def __init__(self, points: np.ndarray, origin, goal, alpha_res: float):
-        self.alpha_res = alpha_res
-        self.az_g, self.el_g = spherical_angles(np.asarray(goal) - np.asarray(origin))
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        ox, oy, oz = np.asarray(origin, dtype=float).tolist()
-        dx, dy, dz = pts[:, 0] - ox, pts[:, 1] - oy, pts[:, 2] - oz
-        az = np.arctan2(dy, dx)
-        el = np.arctan2(dz, np.hypot(dx, dy))
-        rel_az = wrap_angle(az - self.az_g)
-        self._ka = np.floor(rel_az / alpha_res).astype(np.int64)
-        self._kb = np.floor((el - self.el_g) / alpha_res).astype(np.int64)
-        self.cells: set = set()
-        if len(pts):
-            a0, b0 = self._ka.min(), self._kb.min()
-            nb = self._kb.max() - b0 + 1
-            keys = np.unique((self._ka - a0) * nb + (self._kb - b0))
-            self.cells = set(zip((keys // nb + a0).tolist(),
-                                 (keys % nb + b0).tolist()))
+    def rank(cell):
+        ca, cb = (cell[0] + 0.5) * alpha_res, (cell[1] + 0.5) * alpha_res
+        return math.hypot(ca, cb), -cb, cell
 
-    def members(self, cell) -> np.ndarray:
-        return np.flatnonzero((self._ka == cell[0]) & (self._kb == cell[1]))
-
-    def edge_cells(self):
-        out = []
-        for (a, b) in self.cells:
-            for na, nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
-                if (na, nb) not in self.cells:
-                    out.append((a, b))
-                    break
-        return out
-
-    def cell_center_angles(self, cell):
-        return ((cell[0] + 0.5) * self.alpha_res,
-                (cell[1] + 0.5) * self.alpha_res)
-
-    def min_norm_edge_cell(self):
-        best, best_key = None, None
-        for cell in self.edge_cells():
-            ca, cb = self.cell_center_angles(cell)
-            # ties between symmetric cells prefer the higher elevation (climb
-            # over an obstacle rather than duck under it)
-            key = (math.hypot(ca, cb), -cb, cell)
-            if best_key is None or key < best_key:
-                best, best_key = cell, key
-        return best
+    cell = min(zip((edge // nb + a0).tolist(), (edge % nb + b0).tolist()),
+               key=rank)
+    return keys, (cell[0] - a0) * nb + (cell[1] - b0), cell
 
 
 def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
                 params: DagsParams):
     """Two-round angular search for a 3D path over/around nearby obstacles.
 
+    The cloud is read once as three columns. Its offsets from p_n give the
+    near/far split and the first graph, whose origin is p_n; a second graph
+    forms offsets of its own only when it starts from a turning point.
     Returns a clearance-validated PlanPath(3D) or None.
     """
     p_n = np.asarray(p_n, dtype=float)
     g_l = np.asarray(g_l, dtype=float)
     pts = np.asarray(pcl_lm, dtype=float).reshape(-1, 3)
+    cols = np.ascontiguousarray(pts.T)
 
     wp = improved_2d.waypoints
     jp1 = wp[1] if len(wp) > 1 else wp[0]
     jp1 = np.array([jp1[0], jp1[1], p_n[2]])
     split_r = float(np.linalg.norm(p_n - jp1))
 
-    if len(pts):
-        dist = row_norms(pts - p_n)
-        subsets = [pts[dist < split_r], pts[dist >= split_r]]
-    else:
-        subsets = [pts, pts]
-
+    rel = cols - p_n[:, None]
+    dist = row_norms(rel.T)
     tps = []
     origin = p_n
-    for subset in subsets:
-        if len(subset) == 0:
+    for sel in (np.flatnonzero(dist < split_r),
+                np.flatnonzero(dist >= split_r)):
+        if len(sel) == 0:
             continue
+        subset = np.take(cols, sel, axis=1)
         # a round only steers when its point subset actually blocks the
         # direct run to the local goal
-        if path_clears((origin, g_l), subset, params.r_safe):
+        if path_clears((origin, g_l), subset.T, params.r_safe):
             continue
-        graph = AngularGraph(subset, origin, g_l, params.alpha_res)
-        cell = graph.min_norm_edge_cell()
-        if cell is None:
-            continue
-        members = subset[graph.members(cell)]
+        az_g, el_g = spherical_angles(g_l - origin)
+        offsets = (np.take(rel, sel, axis=1) if origin is p_n
+                   else subset - origin[:, None])
+        keys, key, (a, b) = angular_cells(offsets, az_g, el_g,
+                                          params.alpha_res)
+        members = pts[sel[keys == key]]
         d_seg = segment_point_distances(origin, g_l, members)
         p_eg = members[int(np.argmax(d_seg))]
         l_tp = float(np.linalg.norm(p_n - p_eg))
         if params.r_safe > l_tp:
             return None
         alpha_safe = math.asin(params.r_safe / l_tp)
-        ca, cb = graph.cell_center_angles(cell)
-        norm = math.hypot(ca, cb)
-        scale = (norm + alpha_safe) / norm if norm > 0 else 0.0
-        rel = (ca * scale, cb * scale)
-        az = graph.az_g + rel[0]
-        el = graph.el_g + rel[1]
-        tp = origin + l_tp * direction_from_angles(az, el)
+        ca, cb = (a + 0.5) * params.alpha_res, (b + 0.5) * params.alpha_res
+        norm = math.hypot(ca, cb)           # >= alpha_res / 2 > 0
+        scale = (norm + alpha_safe) / norm
+        tp = origin + l_tp * direction_from_angles(az_g + ca * scale,
+                                                   el_g + cb * scale)
         tps.append(tp)
         origin = tp
 
-    candidate = [p_n] + tps + [g_l]
-    path = PlanPath(np.array(candidate), kind="3D")
-    if not path_clears(path.waypoints, pts, params.r_safe):
+    path = PlanPath(np.array([p_n] + tps + [g_l]), kind="3D")
+    if not path_clears(path.waypoints, cols.T, params.r_safe):
         return None
     if params.z_min is not None and np.any(path.waypoints[:, 2] < params.z_min):
         return None

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +44,31 @@ def test_wrap_angle():
     assert wrap_angle(np.pi + 0.1) == pytest.approx(-np.pi + 0.1)
     assert wrap_angle(-np.pi - 0.1) == pytest.approx(np.pi - 0.1)
     assert wrap_angle(0.3) == pytest.approx(0.3)
+
+
+TURN = 2.0 * math.pi
+# signed zeros, +-pi and +-2 pi with their neighbours one ulp either way,
+# and NaN of either sign
+WRAP_EDGES = [v for c in (0.0, -0.0, math.pi, -math.pi, TURN, -TURN)
+              for v in (c, math.nextafter(c, math.inf),
+                        math.nextafter(c, -math.inf))] + [math.nan, -math.nan]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(WRAP_EDGES) | st.floats(-TURN, TURN),
+                min_size=1, max_size=8))
+@example(WRAP_EDGES)
+def test_wrap_angle_is_bit_equal_to_the_floored_remainder(angles):
+    """Over |a| <= 2 pi, every difference of two azimuths, and one ulp
+    beyond: the bytes of the remainder form it replaced, on arrays and on
+    scalars."""
+    a = np.array(angles)
+    want = -((-a + np.pi) % (2.0 * np.pi) - np.pi)
+    assert wrap_angle(a).tobytes() == want.tobytes()
+    for x, w in zip(angles, want):
+        got = wrap_angle(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == w.tobytes()
 
 
 def test_spherical_roundtrip():
@@ -152,6 +179,33 @@ def test_a_clear_path_stays_clear_on_every_suffix(case):
     if path_clears(wp, cloud, r):
         for k in range(len(wp) - 1):
             assert path_clears(wp[k:], cloud, r)
+
+
+# r is the nearest point's distance from rows in C order; from the same
+# rows in F order, a matrix-vector product rounds it one ulp lower on an
+# OpenBLAS host, so a full scan over the F-order rows would say False
+COLUMN_CASE = (
+    np.array([[1.5, 0.6, -1.5], [1.4, 1.8, 1.6]]),
+    np.array([[0.5, 1.6, 1.1], [-1.1, -0.8, 1.5], [-2.0, 1.3, 1.2],
+              [-0.1, -0.8, -0.9], [-1.0, -0.2, 0.0], [0.2, 2.0, 1.2],
+              [0.5, 2.0, -1.1], [-1.4, 0.5, -1.8], [-1.9, 0.1, -0.1],
+              [1.7, 0.5, 0.1], [-0.0, -1.0, -2.0], [-1.2, 0.8, -1.2],
+              [-0.5, -2.0, 1.3], [-1.4, -0.9, 1.5], [0.0, 1.4, 0.6],
+              [1.0, -1.6, 0.2], [0.0, 1.5, -0.6], [0.4, -1.8, -0.4],
+              [-0.7, -1.4, 1.3], [-0.5, 1.9, 0.4], [0.4, 0.6, 0.7],
+              [-1.4, -0.2, -1.0], [-0.4, -1.6, 1.9], [-1.1, 0.7, -0.8]]),
+    0.7137375835385968)
+
+
+@settings(max_examples=300)
+@given(clearance_cases() | suffix_cases())
+@example(COLUMN_CASE)
+def test_path_clears_reads_a_column_view_as_its_rows(case):
+    """DAGS passes the transpose of its (3, N) columns; the near rows and
+    the full scan see the rows in C order all the same."""
+    wp, cloud, r = case
+    cols = np.ascontiguousarray(cloud.T)
+    assert path_clears(wp, cols.T, r) == path_clears(wp, cloud, r)
 
 
 @settings(max_examples=100)

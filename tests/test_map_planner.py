@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from dualnav import jps, map_planner
 from dualnav.geometry import (direction_from_angles, min_clearance,
                               path_length, segment_point_distances,
-                              spherical_angles, wrap_angle)
+                              spherical_angles)
 from dualnav.jps import JpsGrid, jps_search, line_is_free
-from dualnav.map_planner import (AngularGraph, DagsParams, MapPlanResult,
-                                 PlanPath, cast_local_goal, dags_search,
-                                 lift_path, plan_final_path,
+from dualnav.map_planner import (ALPHA_RES_MIN, DagsParams, MapPlanResult,
+                                 PlanPath, angular_cells, cast_local_goal,
+                                 dags_search, lift_path, plan_final_path,
                                  select_final_path, shortcut_cells,
                                  snapshot_grids, stitched_plan)
 from dualnav.mapping import (H_MS, GridMap2D, LocalMapParams, VoxelMap,
@@ -55,6 +55,103 @@ def test_shortcut_soundness_random():
         len_in = path_length(np.array([(c[0], c[1], 0.0) for c in path]))
         len_out = path_length(np.array([(c[0], c[1], 0.0) for c in out]))
         assert len_out <= len_in + 1e-9
+
+
+@st.composite
+def grid_paths(draw):
+    """A random grid of 2-24 cells a side and a path on it: the JPS path
+    between two free cells when there is one, else (or when drawn) a list of
+    2-10 arbitrary cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 24))
+    cells = (rng.random((n, n)) < draw(st.floats(0.0, 0.5))).astype(np.uint8)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    path = None
+    if draw(st.booleans()):
+        a, b = draw(cell), draw(cell)
+        cells[a] = cells[b] = 0
+        res = jps_search(JpsGrid(cells), a, b)
+        path = None if res is None else res[0]
+    if path is None:
+        path = draw(st.lists(cell, min_size=2, max_size=10))
+    return cells, path
+
+
+def _is_subsequence(sub, seq):
+    it = iter(seq)
+    return all(any(c == x for x in it) for c in sub)
+
+
+@settings(max_examples=300)
+@given(grid_paths())
+def test_shortcut_cells_is_sound_on_generated_grids(case):
+    """The output keeps the endpoints, is a subsequence of the input, and
+    every chord it makes is `line_is_free`. A chord that is an input edge
+    is kept as it came: JPS moves diagonally when the destination is free,
+    across a blocked corner too, which the supercover check rejects."""
+    cells, path = case
+    out = shortcut_cells(list(path), cells)
+    assert out[0] == path[0] and out[-1] == path[-1]
+    assert _is_subsequence(out, path)
+    edges = set(zip(path, path[1:]))
+    for a, b in zip(out, out[1:]):
+        assert (a, b) in edges or line_is_free(cells, a, b)
+
+
+# unit-cell settings whose coarse cell side h is even (2, 2, 8 and 22), so
+# a coarse cell's centre has integer coordinates and a fine one's does not;
+# at h = 22 the drone's coarse cell is centred outside Map_c
+STITCH_SETTINGS = [LocalMapParams(i=40, m=20, k=1, voxel_size=1.0),
+                   LocalMapParams(i=40, m=20, k=3, voxel_size=1.0),
+                   LocalMapParams(i=40, m=10, k=3, voxel_size=1.0),
+                   LocalMapParams(i=40, m=6, k=1, voxel_size=1.0)]
+
+
+@st.composite
+def stitch_cases(draw):
+    """A random Map_1 with unit cells at origin 0, its drone at the centre
+    cell, and a global goal inside or beyond the local map."""
+    params = draw(st.sampled_from(STITCH_SETTINGS))
+    i = params.i
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = (rng.random((i, i)) < draw(st.floats(0.0, 0.3))).astype(np.uint8)
+    if draw(st.booleans()):
+        cells[i // 2, i // 2] = 1            # the drone's own cell blocked
+    coord = st.floats(-1.5 * i, 2.5 * i)
+    goal = np.array([draw(coord), draw(coord), 1.0])
+    return params, cells, goal
+
+
+@settings(max_examples=200)
+@given(stitch_cases())
+def test_stitched_plan_cells_are_free_and_start_at_the_drone(case):
+    """Each waypoint of a stitched plan is the centre of a cell that is free
+    in the grid it was planned on: a fine cell in the inflated Map_c (the
+    drone's own cell may be blocked, the search exempts it), the goal's
+    fine cell in the inflated Map_1 it was cast on, a coarse cell in
+    Map_1b. The plan starts at the centre of the drone's cell."""
+    params, cells, goal = case
+    i, m, h = params.i, params.m, params.h
+    lo = i // 2 - m // 2
+    map_1 = GridMap2D(origin=np.zeros(2), resolution=1.0, cells=cells)
+    map_1_infl, map_c, map_1b = snapshot_grids(map_1, params.k, m, h)
+    p_n = np.array([i / 2.0, i / 2.0, 1.0])
+    _, g_cell = cast_local_goal(p_n, goal, params, map_1_infl)
+    path = stitched_plan(map_1b, map_c, g_cell, params)
+    if path is None:
+        return
+    wp = path.waypoints[:, :2]
+    assert wp[0].tolist() == [i // 2 + 0.5, i // 2 + 0.5]
+    for x, y in wp.tolist():
+        if x % 1.0 == 0.5:
+            cell = (int(x), int(y))
+            if lo <= cell[0] < lo + m and lo <= cell[1] < lo + m:
+                assert (map_c.cells[cell[0] - lo, cell[1] - lo] == 0
+                        or cell == (i // 2, i // 2))
+            else:
+                assert cell == g_cell and map_1_infl.cells[cell] == 0
+        else:
+            assert map_1b.cells[int(x) // h, int(y) // h] == 0
 
 
 def test_plan_path_dedupes_and_validates():
@@ -159,11 +256,16 @@ def test_blocked_start_leaves_the_grid_tables_unbuilt():
     assert map_c.cells[10, 10] == 1 and map_1b.cells[10, 10] == 1
 
 
-class _PerPointGraph(AngularGraph):
-    """Oracle: the per-point AngularGraph loop the whole-array one replaced.
+def oracle_wrap(a: float) -> float:
+    """`wrap_angle` as it was: the floored remainder, on a Python float."""
+    return -((-a + math.pi) % (2.0 * math.pi) - math.pi)
 
-    `cells` maps each cell to its point indices in input order; edge cells
-    and their selection are inherited unchanged.
+
+class _PerPointGraph:
+    """Oracle: DAGS's angular graph as a per-point loop with a per-cell
+    edge scan, as it was before the graph became whole-array numpy.
+
+    `cells` maps each cell to its point indices in input order.
     """
 
     def __init__(self, points, origin, goal, alpha_res):
@@ -174,10 +276,32 @@ class _PerPointGraph(AngularGraph):
         origin = np.asarray(origin, dtype=float)
         for idx, p in enumerate(np.asarray(points, dtype=float).reshape(-1, 3)):
             az, el = spherical_angles(p - origin)
-            rel = (wrap_angle(az - self.az_g), el - self.el_g)
+            rel = (oracle_wrap(az - self.az_g), el - self.el_g)
             key = (int(math.floor(rel[0] / alpha_res)),
                    int(math.floor(rel[1] / alpha_res)))
             self.cells.setdefault(key, []).append(idx)
+
+    def edge_cells(self):
+        out = []
+        for (a, b) in self.cells:
+            for na, nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
+                if (na, nb) not in self.cells:
+                    out.append((a, b))
+                    break
+        return out
+
+    def cell_center_angles(self, cell):
+        return ((cell[0] + 0.5) * self.alpha_res,
+                (cell[1] + 0.5) * self.alpha_res)
+
+    def min_norm_edge_cell(self):
+        best, best_key = None, None
+        for cell in self.edge_cells():
+            ca, cb = self.cell_center_angles(cell)
+            key = (math.hypot(ca, cb), -cb, cell)
+            if best_key is None or key < best_key:
+                best, best_key = cell, key
+        return best
 
 
 @st.composite
@@ -201,8 +325,9 @@ def angular_scenes(draw, max_points=40):
     pts = draw(st.lists(st.one_of(free, special, st.just(origin)),
                         min_size=1, max_size=max_points))
     alpha_res = draw(st.one_of(
-        st.sampled_from([math.radians(10.0), math.radians(5.0), math.pi / 4]),
-        st.floats(0.01, math.pi / 4)))
+        st.sampled_from([math.radians(10.0), math.radians(5.0), math.pi / 4,
+                         ALPHA_RES_MIN]),
+        st.floats(ALPHA_RES_MIN, math.pi / 4)))
     return np.array(pts), origin, goal, alpha_res
 
 
@@ -218,13 +343,16 @@ def angular_scenes(draw, max_points=40):
 @example((np.zeros((1, 3)), np.zeros(3), np.zeros(3), math.radians(10.0)))
 def test_angular_graph_matches_per_point_loop(scene):
     points, origin, goal, alpha_res = scene
-    graph = AngularGraph(points, origin, goal, alpha_res)
     oracle = _PerPointGraph(points, origin, goal, alpha_res)
-    assert (graph.az_g, graph.el_g) == (oracle.az_g, oracle.el_g)
-    assert graph.cells == set(oracle.cells)
-    for cell, idx in oracle.cells.items():
-        assert graph.members(cell).tolist() == idx
-    assert graph.min_norm_edge_cell() == oracle.min_norm_edge_cell()
+    offsets = np.ascontiguousarray((points - origin).T)
+    keys, key, cell = angular_cells(offsets, oracle.az_g, oracle.el_g,
+                                    alpha_res)
+    # one key per cell, and a different key for each cell
+    assert len(set(keys.tolist())) == len(oracle.cells)
+    for idx in oracle.cells.values():
+        assert len(set(keys[idx].tolist())) == 1
+    assert cell == oracle.min_norm_edge_cell()
+    assert np.flatnonzero(keys == key).tolist() == oracle.cells[cell]
 
 
 def _wall_points():
@@ -273,10 +401,15 @@ def test_dags_z_min_rejects_underground():
 @pytest.mark.parametrize("bad", [
     {"r_safe": 0.0}, {"r_safe": -0.5}, {"r_safe": math.nan},
     {"r_safe": math.inf}, {"z_min": math.nan}, {"z_min": math.inf},
-    {"z_min": -math.inf}, {"alpha_res": 0.0}, {"alpha_res": math.nan}])
+    {"z_min": -math.inf}, {"alpha_res": 0.0}, {"alpha_res": math.nan},
+    {"alpha_res": 1e-9}, {"alpha_res": 1e-12},
+    {"alpha_res": math.nextafter(ALPHA_RES_MIN, 0.0)},
+    {"alpha_res": math.nextafter(math.pi / 4, 1.0)}])
 def test_dags_params_reject_limits_that_turn_checks_off(bad):
     # a NaN r_safe lets `path_clears` pass every path and an infinite one
-    # fails every path, so DAGS never runs; a NaN z_min passes every altitude
+    # fails every path, so DAGS never runs; a NaN z_min passes every altitude;
+    # below ALPHA_RES_MIN the angular grid outgrows its bound (the packed
+    # cell keys of the old graph overflowed int64 near 1e-9 rad)
     with pytest.raises(ValueError):
         DagsParams(**bad)
 
@@ -284,6 +417,8 @@ def test_dags_params_reject_limits_that_turn_checks_off(bad):
 def test_dags_params_accept_finite_limits():
     assert DagsParams(r_safe=0.3, z_min=-1.0).z_min == -1.0
     assert DagsParams(z_min=None).z_min is None
+    for alpha_res in (ALPHA_RES_MIN, math.pi / 4):
+        assert DagsParams(alpha_res=alpha_res).alpha_res == alpha_res
 
 
 def test_lift_and_select():
@@ -542,9 +677,13 @@ def test_walled_in_start_gives_no_plan():
 
 # -- the rewritten clearance test, waypoint dedupe and edge-cell scan ---------
 
-def oracle_dags_search(pcl_lm, p_n, g_l, improved_2d, params):
+def oracle_dags_search(pcl_lm, p_n, g_l, improved_2d, params, rounds=None):
     """`dags_search` as it was when both clearance tests scanned the whole
-    cloud."""
+    cloud and the graph was built point by point. When given a list,
+    `rounds` gets one entry per round that ran: "empty", "clear" or, for a
+    round that built a graph, "graph from p_n" or "graph from a turning
+    point"."""
+    log = [] if rounds is None else rounds
     p_n = np.asarray(p_n, dtype=float)
     g_l = np.asarray(g_l, dtype=float)
     pts = np.asarray(pcl_lm, dtype=float).reshape(-1, 3)
@@ -561,14 +700,18 @@ def oracle_dags_search(pcl_lm, p_n, g_l, improved_2d, params):
     origin = p_n
     for subset in subsets:
         if len(subset) == 0:
+            log.append("empty")
             continue
         if np.min(segment_point_distances(origin, g_l, subset)) >= params.r_safe:
+            log.append("clear")
             continue
-        graph = AngularGraph(subset, origin, g_l, params.alpha_res)
+        log.append("graph from " + ("p_n" if origin is p_n
+                                    else "a turning point"))
+        graph = _PerPointGraph(subset, origin, g_l, params.alpha_res)
         cell = graph.min_norm_edge_cell()
         if cell is None:
             continue
-        members = subset[graph.members(cell)]
+        members = subset[graph.cells[cell]]
         d_seg = segment_point_distances(origin, g_l, members)
         p_eg = members[int(np.argmax(d_seg))]
         l_tp = float(np.linalg.norm(p_n - p_eg))
@@ -640,6 +783,51 @@ def test_dags_search_matches_full_scan_oracle(scene):
     else:
         assert got.kind == want.kind
         assert got.waypoints.tobytes() == want.waypoints.tobytes()
+
+
+@pytest.fixture(scope="module")
+def mp_replay_dags_calls(navbench_module):
+    """The arguments of every DAGS call that the benchmark's mp-replay
+    planner makes on seed 4's first two pillar fields, four drone positions
+    in each and three goals per position: 24 local maps of 5,616 to 7,137
+    voxels."""
+    workloads = navbench_module("workloads")
+    params, dags = workloads.mp_config()
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(map_planner, "dags_search",
+                   lambda *args: calls.append(args) or dags_search(*args))
+        for q in workloads.mp_inputs(4, n_positions=4, n_fields=2):
+            map_planner.plan_final_path(q.p_n, q.goal, q.pcl_lm, q.map_1,
+                                        params, dags)
+    return calls
+
+
+# the rounds some of those calls run, by call index: both rounds skipped,
+# an empty near subset, and a second graph built from the turning point of
+# the first, which gives a path with two turning points
+PINNED_ROUNDS = {0: ["clear", "clear"],
+                 4: ["empty", "graph from p_n"],
+                 14: ["graph from p_n", "graph from a turning point"]}
+
+
+def test_dags_search_matches_oracle_on_benchmark_local_maps(
+        mp_replay_dags_calls):
+    assert len(mp_replay_dags_calls) == 24
+    for idx, args in enumerate(mp_replay_dags_calls):
+        assert 5000 <= len(args[0]) <= 7500
+        rounds = []
+        want = oracle_dags_search(*args, rounds=rounds)
+        got = dags_search(*args)
+        if idx in PINNED_ROUNDS:
+            assert rounds == PINNED_ROUNDS[idx]
+        if want is None:
+            assert got is None
+        else:
+            assert got.kind == want.kind
+            assert got.waypoints.tobytes() == want.waypoints.tobytes()
+    assert len(dags_search(*mp_replay_dags_calls[0]).waypoints) == 2
+    assert len(dags_search(*mp_replay_dags_calls[14]).waypoints) == 4
 
 
 @settings(max_examples=500)

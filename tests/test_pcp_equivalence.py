@@ -265,9 +265,12 @@ def oracle_safety_backup(p_n, v_n, p_prev, cloud_sorted, params, blocked_rays):
                      if len(pts) else math.inf)
             if clear > best_clear:
                 best_ray, best_clear = ray, clear
-        w = p_n + params.waypoint_dist * best_ray
-        return oracle_plan_motion(p_n, v_n, w, horizon, params)[:2] + (
-            "backup_steer",)
+        # no ray to steer along (all blocked, or every clearance NaN):
+        # brake or retreat as below
+        if best_ray is not None:
+            w = p_n + params.waypoint_dist * best_ray
+            return oracle_plan_motion(p_n, v_n, w, horizon, params)[:2] + (
+                "backup_steer",)
     if np.linalg.norm(v_n) > 1e-6:
         a = _oracle_brake_accel(v_n, params.a_max)
         return _oracle_finish(a, v_n, 1e-2, "backup_brake", True, 0)[:3]
@@ -736,13 +739,16 @@ def backup_cases(draw):
     """The steer, brake and retreat branches on random clouds, and clouds
     built for the guarded argmax: a wall behind the fan ("behind"), two
     leading rays a few ulps apart ("near-tie"), a point with an inf, NaN or
-    1e200 coordinate, whose scores are inf or NaN ("nonfinite"), and every
-    ray blocked but one ("one-open")."""
+    1e200 coordinate, whose scores are inf or NaN ("nonfinite"), every
+    ray blocked but one ("one-open") or all of them ("all-blocked"), and
+    points at the eight infinite corners, which make every ray's clearance
+    NaN ("all-NaN"): with no ray to steer along, the backup brakes or, at
+    rest, retreats."""
     params = PcpParams()
     p = draw(vec3(-5.0, 5.0))
     branch = draw(st.sampled_from(["steer", "brake", "retreat", "any",
                                    "behind", "near-tie", "nonfinite",
-                                   "one-open"]))
+                                   "one-open", "all-blocked", "all-NaN"]))
     if branch == "retreat":
         v = draw(st.sampled_from([np.zeros(3), np.array([0.0, -0.0, 1e-7])]))
     else:
@@ -778,6 +784,17 @@ def backup_cases(draw):
         cloud = np.vstack([cloud, q])
     elif branch == "one-open":
         blocked = set(range(37)) - {draw(st.integers(0, 36))}
+    elif branch == "all-blocked":
+        blocked = set(range(37))
+    elif branch == "all-NaN":
+        # for every ray, the projection of one of the corners sums inf
+        # terms of both signs (or has inf * 0 on a zero component of the
+        # ray), so that corner's distance, and the ray's clearance, is NaN
+        corners = np.array(np.meshgrid(*3 * [[-math.inf, math.inf]]))
+        cloud = np.vstack([cloud[np.linalg.norm(cloud - p, axis=1) > 0.3],
+                           corners.reshape(3, -1).T])
+    if branch in ("all-blocked", "all-NaN") and draw(st.booleans()):
+        v = np.zeros(3)
     return p, v, prev, cloud, params, blocked
 
 
