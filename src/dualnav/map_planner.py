@@ -75,23 +75,27 @@ def cast_local_goal(p_n, global_goal, params: LocalMapParams,
     Returns (g_l, cell). When the projected cell is occupied in the inflated
     map, the nearest free cell on the map edge is substituted.
     """
-    p = np.asarray(p_n, dtype=float)
-    g = np.asarray(global_goal, dtype=float)
-    half = np.array([params.l_ms / 2.0, params.l_ms / 2.0, H_MS / 2.0])
-    d = g - p
-    if np.all(np.abs(d) <= half + 1e-12):
-        g_l = g.copy()
+    p = np.asarray(p_n, dtype=float).tolist()
+    g = np.asarray(global_goal, dtype=float).tolist()
+    half = (params.l_ms / 2.0, params.l_ms / 2.0, H_MS / 2.0)
+    d = [gi - pi for gi, pi in zip(g, p)]
+    if all(abs(di) <= hi + 1e-12 for di, hi in zip(d, half)):
+        g_l = g
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_faces = np.where(d != 0.0, half / np.abs(d), np.inf)
-        t = float(np.min(t_faces))
-        g_l = p + t * d
-    cell = map_1_inflated.world_to_cell(g_l[:2])
+        faces = [hi / abs(di) if di != 0.0 else math.inf
+                 for di, hi in zip(d, half)]
+        # a NaN offset gives a NaN t, as np.min would
+        t = math.nan if any(f != f for f in faces) else min(faces)
+        g_l = [pi + t * di for pi, di in zip(p, d)]
+    # the cell of g_l, as GridMap2D.world_to_cell gives it, clamped
+    ox, oy = map_1_inflated.origin.tolist()
+    res = map_1_inflated.resolution
     n = map_1_inflated.cells.shape[0]
-    cell = (min(max(cell[0], 0), n - 1), min(max(cell[1], 0), n - 1))
+    cell = (min(max(math.floor((g_l[0] - ox) / res), 0), n - 1),
+            min(max(math.floor((g_l[1] - oy) / res), 0), n - 1))
     if not map_1_inflated.is_free(cell):
         cell = _nearest_free_edge_cell(map_1_inflated, cell) or cell
-    return g_l, cell
+    return np.array(g_l), cell
 
 
 @functools.lru_cache(maxsize=8)
@@ -239,10 +243,14 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
     coarse_sc = (shortcut_cells(coarse_rest, map_1b.cells)
                  if len(coarse_rest) > 2 else coarse_rest)
 
-    pts = [np.append(map_c_inflated.cell_center(c), 0.0)
-           for c in fine_sc + goal_end]
-    pts += [np.append(map_1b.cell_center(c), 0.0) for c in coarse_sc]
-    return PlanPath(np.array(pts), kind="2D-lifted")
+    fine = np.array(fine_sc + goal_end, dtype=float)
+    coarse = np.array(coarse_sc, dtype=float).reshape(-1, 2)
+    # each grid's cell centres, as GridMap2D.cell_center gives them
+    xy = np.concatenate([
+        map_c_inflated.origin + (fine + 0.5) * map_c_inflated.resolution,
+        map_1b.origin + (coarse + 0.5) * map_1b.resolution])
+    return PlanPath(np.column_stack([xy, np.zeros(len(xy))]),
+                    kind="2D-lifted")
 
 
 def _coarse_inside(cell, h, lo, m):

@@ -1,17 +1,22 @@
-"""Jump point search: costs against Dijkstra, jumps against the earlier
-per-direction implementation, and a lock on the search's paths.
+"""Jump point search: costs against Dijkstra, jumps and jump tables against
+the earlier per-direction implementation, chord checks against the earlier
+list-then-check one, and a lock on the search's paths.
 
 The oracles below are a Dijkstra search over the same 8-connected graph
-(`dijkstra_cost`, also used by acceptance criterion 1) and the earlier
-`JpsGrid`, which kept eight named tables and wrote each cardinal jump out
-once per direction.
+(`dijkstra_cost`, also used by acceptance criterion 1), the earlier
+`JpsGrid`, which kept eight named numpy tables and wrote each cardinal jump
+out once per direction, and the earlier `traversed_cells` and
+`line_is_free`, which listed the whole chord and then read the grid's numpy
+scalars.
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -156,6 +161,52 @@ class _OracleJpsGrid:
         return self.jump_cardinal(x, y, dx, dy, gx, gy)
 
 
+def oracle_traversed_cells(a, b):
+    """The earlier supercover traversal, which built the whole list."""
+    x0, y0 = a[0] + 0.5, a[1] + 0.5
+    x1, y1 = b[0] + 0.5, b[1] + 0.5
+    cx, cy = int(a[0]), int(a[1])
+    ex, ey = int(b[0]), int(b[1])
+    cells = [(cx, cy)]
+    dx, dy = x1 - x0, y1 - y0
+    n = abs(ex - cx) + abs(ey - cy)
+    sx = 1 if dx > 0 else -1
+    sy = 1 if dy > 0 else -1
+    tdx = abs(1.0 / dx) if dx != 0 else math.inf
+    tdy = abs(1.0 / dy) if dy != 0 else math.inf
+    tx = ((cx + (sx > 0)) - x0) / dx if dx != 0 else math.inf
+    ty = ((cy + (sy > 0)) - y0) / dy if dy != 0 else math.inf
+    for _ in range(n):
+        if abs(tx - ty) < 1e-12:
+            cells.append((cx + sx, cy))
+            cells.append((cx, cy + sy))
+            cx += sx
+            cy += sy
+            tx += tdx
+            ty += tdy
+            cells.append((cx, cy))
+        elif tx < ty:
+            cx += sx
+            tx += tdx
+            cells.append((cx, cy))
+        else:
+            cy += sy
+            ty += tdy
+            cells.append((cx, cy))
+        if (cx, cy) == (ex, ey):
+            break
+    return cells
+
+
+def oracle_line_is_free(cells_grid, a, b):
+    """The earlier chord check: the whole traversal, then numpy reads."""
+    I, J = cells_grid.shape
+    for x, y in oracle_traversed_cells(a, b):
+        if 0 <= x < I and 0 <= y < J and cells_grid[x, y]:
+            return False
+    return True
+
+
 # -- generated grids ---------------------------------------------------------
 
 DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -196,6 +247,88 @@ def test_jump_matches_oracle(cells, gi, gj):
                     got = grid.jump(x, y, dx, dy, *goal)
                     assert got == oracle.jump(x, y, dx, dy, *goal)
                     assert got is None or all(type(v) is int for v in got)
+
+
+# the oracle's table names for each cardinal direction
+ORACLE_TABLES = {(1, 0): ("nb_px", "nf_px"), (-1, 0): ("nb_mx", "nf_mx"),
+                 (0, 1): ("nb_py", "nf_py"), (0, -1): ("nb_my", "nf_my")}
+
+
+@given(grids(max_side=20))
+@example(np.zeros((1, 9), np.uint8))                 # 1 x n
+@example(np.zeros((9, 1), np.uint8))                 # n x 1
+@example(np.zeros((6, 8), np.uint8))                 # all free
+@example(np.ones((6, 8), np.uint8))                  # all blocked
+@example(np.ones((1, 1), np.uint8))
+def test_tables_match_oracle(cells):
+    """The flat tables hold the oracle's eight tables on the grid's cells,
+    with its out-of-grid marker as -1 or n, and on the padding each cell's
+    own index, so a run from a padded cell is empty."""
+    I, J = cells.shape
+    grid, oracle = JpsGrid(cells), _OracleJpsGrid(cells)
+    assert grid._F == np.pad(cells == 0, 1).tobytes()
+    ring = ~np.pad(np.ones((I, J), bool), 1)
+    for (dx, dy), names in ORACLE_TABLES.items():
+        n = I if dx else J
+        own = np.broadcast_to(np.arange(-1, n + 1)[:, None] if dx
+                              else np.arange(-1, n + 1), ring.shape)
+        for table, name in zip((grid.first_blocked[dx, dy],
+                                grid.first_forced[dx, dy]), names):
+            assert table.readonly and table.format == "i"
+            flat = np.asarray(table).reshape(I + 2, J + 2)
+            assert_array_equal(flat[1:-1, 1:-1],
+                               np.clip(getattr(oracle, name), -1, n))
+            assert_array_equal(flat[ring], own[ring])
+
+
+@pytest.mark.parametrize("start, goal", [
+    ((-1, 2), (3, 3)), ((3, 3), (-1, 2)), ((1, 1), (5, 1)), ((5, 1), (1, 1)),
+    ((2, -1), (2, 2)), ((2, 2), (2, 5)), ((-1, -1), (0, 0)), ((5, 5), (4, 4)),
+    ((2, -3), (2, 2)), ((2, 2), (2, 7)), ((-3, 2), (2, 2)), ((2, 2), (9, 2)),
+])
+def test_off_grid_start_or_goal_returns_none(start, goal):
+    """An endpoint off the 5 x 5 grid gives None: a negative index must not
+    wrap round to the far edge, one past the edge must not raise, and one
+    further off must not land on a cell of a neighboring row."""
+    assert jps_search(JpsGrid(np.zeros((5, 5), np.uint8)), start, goal) \
+        is None
+
+
+def _layouts(cells):
+    """The grid as line_is_free's callers may pass it: uint8, bool, int64,
+    float, big-endian, Fortran-ordered and a strided view."""
+    big = np.ones((2 * cells.shape[0], 2 * cells.shape[1]), np.uint8)
+    big[::2, ::2] = cells
+    return (cells, cells.astype(bool), cells.astype(np.int64),
+            cells.astype(float), cells.astype(">i4"), np.asfortranarray(cells),
+            big[::2, ::2])
+
+
+@st.composite
+def chords(draw):
+    """A grid and chord endpoints up to three cells off it; a third of the
+    chords run at 45 degrees, through exact corner crossings."""
+    cells = draw(grids(max_side=14))
+    I, J = cells.shape
+    a = (draw(st.integers(-3, I + 2)), draw(st.integers(-3, J + 2)))
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(-12, 12))
+        b = (a[0] + k, a[1] + draw(st.sampled_from((k, -k))))
+    else:
+        b = (draw(st.integers(-3, I + 2)), draw(st.integers(-3, J + 2)))
+    return cells, a, b
+
+
+@given(chords())
+@example((np.zeros((4, 4), np.uint8), (0, 0), (3, 3)))
+@example((np.eye(4, dtype=np.uint8)[::-1].copy(), (0, 0), (3, 3)))
+@example((np.ones((3, 3), np.uint8), (-2, -2), (-2, -2)))
+def test_line_is_free_matches_oracle(case):
+    cells, a, b = case
+    assert traversed_cells(a, b) == oracle_traversed_cells(a, b)
+    want = oracle_line_is_free(cells, a, b)
+    for grid in _layouts(cells):
+        assert line_is_free(grid, a, b) is want
 
 
 @given(grids(max_side=16), st.integers(0, 255), st.integers(0, 255))

@@ -172,6 +172,67 @@ def test_cast_local_goal_inside_and_outside():
     assert grid.is_free(cell)
 
 
+def oracle_cast_local_goal(p_n, global_goal, params, map_1_inflated):
+    """The earlier cast_local_goal, on numpy 3-vectors."""
+    p = np.asarray(p_n, dtype=float)
+    g = np.asarray(global_goal, dtype=float)
+    half = np.array([params.l_ms / 2.0, params.l_ms / 2.0, H_MS / 2.0])
+    d = g - p
+    if np.all(np.abs(d) <= half + 1e-12):
+        g_l = g.copy()
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_faces = np.where(d != 0.0, half / np.abs(d), np.inf)
+        t = float(np.min(t_faces))
+        g_l = p + t * d
+    cell = map_1_inflated.world_to_cell(g_l[:2])
+    n = map_1_inflated.cells.shape[0]
+    cell = (min(max(cell[0], 0), n - 1), min(max(cell[1], 0), n - 1))
+    if not map_1_inflated.is_free(cell):
+        cell = map_planner._nearest_free_edge_cell(map_1_inflated,
+                                                   cell) or cell
+    return g_l, cell
+
+
+_coord = st.floats(-40.0, 40.0, allow_nan=False)
+
+
+@given(st.tuples(_coord, _coord, st.floats(0.0, 6.0)),
+       st.tuples(_coord, _coord, st.floats(-10.0, 20.0)),
+       st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2 ** 32 - 1))
+@example((0.0, 0.0, 1.0), (10.0, 3.0, 1.0), 0.0, 0)       # on the x face
+@example((0.0, 0.0, 1.0), (10.0 + 5e-13, 3.0, 1.0), 0.0, 0)   # within slack
+@example((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 0.0, 0)        # at the drone
+@example((0.5, -0.5, 1.0), (0.5, -0.5, 30.0), 0.3, 1)     # straight up
+@example((0.0, 0.0, 1.0), (30.0, 30.0, 1.0), 1.0, 2)      # all occupied
+def test_cast_local_goal_matches_oracle(p_n, goal, density, seed):
+    """Same g_l bits and cell as the numpy version, inside and outside the
+    cuboid, on its faces, and with occupied cells to fall back from."""
+    params = LocalMapParams()
+    rng = np.random.default_rng(seed)
+    grid = GridMap2D(
+        origin=np.asarray(p_n[:2]) - params.l_ms / 2.0 + rng.random(2),
+        resolution=params.resolution,
+        cells=(rng.random((params.i, params.i)) < density).astype(np.uint8))
+    g_l, cell = cast_local_goal(p_n, goal, params, grid)
+    want_g_l, want_cell = oracle_cast_local_goal(p_n, goal, params, grid)
+    assert g_l.dtype == np.float64 and g_l.shape == (3,)
+    assert g_l.tobytes() == want_g_l.tobytes()
+    assert cell == want_cell and all(type(v) is int for v in cell)
+
+
+@pytest.mark.parametrize("goal", [(30.0, 0.0, math.nan),
+                                  (math.nan, 0.0, 1.0)])
+def test_cast_local_goal_raises_on_a_nan_offset_as_the_oracle(goal):
+    """A NaN in any coordinate makes every coordinate of g_l NaN, so its
+    cell cannot be taken."""
+    params = LocalMapParams()
+    grid = project_2d(np.zeros((0, 3)), (0.0, 0.0, 1.0), params)
+    for cast in (cast_local_goal, oracle_cast_local_goal):
+        with pytest.raises(ValueError):
+            cast((0.0, 0.0, 1.0), goal, params, grid)
+
+
 def _stitch_maps(cells, params):
     grid = GridMap2D(origin=np.zeros(2), resolution=1.0, cells=cells)
     map_c = GridMap2D(
