@@ -14,8 +14,6 @@ import time as time_mod
 from dataclasses import replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .geometry import path_length, row_norms
 from .jps import JpsGrid, jps_search
@@ -83,7 +81,12 @@ def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1):
     26-connected Dijkstra followed by line-of-sight shortcutting; the result
     upper-bounds the true optimum by at most the grid discretization error.
     Returns (length, waypoints) or None when the goal is unreachable.
+    scipy's graph routines are imported here, so a flight or a plan never
+    loads scipy.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
     lo, shape, occ = _world_grid(world, start, goal, resolution,

@@ -9,8 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from scipy.ndimage import label
-
 from .geometry import (direction_from_angles, path_clears, path_length,
                        row_norms, segment_point_distances, spherical_angles,
                        wrap_angle)
@@ -274,26 +272,82 @@ def segment_box_exit(a, b, lo, hi):
 
 def nearest_free_in_grid(cells: np.ndarray, ref):
     """Free cell nearest to ref, the first in index order on ties; None if
-    the grid has no free cell."""
-    free = np.argwhere(cells == 0)
+    the grid has no free cell.
+
+    The free cells come in row-major order as flat indices, split into
+    (x, y) by one divmod, and each squared distance is (x - rx)**2 +
+    (y - ry)**2, the sum over the two axes in the same order as a row sum.
+    """
+    free = np.flatnonzero(cells == 0)
     if len(free) == 0:
         return None
-    d = np.sum((free - np.asarray(ref)) ** 2, axis=1)
-    x, y = free[int(np.argmin(d))]
-    return int(x), int(y)
+    rx, ry = np.asarray(ref)
+    x, y = np.divmod(free, cells.shape[1])
+    i = int(np.argmin((x - rx) ** 2 + (y - ry) ** 2))
+    return int(x[i]), int(y[i])
 
 
 def _nearest_reachable(cells: np.ndarray, start, ref, boundary_only=False):
-    """Nearest free cell to ref within start's 8-connected free component."""
-    lab, _ = label(cells == 0, structure=np.ones((3, 3), dtype=int))
-    comp = lab[start[0], start[1]]
-    if comp == 0:
+    """Nearest free cell to ref within start's 8-connected free component,
+    on the grid's boundary only if asked; None when start is off the grid
+    or occupied.
+
+    The component is a scanline flood fill over runs of free cells (Rosenfeld
+    and Pfaltz's run-based labelling, from one seed). Each row of the grid
+    (a fixed first index) is cut into its maximal runs of free cells, found
+    by one difference over the flat grid with a blocked column after each
+    row. A run [a, b) joins every run [c, d) of the row above or below with
+    c <= b and d >= a: the runs that overlap it or touch it at a corner,
+    which are its 8-connected neighbours. The runs are numbered in
+    row-major order, so their flat start and end indices both ascend, and
+    the neighbours of a run in either row are one range of run numbers,
+    found by two binary searches over all runs at once. The fill visits
+    each run of the component once. Its cells are exactly those that
+    scipy's `label` with a 3 x 3 structure gives the start's label, and
+    `nearest_free_in_grid` picks the cell as before.
+    """
+    n, m = cells.shape
+    if not (0 <= start[0] < n and 0 <= start[1] < m) \
+            or cells[start[0], start[1]] != 0:
         return None
-    mask = lab == comp
+    w = m + 1
+    free = np.zeros(n * w + 1, dtype=np.int8)
+    grid = free[1:].reshape(n, w)[:, :m]
+    np.equal(cells, 0, out=grid)
+    # flat indices of each run's first cell and of the cell past its last,
+    # alternating
+    edges = np.flatnonzero(free[1:] != free[:-1])
+    first, last = edges[::2], edges[1::2]
+    lo = np.searchsorted(last, np.concatenate((first + w, first - w)))
+    hi = np.searchsorted(first, np.concatenate((last + w, last - w)),
+                         side="right")
+    runs = len(first)
+    lo_below, lo_above = lo[:runs].tolist(), lo[runs:].tolist()
+    hi_below, hi_above = hi[:runs].tolist(), hi[runs:].tolist()
+    # the start's run is the first to end past it
+    k = int(np.searchsorted(last, start[0] * w + start[1], side="right"))
+    seen = bytearray(runs)
+    seen[k] = 1
+    todo = [k]
+    while todo:
+        k = todo.pop()
+        for j in range(lo_below[k], hi_below[k]):
+            if not seen[j]:
+                seen[j] = 1
+                todo.append(j)
+        for j in range(lo_above[k], hi_above[k]):
+            if not seen[j]:
+                seen[j] = 1
+                todo.append(j)
+    if 0 in seen:
+        # the flat grid again, free only on the component's runs
+        paint = np.zeros(2 * runs + 1, dtype=bool)
+        paint[1::2] = np.frombuffer(seen, dtype=bool)
+        ends = np.concatenate(([0], edges, [n * w]))
+        grid = np.repeat(paint, ends[1:] - ends[:-1]).reshape(n, w)[:, :m]
+    mask = grid.view(bool)
     if boundary_only:
-        inner = np.zeros_like(mask)
-        inner[1:-1, 1:-1] = True
-        mask &= ~inner
+        mask[1:-1, 1:-1] = False
     return nearest_free_in_grid(~mask, ref)
 
 

@@ -10,7 +10,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .jps import JpsGrid
 
@@ -164,12 +163,30 @@ def cut_center(map_1: GridMap2D, m: int) -> GridMap2D:
 
 
 def inflate(grid: GridMap2D, k: int) -> GridMap2D:
-    """Mark every cell within Chebyshev radius k//2 of an obstacle occupied."""
+    """Mark every cell within Chebyshev radius k//2 of an obstacle occupied.
+
+    A k x k maximum filter with zeros beyond the edges, taken as the
+    maximum of the k shifted views of a zero-padded copy along one axis,
+    then along the other. The maximum over a square window is the maximum
+    over its rows of the maximum over its columns, and integer maxima are
+    exact in any order, so this is scipy's `maximum_filter(cells, size=k,
+    mode="constant", cval=0)` for any integer grid and any odd k, wider
+    than the grid included.
+    """
     if k % 2 == 0 or k < 1:
         raise ValueError("inflation kernel k must be odd and >= 1")
-    cells = maximum_filter(grid.cells, size=k, mode="constant", cval=0)
+    n, m = grid.cells.shape
+    r = k // 2
+    padded = np.zeros((n + 2 * r, m + 2 * r), dtype=grid.cells.dtype)
+    padded[r:r + n, r:r + m] = grid.cells
+    rows = padded[:n].copy()
+    for s in range(1, k):
+        np.maximum(rows, padded[s:s + n], out=rows)
+    cells = rows[:, :m].copy()
+    for s in range(1, k):
+        np.maximum(cells, rows[:, s:s + m], out=cells)
     return GridMap2D(origin=grid.origin.copy(), resolution=grid.resolution,
-                     cells=cells.astype(np.uint8))
+                     cells=cells.astype(np.uint8, copy=False))
 
 
 def downsample(grid: GridMap2D, h: int) -> GridMap2D:

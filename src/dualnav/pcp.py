@@ -500,10 +500,10 @@ def plan_motion(p_n, v_n, w_pn, t_avs: float, params: PcpParams) -> MotionComman
 
 def hold(v_n, t: float, a_max: float) -> MotionCommand:
     """Hold command: brake to a stop within the horizon t, at most at a_max."""
-    nv = norm(v_n)
-    a_max = min(a_max, nv / t)
-    a = _brake_accel(v_n, a_max) if nv > 1e-9 else np.zeros(3)
-    return MotionCommand(a, mode="hold")
+    # every nonzero speed is braked, however small, so the drone stops
+    # within the horizon whenever a_max allows it
+    a_max = min(a_max, norm(v_n) / t)
+    return MotionCommand(_brake_accel(v_n, a_max), mode="hold")
 
 
 # -- safety backup -----------------------------------------------------------

@@ -31,6 +31,12 @@ class Box:
     def arrays(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
+    @functools.cached_property
+    def bounds(self) -> tuple:
+        """(x0, y0, z0, x1, y1, z1) as Python floats."""
+        lo, hi = self.arrays()
+        return tuple(lo.tolist() + hi.tolist())
+
 
 @dataclass
 class DynamicObstacle:
@@ -173,15 +179,20 @@ def _first_hits(origin, dirs, boxes, sensor: SensorParams,
     every box), as one slab test per box over the rays that can reach it.
 
     Boxes whose nearest point lies beyond max_range are left out, since no
-    hit of theirs is kept; the small slack keeps rounding from ever dropping
-    a box that the slab test would put in range. A ray starting on a box face
-    gives 0 * inf = NaN on that axis, which the pairwise fmax/fmin pass over
-    like nanmax/nanmin.
+    hit of theirs is kept. The gaps are Python floats, box by box, and the
+    test keeps every box within max_range * (1 + 2e-9): that is more than
+    any rounding of the gap's norm can move a box that lies within
+    max_range * (1 + 1e-9), and a box beyond that adds only entries above
+    max_range, which `sense` drops whichever boxes are kept. A ray starting
+    on a box face gives 0 * inf = NaN on that axis, which fmax/fmin pass
+    over like nanmax/nanmin; their reduce over the three axes takes them in
+    order, as the pairwise calls did.
 
     Each remaining box is slab-tested only on the fan columns its xy
     footprint can cover (`_box_columns`); ray i * v_rays + j is in column i,
-    so those rays are one contiguous slice of the axis-major dirs. This is
-    exact:
+    so those rays are one contiguous slice of the axis-major dirs, and the
+    rays' reciprocals are taken once, over the span of all those slices.
+    This is exact:
     - every ray of a column has that column's azimuth in xy, since the
       cosine of its elevation is positive;
     - a footprint seen from outside covers less than pi, and h_fov < pi, so
@@ -194,31 +205,39 @@ def _first_hits(origin, dirs, boxes, sensor: SensorParams,
       order, as before, so ties between 0.0 and -0.0 resolve alike.
     """
     t_hit = np.full(dirs.shape[1], np.inf)
-    lo = np.array([b.lo for b in boxes], dtype=float).reshape(-1, 3)
-    hi = np.array([b.hi for b in boxes], dtype=float).reshape(-1, 3)
-    gap = origin - np.clip(origin, lo, hi)
-    near = (np.sqrt(np.einsum("ij,ij->i", gap, gap))
-            <= sensor.max_range * (1.0 + 1e-9))
-    if not np.any(near):
-        return t_hit
+    ox, oy, oz = origin.tolist()
+    reach = sensor.max_range * (1.0 + 2e-9)
+    reach *= reach
     az = _fan(sensor)[0]
     v = sensor.v_rays
-    # (box, lo/hi, axis), each relative to the origin
-    rel = np.stack([lo[near], hi[near]], axis=1) - origin
+    slabs = []
+    for box in boxes:
+        x0, y0, z0, x1, y1, z1 = box.bounds
+        gx = ox - min(max(ox, x0), x1)
+        gy = oy - min(max(oy, y0), y1)
+        gz = oz - min(max(oz, z0), z1)
+        if gx * gx + gy * gy + gz * gz > reach:
+            continue
+        # lo and hi relative to the origin
+        lo = (x0 - ox, y0 - oy, z0 - oz)
+        hi = (x1 - ox, y1 - oy, z1 - oz)
+        c0, c1 = _box_columns(lo[0], lo[1], hi[0], hi[1], az, yaw)
+        if c0 < c1:
+            slabs.append((c0 * v, c1 * v, (lo, hi)))
+    if not slabs:
+        return t_hit
+    first = min(s[0] for s in slabs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for b, ((x0, y0, _), (x1, y1, _)) in zip(rel, rel.tolist()):
-            c0, c1 = _box_columns(x0, y0, x1, y1, az, yaw)
-            if c0 == c1:
-                continue
-            rays = slice(c0 * v, c1 * v)
-            t0, t1 = b[:, :, None] * (1.0 / dirs[:, rays])
+        inv = 1.0 / dirs[:, first:max(s[1] for s in slabs)]
+        for r0, r1, rel in slabs:
+            t0, t1 = np.array(rel)[:, :, None] * inv[:, r0 - first:r1 - first]
             t_lo = np.minimum(t0, t1)
             t_hi = np.maximum(t0, t1, out=t0)
-            tmin = np.fmax(np.fmax(t_lo[0], t_lo[1]), t_lo[2])
-            tmax = np.fmin(np.fmin(t_hi[0], t_hi[1]), t_hi[2])
+            tmin = np.fmax.reduce(t_lo)
+            tmax = np.fmin.reduce(t_hi)
             t_ent = np.where((tmax >= tmin) & (tmax >= 0.0),
                              np.maximum(tmin, 0.0), np.inf)
-            np.minimum(t_hit[rays], t_ent, out=t_hit[rays])
+            np.minimum(t_hit[r0:r1], t_ent, out=t_hit[r0:r1])
     return t_hit
 
 

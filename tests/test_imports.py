@@ -1,10 +1,14 @@
-"""Every imported name is used in the file that imports it.
+"""Every imported name is used in the file that imports it, and the
+flight loop and the map planner run without scipy.
 
 A stdlib `ast` scan over the package, the tests and the demos; the
 project has no linter, so this stands in for an unused-import check.
 `from __future__` imports are exempt.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,3 +43,41 @@ def test_no_unused_imports():
     found = [f"{p.relative_to(ROOT)}:{line}: {name}"
              for p in files for line, name in unused_imports(p.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+# run in a fresh interpreter: the tests' own oracles import scipy
+NO_SCIPY = """
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+import dualnav.bench, dualnav.cli, dualnav.map_planner, dualnav.runtime
+from dualnav.bench import scenario
+from dualnav.map_planner import DagsParams, plan_final_path
+from dualnav.mapping import LocalMapParams, VoxelMap, local_map, project_2d
+from dualnav.runtime import run_episode
+from dualnav.sim import Box, World, scan_world
+
+result = run_episode(replace(scenario("intruder", 0), timeout=2.0))
+assert result.metrics["duration"] > 0
+world = World(static=[Box((-0.1, -3.0, 0.0), (0.1, 3.0, 2.0))], ground_z=0.0)
+vmap = VoxelMap(0.2)
+vmap.integrate(scan_world(world, 0.2))
+p_n = np.array([-4.0, 0.0, 1.1])
+params = LocalMapParams()
+pcl_lm = local_map(vmap, p_n, params)
+plan = plan_final_path(p_n, np.array([4.0, 0.0, 1.1]), pcl_lm,
+                       project_2d(pcl_lm, p_n, params), params,
+                       DagsParams(z_min=0.3))
+assert plan is not None
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_loop_and_the_planner_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

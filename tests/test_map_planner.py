@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import label
 
 from dualnav import jps, map_planner
 from dualnav.geometry import (direction_from_angles, min_clearance,
@@ -979,3 +980,84 @@ def test_nearest_free_edge_cell_tie_goes_to_the_first_in_edge_order():
     cells[4, 1] = 0
     assert map_planner._nearest_free_edge_cell(grid, (2, 2)) == (4, 1)
     assert oracle_nearest_free_edge_cell(grid, (2, 2)) == (4, 1)
+
+
+def oracle_nearest_free_in_grid(cells, ref):
+    """`nearest_free_in_grid` as it was: argwhere and a row sum."""
+    free = np.argwhere(cells == 0)
+    if len(free) == 0:
+        return None
+    d = np.sum((free - np.asarray(ref)) ** 2, axis=1)
+    x, y = free[int(np.argmin(d))]
+    return int(x), int(y)
+
+
+def oracle_nearest_reachable(cells, start, ref, boundary_only=False):
+    """`_nearest_reachable` as it was: scipy's 8-connected `label`."""
+    lab, _ = label(cells == 0, structure=np.ones((3, 3), dtype=int))
+    comp = lab[start[0], start[1]]
+    if comp == 0:
+        return None
+    mask = lab == comp
+    if boundary_only:
+        inner = np.zeros_like(mask)
+        inner[1:-1, 1:-1] = True
+        mask &= ~inner
+    return oracle_nearest_free_in_grid(~mask, ref)
+
+
+@st.composite
+def reach_cases(draw):
+    n, m = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = (rng.random((n, m)) < draw(st.floats(0.0, 0.7))).astype(np.uint8)
+    start = (draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)))
+    if draw(st.booleans()):
+        cells[start] = 1                      # a blocked start
+    ref = draw(st.one_of(
+        st.tuples(st.integers(-3, n + 3), st.integers(-3, m + 3)),
+        st.tuples(st.floats(-3.0, n + 3.0), st.floats(-3.0, m + 3.0))))
+    return cells, start, ref, draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(reach_cases())
+def test_nearest_reachable_matches_the_label_oracle(case):
+    cells, start, ref, boundary_only = case
+    got = map_planner._nearest_reachable(cells, start, ref,
+                                         boundary_only=boundary_only)
+    assert got == oracle_nearest_reachable(cells, start, ref,
+                                           boundary_only=boundary_only)
+    assert got is None or all(type(v) is int for v in got)
+    assert (map_planner.nearest_free_in_grid(cells, ref)
+            == oracle_nearest_free_in_grid(cells, ref))
+
+
+def test_nearest_reachable_joins_runs_at_a_corner_only():
+    # two free runs that touch only diagonally are one component
+    cells = np.ones((4, 6), dtype=np.uint8)
+    cells[0, 0:2] = 0
+    cells[1, 2:5] = 0
+    cells[3, :] = 0                     # a third run, not reachable
+    assert map_planner._nearest_reachable(cells, (0, 0), (1, 5)) == (1, 4)
+    assert map_planner._nearest_reachable(cells, (0, 0), (3, 5)) == (1, 4)
+    assert map_planner._nearest_reachable(cells, (3, 0), (0, 0)) == (3, 0)
+
+
+def test_nearest_free_in_grid_reads_ref_in_full_precision():
+    # (0, 2) is 1e-9 nearer than (0, 1); a float32 ref would tie them
+    cells = np.zeros((1, 3), dtype=np.uint8)
+    ref = (0.0, 1.5 + 1e-9)
+    assert map_planner.nearest_free_in_grid(cells, ref) == (0, 2)
+    assert oracle_nearest_free_in_grid(cells, ref) == (0, 2)
+    assert map_planner._nearest_reachable(cells, (0, 0), ref) == (0, 2)
+
+
+@pytest.mark.parametrize("start", [(-1, 0), (5, 0), (0, -1), (0, 5),
+                                   (-1, -1), (5, 5)])
+def test_nearest_reachable_from_off_the_grid_is_none(start):
+    # (-1, 0) used to wrap to the last row and (5, 0) to raise IndexError
+    cells = np.zeros((5, 5), dtype=np.uint8)
+    assert map_planner._nearest_reachable(cells, start, (2, 2)) is None
+    assert map_planner._nearest_reachable(cells, start, (2, 2),
+                                          boundary_only=True) is None

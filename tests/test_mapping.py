@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter
 
 from dualnav import jps
 from dualnav.mapping import (GridMap2D, LocalMapParams, VoxelMap, cut_center,
@@ -79,6 +82,37 @@ def test_inflate_chebyshev():
     out = inflate(g, 3)
     assert out.cells.sum() == 9
     assert out.cells[2:5, 2:5].all()
+
+
+@st.composite
+def uint8_grids(draw):
+    """uint8 grids of 1 x n, n x 1 and larger shapes, sparse or dense, of
+    0/1 cells or of any byte."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random(shape) < draw(st.floats(0.0, 0.5))
+    if draw(st.booleans()):
+        return cells.astype(np.uint8)
+    return np.where(cells, rng.integers(0, 256, shape), 0).astype(np.uint8)
+
+
+@given(uint8_grids(), st.sampled_from([1, 3, 5, 7, 9]))
+def test_inflate_matches_maximum_filter(cells, k):
+    g = GridMap2D(origin=np.array([1.5, -2.0]), resolution=0.2, cells=cells)
+    out = inflate(g, k)
+    want = maximum_filter(cells, size=k, mode="constant", cval=0)
+    assert out.cells.dtype == np.uint8 and out.cells.flags.writeable
+    assert out.cells.tobytes() == want.tobytes()
+    assert out.cells.shape == want.shape
+    assert out.origin.tolist() == [1.5, -2.0] and out.resolution == 0.2
+
+
+def test_inflate_kernel_wider_than_the_grid():
+    cells = np.zeros((1, 4), dtype=np.uint8)
+    cells[0, 0] = 1
+    g = GridMap2D(origin=np.zeros(2), resolution=1.0, cells=cells)
+    assert inflate(g, 9).cells.tolist() == [[1, 1, 1, 1]]
+    assert inflate(g, 5).cells.tolist() == [[1, 1, 1, 0]]
 
 
 def test_downsample_half_rounds_up():

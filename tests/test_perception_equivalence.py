@@ -5,7 +5,8 @@ The oracles below are the earlier implementations of `sim.sense` (one slab
 test per box, nanmax/nanmin reductions, the fan rebuilt per call, the
 noise drawn with `rng.normal`), `pcl.voxel_downsample` (`np.unique` over
 int64 rows, and the row-wise lexsort kernel that the column kernel
-replaced) and `pcl.outlier_filter` (a `query_ball_point` count per point).
+replaced) and `pcl.outlier_filter` (a `query_ball_point` count per point,
+and the `query_pairs` count that the numpy neighbour count replaced).
 """
 import math
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from dualnav import pcl
 from dualnav.pcl import outlier_filter, voxel_downsample
 from dualnav.sim import Box, DynamicObstacle, SensorParams, World, sense
 
@@ -123,6 +125,17 @@ def oracle_outlier_filter(cloud, radius, min_neighbors):
     return cloud[keep]
 
 
+def tree_outlier_filter(cloud, radius, min_neighbors):
+    """The k-d tree pair count that `outlier_filter` ran before its numpy
+    kernels, and still runs in its tie branch."""
+    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    if len(cloud) == 0:
+        return cloud
+    pairs = cKDTree(cloud).query_pairs(radius, output_type="ndarray")
+    counts = np.bincount(pairs.ravel(), minlength=len(cloud))
+    return cloud[counts >= min_neighbors]
+
+
 def assert_same_bytes(got, want):
     assert got.shape == want.shape
     assert got.dtype == want.dtype
@@ -201,6 +214,19 @@ def test_sense_boxes_at_and_beyond_range_match_oracle(yaw, seed):
         sensor = SensorParams(max_range=r, noise_coeff=noise)
         scene = (world, (0.0, 0.0, 0.0), yaw, sensor, 0.5, seed)
         assert_same_bytes(sense(*scene), oracle_sense(*scene))
+
+
+def test_sense_keeps_a_box_just_inside_range():
+    # odd ray counts put one ray straight ahead, the only one that reaches
+    # the face within max_range; the face sits just inside max_range, on it
+    # and just past it
+    sensor = SensorParams(max_range=3.0, h_rays=9, v_rays=7, noise_coeff=0.0)
+    for face in (3.0 * (1.0 - 1e-7), 3.0, 3.0 * (1.0 + 1e-7)):
+        world = World(static=[Box((face, -0.5, -0.5), (face + 1.0, 0.5, 0.5))])
+        scene = (world, (0.0, 0.0, 0.0), 0.0, sensor, 0.0, 0)
+        got = sense(*scene)
+        assert_same_bytes(got, oracle_sense(*scene))
+        assert len(got) == (face <= 3.0)
 
 
 def _nudge(x, ulps):
@@ -380,6 +406,84 @@ def test_filters_on_empty_and_single_point_clouds():
                           oracle_voxel_downsample(cloud, 0.2))
         assert_same_bytes(outlier_filter(cloud, 0.4, 1),
                           oracle_outlier_filter(cloud, 0.4, 1))
+
+
+# clouds of up to 600 points, so that both the all-pairs and the sorted
+# window count run: sensor-like scatter, walls with one constant axis,
+# lattices whose spacing puts pairs exactly one radius apart (the tie
+# branch), far-off and mixed-magnitude coordinates, duplicates, NaN and inf
+@st.composite
+def neighbour_clouds(draw):
+    n = draw(st.one_of(st.integers(0, 600),
+                       st.sampled_from([pcl.PAIRS_AT_ONCE,
+                                        pcl.PAIRS_AT_ONCE + 1])))
+    radius = draw(radii)
+    kind = draw(st.sampled_from(["scatter", "wall", "lattice", "far",
+                                 "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "scatter":
+        cloud = rng.uniform(-4.5, 4.5, (n, 3))
+    elif kind == "wall":
+        # voxel centroids of a wall: one axis constant, the others on a
+        # 0.2 m grid, jittered or not
+        cloud = (rng.integers(-15, 15, (n, 3)) + 0.5) * 0.2
+        cloud[:, draw(st.integers(0, 2))] = draw(st.floats(-4.0, 4.0))
+        if draw(st.booleans()):
+            cloud += rng.uniform(-0.05, 0.05, (n, 3))
+    elif kind == "lattice":
+        spacing = radius / draw(st.sampled_from([1, 2, 3]))
+        cloud = rng.integers(-6, 6, (n, 3)) * spacing
+    elif kind == "far":
+        cloud = draw(st.sampled_from([1e6, -1e6, 1e8])) \
+            + rng.uniform(-3.0, 3.0, (n, 3))
+    else:
+        cloud = rng.uniform(-1.0, 1.0, (n, 3)) * rng.choice(
+            [1e-3, 1.0, 1e6], size=(n, 1))
+    if n and draw(st.booleans()):
+        cloud = np.concatenate([cloud, cloud[rng.integers(0, n, n // 4 + 1)]])
+    if n and draw(st.integers(0, 5)) == 0:
+        cloud[rng.integers(0, len(cloud))] [draw(st.integers(0, 2))] = \
+            draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return cloud, radius
+
+
+@settings(max_examples=300)
+@given(neighbour_clouds(), st.integers(1, 6))
+def test_outlier_filter_matches_the_tree_count(case, min_neighbors):
+    cloud, radius = case
+    if not np.isfinite(cloud).all():
+        # the tree refuses such a cloud, and so does the filter, as before
+        for f in (outlier_filter, tree_outlier_filter):
+            with pytest.raises(ValueError, match="finite"):
+                f(cloud, radius, min_neighbors)
+        return
+    got = outlier_filter(cloud, radius, min_neighbors)
+    assert_same_bytes(got, tree_outlier_filter(cloud, radius, min_neighbors))
+    assert_same_bytes(got, oracle_outlier_filter(cloud, radius, min_neighbors))
+
+
+@pytest.mark.parametrize("n", [27, 343])
+def test_pairs_one_radius_apart_take_the_tree_count(n):
+    # a cubic lattice of spacing r: neighbours on an axis sit exactly r
+    # apart, so both numpy counts defer to the tree
+    side = round(n ** (1 / 3))
+    r = 0.3
+    cloud = np.stack(np.meshgrid(*[np.arange(side) * r] * 3),
+                     -1).reshape(-1, 3)
+    assert pcl._all_pair_counts(cloud, r) is None
+    assert pcl._window_pair_counts(cloud, r) is None
+    for k in (1, 4, 6, 7):
+        assert_same_bytes(outlier_filter(cloud, r, k),
+                          tree_outlier_filter(cloud, r, k))
+
+
+def test_both_numpy_counts_agree_off_the_tie_band():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 50, pcl.PAIRS_AT_ONCE, 300):
+        cloud = rng.uniform(-2.0, 2.0, (n, 3))
+        all_pairs = pcl._all_pair_counts(cloud, 0.4)
+        assert all_pairs is not None
+        assert (all_pairs == pcl._window_pair_counts(cloud, 0.4)).all()
 
 
 # -- the column kernel's edge cases -------------------------------------------
