@@ -81,8 +81,9 @@ def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1):
     26-connected Dijkstra followed by line-of-sight shortcutting; the result
     upper-bounds the true optimum by at most the grid discretization error.
     Returns (length, waypoints) or None when the goal is unreachable.
-    scipy's graph routines are imported here, so a flight or a plan never
-    loads scipy.
+    It needs scipy's graph routines, from the `bench` extra
+    (`pip install -e '.[bench]'`); they are imported here, so a flight or
+    a plan never loads scipy.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra

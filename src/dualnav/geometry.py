@@ -26,10 +26,13 @@ TWO_PI = 2.0 * np.pi
 
 
 def norm(v) -> float:
-    """Euclidean norm of a 1-D float array, bit-equal to `np.linalg.norm(v)`.
+    """Euclidean norm of a 1-D float array, bit-equal to `np.linalg.norm(v)`
+    for a contiguous array, or for any 1-D array of length 3 or less.
 
-    numpy computes that norm as sqrt(v.dot(v)) as well; this skips its
-    argument handling, which costs more than the sum on a 3-vector.
+    numpy computes that norm as sqrt(v.dot(v)) as well, on a contiguous
+    copy; this skips its argument handling, which costs more than the sum
+    on a 3-vector. On a longer strided view, dot may sum in another order
+    than it does on the copy.
     """
     return math.sqrt(float(v.dot(v)))
 

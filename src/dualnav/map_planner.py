@@ -302,9 +302,9 @@ def _nearest_reachable(cells: np.ndarray, start, ref, boundary_only=False):
     row-major order, so their flat start and end indices both ascend, and
     the neighbours of a run in either row are one range of run numbers,
     found by two binary searches over all runs at once. The fill visits
-    each run of the component once. Its cells are exactly those that
-    scipy's `label` with a 3 x 3 structure gives the start's label, and
-    `nearest_free_in_grid` picks the cell as before.
+    each run of the component once. Its cells are exactly the start's
+    8-connected component of free cells, and `nearest_free_in_grid` picks
+    the cell as before.
     """
     n, m = cells.shape
     if not (0 <= start[0] < n and 0 <= start[1] < m) \

@@ -169,9 +169,8 @@ def inflate(grid: GridMap2D, k: int) -> GridMap2D:
     maximum of the k shifted views of a zero-padded copy along one axis,
     then along the other. The maximum over a square window is the maximum
     over its rows of the maximum over its columns, and integer maxima are
-    exact in any order, so this is scipy's `maximum_filter(cells, size=k,
-    mode="constant", cval=0)` for any integer grid and any odd k, wider
-    than the grid included.
+    exact in any order, so this is the direct k x k window maximum for any
+    integer grid and any odd k, wider than the grid included.
     """
     if k % 2 == 0 or k < 1:
         raise ValueError("inflation kernel k must be odd and >= 1")

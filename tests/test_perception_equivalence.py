@@ -7,6 +7,13 @@ noise drawn with `rng.normal`), `pcl.voxel_downsample` (`np.unique` over
 int64 rows, and the row-wise lexsort kernel that the column kernel
 replaced) and `pcl.outlier_filter` (a `query_ball_point` count per point,
 and the `query_pairs` count that the numpy neighbour count replaced).
+
+The outlier filter's neighbour count is defined as the numpy sum
+((dx*dx + dy*dy) + dz*dz) <= r*r, and `brute_outlier_filter` forms it over
+all n x n pairs. Every cloud must match that oracle. The k-d tree prunes
+boxes of points on bounds that drift by a few ulps of the cloud's squared
+extent, so the tree oracles are held to the same bytes only on clouds with
+no pair in a narrow band around r*r (`off_the_tie_band`).
 """
 import math
 
@@ -127,13 +134,45 @@ def oracle_outlier_filter(cloud, radius, min_neighbors):
 
 def tree_outlier_filter(cloud, radius, min_neighbors):
     """The k-d tree pair count that `outlier_filter` ran before its numpy
-    kernels, and still runs in its tie branch."""
+    kernels."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     if len(cloud) == 0:
         return cloud
     pairs = cKDTree(cloud).query_pairs(radius, output_type="ndarray")
     counts = np.bincount(pairs.ravel(), minlength=len(cloud))
     return cloud[counts >= min_neighbors]
+
+
+def squared_distances(cloud):
+    """The n x n squared distances, summed ((dx*dx + dy*dy) + dz*dz)."""
+    dx, dy, dz = np.moveaxis(cloud[:, None, :] - cloud[None, :, :], -1, 0)
+    return (dx * dx + dy * dy) + dz * dz
+
+
+def brute_counts(cloud, radius):
+    """Each point's neighbour count by the definition, over all pairs."""
+    return np.count_nonzero(squared_distances(cloud) <= radius * radius,
+                            axis=1) - 1
+
+
+def brute_outlier_filter(cloud, radius, min_neighbors):
+    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    if len(cloud) == 0:
+        return cloud
+    return cloud[brute_counts(cloud, radius) >= min_neighbors]
+
+
+def off_the_tie_band(cloud, radius):
+    """True when no pair's squared distance lies within 1e-9 * r*r plus
+    4e-13 of the cloud's squared extent of r*r: outside that band the
+    tree's pruning bounds cannot flip a pair."""
+    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    if len(cloud) < 2:
+        return True
+    extent = np.ptp(cloud, axis=0)
+    r2 = radius * radius
+    band = 1e-9 * r2 + 4e-13 * float(extent @ extent)
+    return not (np.abs(squared_distances(cloud) - r2) <= band).any()
 
 
 def assert_same_bytes(got, want):
@@ -396,8 +435,11 @@ def test_voxel_downsample_matches_oracle(cloud, voxel_size):
 @settings(max_examples=300)
 @given(clouds(), radii, st.integers(1, 6))
 def test_outlier_filter_matches_oracle(cloud, radius, min_neighbors):
-    assert_same_bytes(outlier_filter(cloud, radius, min_neighbors),
-                      oracle_outlier_filter(cloud, radius, min_neighbors))
+    got = outlier_filter(cloud, radius, min_neighbors)
+    assert_same_bytes(got, brute_outlier_filter(cloud, radius, min_neighbors))
+    if off_the_tie_band(cloud, radius):
+        assert_same_bytes(got,
+                          oracle_outlier_filter(cloud, radius, min_neighbors))
 
 
 def test_filters_on_empty_and_single_point_clouds():
@@ -410,8 +452,8 @@ def test_filters_on_empty_and_single_point_clouds():
 
 # clouds of up to 600 points, so that both the all-pairs and the sorted
 # window count run: sensor-like scatter, walls with one constant axis,
-# lattices whose spacing puts pairs exactly one radius apart (the tie
-# branch), far-off and mixed-magnitude coordinates, duplicates, NaN and inf
+# lattices whose spacing puts pairs exactly one radius apart, far-off and
+# mixed-magnitude coordinates, duplicates, NaN and inf
 @st.composite
 def neighbour_clouds(draw):
     n = draw(st.one_of(st.integers(0, 600),
@@ -452,38 +494,54 @@ def neighbour_clouds(draw):
 def test_outlier_filter_matches_the_tree_count(case, min_neighbors):
     cloud, radius = case
     if not np.isfinite(cloud).all():
-        # the tree refuses such a cloud, and so does the filter, as before
+        # the tree refuses such a cloud, and so does the filter
         for f in (outlier_filter, tree_outlier_filter):
             with pytest.raises(ValueError, match="finite"):
                 f(cloud, radius, min_neighbors)
         return
     got = outlier_filter(cloud, radius, min_neighbors)
-    assert_same_bytes(got, tree_outlier_filter(cloud, radius, min_neighbors))
-    assert_same_bytes(got, oracle_outlier_filter(cloud, radius, min_neighbors))
+    assert_same_bytes(got, brute_outlier_filter(cloud, radius, min_neighbors))
+    if off_the_tie_band(cloud, radius):
+        assert_same_bytes(got,
+                          tree_outlier_filter(cloud, radius, min_neighbors))
+        assert_same_bytes(got,
+                          oracle_outlier_filter(cloud, radius, min_neighbors))
 
 
-@pytest.mark.parametrize("n", [27, 343])
+def _lattice(side, spacing, offset=0.0):
+    return np.stack(np.meshgrid(*[np.arange(side) * spacing] * 3),
+                    -1).reshape(-1, 3) + offset
+
+
+@pytest.mark.parametrize("n", [27, 343, 1000])
 def test_pairs_one_radius_apart_take_the_tree_count(n):
-    # a cubic lattice of spacing r: neighbours on an axis sit exactly r
-    # apart, so both numpy counts defer to the tree
-    side = round(n ** (1 / 3))
+    # a cubic lattice of spacing r: neighbours on an axis sit r apart, up to
+    # the rounding of the offset, so pairs lie on the radius or a few ulps
+    # either side of it. Both numpy counts are the definition's, and on
+    # these lattices the tree's as well
     r = 0.3
-    cloud = np.stack(np.meshgrid(*[np.arange(side) * r] * 3),
-                     -1).reshape(-1, 3)
-    assert pcl._all_pair_counts(cloud, r) is None
-    assert pcl._window_pair_counts(cloud, r) is None
-    for k in (1, 4, 6, 7):
-        assert_same_bytes(outlier_filter(cloud, r, k),
-                          tree_outlier_filter(cloud, r, k))
+    for offset in (0.0, 1e6, -3.7):
+        cloud = _lattice(round(n ** (1 / 3)), r, offset)
+        assert not off_the_tie_band(cloud, r)
+        want = brute_counts(cloud, r)
+        assert (pcl._all_pair_counts(cloud, r) == want).all()
+        assert (pcl._window_pair_counts(cloud, r) == want).all()
+        for k in (1, 4, 6, 7):
+            got = outlier_filter(cloud, r, k)
+            assert_same_bytes(got, brute_outlier_filter(cloud, r, k))
+            assert_same_bytes(got, tree_outlier_filter(cloud, r, k))
 
 
-def test_both_numpy_counts_agree_off_the_tie_band():
+def test_both_numpy_counts_agree_ties_included():
     rng = np.random.default_rng(3)
-    for n in (1, 2, 50, pcl.PAIRS_AT_ONCE, 300):
-        cloud = rng.uniform(-2.0, 2.0, (n, 3))
-        all_pairs = pcl._all_pair_counts(cloud, 0.4)
-        assert all_pairs is not None
-        assert (all_pairs == pcl._window_pair_counts(cloud, 0.4)).all()
+    clouds = [rng.uniform(-2.0, 2.0, (n, 3))
+              for n in (1, 2, 50, pcl.PAIRS_AT_ONCE, 300)]
+    clouds += [_lattice(side, 0.4, offset)
+               for side in (3, 5, 7) for offset in (0.0, 1e6, -3.7)]
+    for cloud in clouds:
+        want = brute_counts(cloud, 0.4)
+        assert (pcl._all_pair_counts(cloud, 0.4) == want).all()
+        assert (pcl._window_pair_counts(cloud, 0.4) == want).all()
 
 
 # -- the column kernel's edge cases -------------------------------------------
