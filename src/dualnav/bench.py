@@ -20,7 +20,7 @@ from .jps import JpsGrid, jps_search
 from .map_planner import (DagsParams, nearest_free_in_grid, segment_box_exit,
                           shortcut_cells, snapshot_grids, stitched_plan)
 from .mapping import GridMap2D, LocalMapParams
-from .pcp import PcpParams, plan_motion
+from .pcp import R_DET, PcpParams, plan_motion
 from .runtime import LoopRates, Scenario, run_episode
 from .sim import Box, DynamicObstacle, World
 
@@ -511,7 +511,7 @@ def sample_optimizer_instance(rng, params: PcpParams):
     v = rng.normal(size=3)
     v = v / np.linalg.norm(v) * rng.uniform(0.0, params.v_max)
     w = rng.normal(size=3)
-    w = w / np.linalg.norm(w) * rng.uniform(0.05, params.r_det)
+    w = w / np.linalg.norm(w) * rng.uniform(0.05, R_DET)
     t_avs = float(rng.uniform(0.005, 0.1))
     return np.zeros(3), v, w, t_avs
 

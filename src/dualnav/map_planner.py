@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,26 +43,17 @@ class PlanPath:
         return path_length(self.waypoints)
 
 
-# the finest DAGS cell: relative azimuth and elevation both lie in
-# [-pi, pi], so a cell axis spans at most 2 pi / alpha_res + 2 = 1026 keys
-# and the angular grid, with its free border, at most 1028^2 (about 1.06 M)
-# one-byte cells
-ALPHA_RES_MIN = math.pi / 512
+ALPHA_RES = math.radians(10.0)  # DAGS's angular cell side
+R_SAFE = 0.5                    # DAGS's clearance from the cloud, m
 
 
 @dataclass
 class DagsParams:
-    alpha_res: float = math.radians(10.0)
-    r_safe: float = 0.5
     z_min: float | None = None            # minimum allowed flight altitude
+    r_safe: ClassVar[float] = R_SAFE      # read by checks of a DAGS path
 
     def __post_init__(self):
-        if not ALPHA_RES_MIN <= self.alpha_res <= math.pi / 4:
-            raise ValueError("alpha_res must be in [pi/512, pi/4]")
-        # a NaN r_safe never blocks a path and an infinite one blocks every
-        # path, which turns DAGS off; a NaN z_min never rejects one
-        if not 0.0 < self.r_safe < math.inf:
-            raise ValueError("r_safe must be > 0 and finite")
+        # a NaN z_min never rejects a path
         if self.z_min is not None and not math.isfinite(self.z_min):
             raise ValueError("z_min must be finite or None")
 
@@ -358,12 +350,14 @@ def angular_cells(offsets, az_g, el_g, alpha_res):
     A point's azimuth relative to the goal direction (az_g, el_g), wrapped
     to [-pi, pi], and its relative elevation are floored in units of
     alpha_res to the integer cell (a, b). The occupied cells are marked on
-    a dense grid over the keys' range with a free border, at most 1028 x
-    1028 cells (see ALPHA_RES_MIN); an occupied cell is an edge cell when
-    one of its four neighbours is free. The chosen cell is the edge cell of
-    least (hypot(ca, cb), -cb, (a, b)), where (ca, cb) is its centre: the
-    nearest to the goal direction, and of two such the higher one (climb
-    over an obstacle rather than duck under it).
+    a dense grid over the keys' range with a free border: both relative
+    angles lie in [-pi, pi], so an axis spans at most 2 pi / alpha_res + 2
+    keys, and the grid at ALPHA_RES has at most 40 x 40 cells. An occupied
+    cell is an edge cell when one of its four neighbours is free. The
+    chosen cell is the edge cell of least (hypot(ca, cb), -cb, (a, b)),
+    where (ca, cb) is its centre: the nearest to the goal direction, and of
+    two such the higher one (climb over an obstacle rather than duck under
+    it).
 
     Returns each point's grid key, the chosen cell's key and the cell.
     """
@@ -420,22 +414,21 @@ def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
         subset = np.take(cols, sel, axis=1)
         # a round only steers when its point subset actually blocks the
         # direct run to the local goal
-        if path_clears((origin, g_l), subset.T, params.r_safe):
+        if path_clears((origin, g_l), subset.T, R_SAFE):
             continue
         az_g, el_g = spherical_angles(g_l - origin)
         offsets = (np.take(rel, sel, axis=1) if origin is p_n
                    else subset - origin[:, None])
-        keys, key, (a, b) = angular_cells(offsets, az_g, el_g,
-                                          params.alpha_res)
+        keys, key, (a, b) = angular_cells(offsets, az_g, el_g, ALPHA_RES)
         members = pts[sel[keys == key]]
         d_seg = segment_point_distances(origin, g_l, members)
         p_eg = members[int(np.argmax(d_seg))]
         l_tp = float(np.linalg.norm(p_n - p_eg))
-        if params.r_safe > l_tp:
+        if R_SAFE > l_tp:
             return None
-        alpha_safe = math.asin(params.r_safe / l_tp)
-        ca, cb = (a + 0.5) * params.alpha_res, (b + 0.5) * params.alpha_res
-        norm = math.hypot(ca, cb)           # >= alpha_res / 2 > 0
+        alpha_safe = math.asin(R_SAFE / l_tp)
+        ca, cb = (a + 0.5) * ALPHA_RES, (b + 0.5) * ALPHA_RES
+        norm = math.hypot(ca, cb)           # >= ALPHA_RES / 2 > 0
         scale = (norm + alpha_safe) / norm
         tp = origin + l_tp * direction_from_angles(az_g + ca * scale,
                                                    el_g + cb * scale)
@@ -443,7 +436,7 @@ def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
         origin = tp
 
     path = PlanPath(np.array([p_n] + tps + [g_l]), kind="3D")
-    if not path_clears(path.waypoints, cols.T, params.r_safe):
+    if not path_clears(path.waypoints, cols.T, R_SAFE):
         return None
     if params.z_min is not None and np.any(path.waypoints[:, 2] < params.z_min):
         return None

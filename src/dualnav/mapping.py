@@ -7,6 +7,7 @@ version, built with the convolution semantics of the map-processing stage.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,13 @@ from .jps import JpsGrid
 H_MS = 6.0      # local map height, meters
 
 
+def _check_voxel_size(voxel_size):
+    # a size of 0 or NaN floors every point into one voxel, and a NaN
+    # size marks no cell of Map_1
+    if not 0.0 < voxel_size < math.inf:
+        raise ValueError("voxel_size must be finite and > 0")
+
+
 @dataclass
 class LocalMapParams:
     i: int = 100            # Map_1 cells per side (i == j)
@@ -25,8 +33,9 @@ class LocalMapParams:
     voxel_size: float = 0.2
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("Map_c needs m >= 1 cells per side")
+        _check_voxel_size(self.voxel_size)
+        if self.i < 1 or self.m < 1:
+            raise ValueError("Map_1 and Map_c need i, m >= 1 cells per side")
         if self.i * self.i <= 3 * self.m * self.m:
             raise ValueError("need i*j > 3*m*n")
         if self.k % 2 == 0 or self.k < 1:
@@ -86,6 +95,9 @@ class VoxelMap:
     occupied: dict = field(default_factory=dict, init=False)
     _centers: np.ndarray | None = field(default=None, init=False, repr=False,
                                         compare=False)
+
+    def __post_init__(self):
+        _check_voxel_size(self.voxel_size)
 
     def integrate(self, cloud: np.ndarray) -> None:
         """Mark the voxel of every point occupied. Occupied never clears."""

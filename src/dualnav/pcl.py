@@ -7,8 +7,6 @@ a guard on the centroids) and publishes the result as an immutable snapshot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import row_norms
@@ -16,24 +14,14 @@ from .geometry import row_norms
 
 D_PASS = 4.5        # the distance filter's range, m
 VOXEL_SIZE = 0.2    # the voxel filter's cell side, m
+OUTLIER_RADIUS = 0.4        # the outlier filter's radius, 2 * VOXEL_SIZE, m
+OUTLIER_MIN_NEIGHBORS = 3   # neighbours a point needs to pass the filter
 # clouds up to this size compare all pairs at once. Each kernel wins on its
 # own side: over the clouds of a seed-0 flight-known run (one thread, 2-vCPU
 # host), the 301 non-empty ones of at most 96 points took 7.1 ms all-pairs
 # against 12.5 ms windowed, and the 513 larger ones 48.9 ms windowed against
 # 126.0 ms all-pairs
 PAIRS_AT_ONCE = 96
-
-
-@dataclass(frozen=True)
-class FilterParams:
-    outlier_radius: float = 0.4   # 2 * VOXEL_SIZE
-    outlier_min_neighbors: int = 3
-
-    def __post_init__(self):
-        if not self.outlier_radius > 0:
-            raise ValueError("outlier_radius must be > 0")
-        if self.outlier_min_neighbors < 1:
-            raise ValueError("outlier_min_neighbors must be >= 1")
 
 
 def distance_filter(cloud: np.ndarray, d_pass: float) -> np.ndarray:
@@ -171,7 +159,6 @@ def body_to_earth(cloud: np.ndarray, position, yaw: float) -> np.ndarray:
 
 
 def filter_pipeline(cloud_body: np.ndarray, position, yaw: float,
-                    params: FilterParams,
                     ground_z: float | None = None) -> np.ndarray:
     """Full chain: floor cut -> distance -> voxel -> outlier -> Earth frame.
 
@@ -190,7 +177,7 @@ def filter_pipeline(cloud_body: np.ndarray, position, yaw: float,
         cloud = cloud[cloud[:, 2] + position[2] > ground_z]
     pcl_1 = distance_filter(cloud, D_PASS)
     pcl_2 = voxel_downsample(pcl_1, VOXEL_SIZE)
-    pcl_3 = outlier_filter(pcl_2, params.outlier_radius, params.outlier_min_neighbors)
+    pcl_3 = outlier_filter(pcl_2, OUTLIER_RADIUS, OUTLIER_MIN_NEIGHBORS)
     pcl_4 = body_to_earth(pcl_3, position, yaw)
     if ground_z is not None and len(pcl_4):
         pcl_4 = pcl_4[pcl_4[:, 2] > ground_z]

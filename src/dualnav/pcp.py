@@ -22,7 +22,6 @@ score; every other ray is provably narrower (`safety_backup`).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,12 @@ from .geometry import norm, row_norms, segment_point_distances, unit
 
 
 R_DEC = 3.0         # goal-approach deceleration radius, m
+R_DET = 2.0         # detection radius: the cloud and rays reach this far, m
+WAYPOINT_DIST = 0.3     # distance from the drone to a DAS waypoint, m
+N_USE = 70          # points of the frame kept for the collision check
+KAPPA1 = 4.2        # Fermat-triangle weight of the next waypoint
+KAPPA2 = 1.5        # Fermat-triangle weight of the waypoint after it
+DAS_ANGLE_STEP = math.radians(10.0)     # offset angle between DAS rounds
 ETA1 = 40.0         # motion cost weight of the distance to the waypoint
 ETA2 = 10.0         # motion cost weight of the heading error
 OPT_TOL = 1e-3      # the optimizer stops once a step moves a by at most this
@@ -39,29 +44,16 @@ OPT_TOL = 1e-3      # the optimizer stops once a step moves a by at most this
 
 @dataclass
 class PcpParams:
-    r_det: float = 2.0
     r_safe: float = 0.5
-    waypoint_dist: float = 0.3
-    n_use: int = 70
-    kappa1: float = 4.2
-    kappa2: float = 1.5
     v_max: float = 1.0
     a_max: float = 2.0
-    das_angle_step: float = math.radians(10.0)
     max_opt_iters: int = 20
 
     def __post_init__(self):
-        if not all(x > 0 for x in (self.r_det, self.r_safe, self.v_max,
-                                   self.a_max, self.das_angle_step)):
-            raise ValueError("r_det, r_safe, v_max, a_max, das_angle_step must be > 0")
-        if not (self.n_use >= 1 and self.max_opt_iters >= 1):
-            raise ValueError("n_use and max_opt_iters must be >= 1")
-        if not (self.kappa1 > self.kappa2 > 0):
-            raise ValueError("need kappa1 > kappa2 > 0")
-        # at 0 every DAS waypoint is the drone's own position, and below 0
-        # the drone flies away from the ray it chose
-        if not (0.0 < self.waypoint_dist < self.r_det):
-            raise ValueError("waypoint_dist must be in (0, r_det)")
+        if not all(x > 0 for x in (self.r_safe, self.v_max, self.a_max)):
+            raise ValueError("r_safe, v_max, a_max must be > 0")
+        if not self.max_opt_iters >= 1:
+            raise ValueError("max_opt_iters must be >= 1")
         if self.v_max ** 2 / (2.0 * self.a_max) >= self.r_safe:
             raise ValueError("braking distance v_max^2/(2 a_max) must be < r_safe")
 
@@ -264,22 +256,22 @@ def streamline(pcl_sorted: np.ndarray, dist: np.ndarray, p_n, g_n,
 
 # -- collision checking and waypoint search ----------------------------------
 
-def _fan_clearance(rays, rel, rel2, r_det):
+def _fan_clearance(rays, rel, rel2):
     """Smallest squared distance from the points to each segment of a fan:
-    rel2 - t (2P - t), with P = rays @ rel.T and t = clip(P, 0, r_det).
+    rel2 - t (2P - t), with P = rays @ rel.T and t = clip(P, 0, R_DET).
 
     The rays have norms of about 1, rel = pts - p_n and rel2 holds its
     squared row norms; inf with no points. Let u = 2**-53, S =
-    max|p_n| + max|rel| + r_det or more (`_fan_band`) and D <= |rel| <= S
+    max|p_n| + max|rel| + R_DET or more (`_fan_band`) and D <= |rel| <= S
     the real distance to the segment along the exact ray e = unit(fan[i]).
     Then:
     - the exact path, `segment_point_distances`, rounds in world coordinates,
-      (p_n + r_det e) - p_n, then pts - (p_n + t ab): within about 16u S of D;
+      (p_n + R_DET e) - p_n, then pts - (p_n + t ab): within about 16u S of D;
     - the rays here divide by `row_norms`, e by the dot of `norm`; each is
-      within 2u of the true norm, which moves a segment end by 9u r_det;
+      within 2u of the true norm, which moves a segment end by 9u R_DET;
     - gemm here and gemv there each lie within 3u |rel| of the true dot,
       so t is off by about 10u |rel|, the value by 24u S D;
-    - rel2 - t (2P - t) cancels terms up to (|rel| + r_det)**2: 25u S**2.
+    - rel2 - t (2P - t) cancels terms up to (|rel| + R_DET)**2: 25u S**2.
     So near r_safe the value is within about 81u S**2 of the exact squared
     distance. `das_search` calls a ray blocked below r_safe**2 - b and free
     above r_safe**2 + b, b = _FAN_GUARD S**2 + _TINY, and leaves the band and
@@ -288,49 +280,43 @@ def _fan_clearance(rays, rel, rel2, r_det):
     margin for these rough constants; _TINY covers the subnormals.
     """
     p = rays @ rel.T
-    t = np.minimum(np.maximum(p, 0.0), r_det)
+    t = np.minimum(np.maximum(p, 0.0), R_DET)
     return (rel2 - t * (2.0 * p - t)).min(axis=1, initial=math.inf)
 
 
 def _fan_band(p_n, rel2, reach):
     """The guard band b = _FAN_GUARD S**2 + _TINY of `_fan_clearance` around
-    a squared clearance, S = max|p_n| + max|rel| + reach, reach >= r_det;
+    a squared clearance, S = max|p_n| + max|rel| + reach, reach >= R_DET;
     inf or NaN when a point is not finite."""
     scale = (max(map(abs, p_n.tolist())) + math.sqrt(rel2.max(initial=0.0))
              + reach)
     return _FAN_GUARD * scale * scale + _TINY
 
 
-@functools.lru_cache(maxsize=8)
-def _fan_rounds(angle_step: float) -> tuple:
-    """(cos, sin) of the offset angle of each DAS round after round 0."""
-    rounds = []
-    q = 1
-    while q * angle_step <= math.pi / 2.0 + 1e-12:
-        ang = q * angle_step
-        rounds.append((math.cos(ang), math.sin(ang)))
-        q += 1
-    return tuple(rounds)
+# (cos, sin) of the offset angle of each DAS round after round 0: rounds 1
+# to 9 fan out to 90 degrees
+_FAN_ROUNDS = tuple((math.cos(q * DAS_ANGLE_STEP),
+                     math.sin(q * DAS_ANGLE_STEP)) for q in range(1, 10))
 
 
-def _fan_vectors(d, angle_step: float) -> np.ndarray:
+def _fan_vectors(d) -> np.ndarray:
     """The DAS fan after ray 0, the unit goal direction d, one row per ray in
     search order: per round the two horizontal and the two vertical symmetric
-    offsets c d +- s axis, stopping past 90 degrees; `unit(row)` is the ray."""
+    offsets c d +- s axis (`_FAN_ROUNDS`); `unit(row)` is the ray."""
     horiz = unit(np.array([d[0], d[1], 0.0]))
     if norm(horiz) == 0.0:
         horiz = np.array([1.0, 0.0, 0.0])
     hx, hy, _ = horiz.tolist()
     side = (-hy, hx, 0.0)                              # horizontal-plane normal
     vert = unit(np.array(_cross(side, d.tolist())))    # vertical-plane axis
-    cs = np.array(_fan_rounds(angle_step)).reshape(-1, 2)
+    cs = np.array(_FAN_ROUNDS)
     cd, s = cs[:, :1] * d, cs[:, 1:]
     return np.stack((cd + s * side, cd - s * side, cd + s * vert,
                      cd - s * vert), axis=1).reshape(-1, 3)
 
 
 def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
-               waypoint_dist: float | None = None,
+               waypoint_dist: float = WAYPOINT_DIST,
                excluded: set | None = None):
     """First collision-free candidate ray; returns (w_pn, ray_index) or None.
 
@@ -344,28 +330,27 @@ def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
     if nd == 0.0:
         return None
     ray = d / nd                                        # unit(d): ray 0
-    wd = params.waypoint_dist if waypoint_dist is None else waypoint_dist
     excluded = excluded or ()
-    r_det, r_safe = params.r_det, params.r_safe
+    r_safe = params.r_safe
     pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
     rel = pts - p_n
     rel2 = np.einsum("ij,ij->i", rel, rel)
-    band = _fan_band(p_n, rel2, r_det + abs(r_safe))
+    band = _fan_band(p_n, rel2, R_DET + abs(r_safe))
     lo, hi = r_safe * r_safe - band, r_safe * r_safe + band
 
     def free(m, ray):   # a ray whose `_fan_clearance` m is not below the band
         return m > hi or not (segment_point_distances(
-            p_n, p_n + r_det * ray, pts) < r_safe).any()
+            p_n, p_n + R_DET * ray, pts) < r_safe).any()
 
     if 0 not in excluded:
-        m = _fan_clearance(ray[None], rel, rel2, r_det)[0]
+        m = _fan_clearance(ray[None], rel, rel2)[0]
         if not m < lo and free(m, ray):
-            return p_n + wd * ray, 0
-    fan = _fan_vectors(ray, params.das_angle_step)
-    clear = _fan_clearance(fan / row_norms(fan)[:, None], rel, rel2, r_det)
+            return p_n + waypoint_dist * ray, 0
+    fan = _fan_vectors(ray)
+    clear = _fan_clearance(fan / row_norms(fan)[:, None], rel, rel2)
     for i, m in enumerate(clear.tolist(), 1):
         if i not in excluded and not m < lo and free(m, unit(fan[i - 1])):
-            return p_n + wd * unit(fan[i - 1]), i
+            return p_n + waypoint_dist * unit(fan[i - 1]), i
     return None
 
 
@@ -527,7 +512,7 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
     only the rays that can still win get the exact scan. Why the winner is
     the same: c_i is the rounded root of s_i, the exact path's least squared
     distance, and the score m_i lies within e ~ 81u S**2 of s_i, with u, S
-    and b = `_fan_band(p_n, rel2, r_det)` as in `_fan_clearance`, so
+    and b = `_fan_band(p_n, rel2, R_DET)` as in `_fan_clearance`, so
     b > 100e. Let ray k score M, the largest score that is not NaN among the
     open rays, and skip the open rays with m_i < M - g|M| - 2b, g = _GUARD.
     A skipped ray has s_i < M - g|M| - 2b + e and s_k > M - e, so
@@ -544,7 +529,7 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
     v_n = np.asarray(v_n, dtype=float)
     pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
     d_bkd = braking_distance(v_n, params.a_max)
-    t_avs = max(params.waypoint_dist / params.v_max, 1e-3)
+    t_avs = max(WAYPOINT_DIST / params.v_max, 1e-3)
     rel = pts - p_n
     min_obs = float(np.min(row_norms(rel))) if len(pts) else math.inf
     if min_obs > d_bkd:
@@ -552,27 +537,26 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
         if norm(goal_dir) == 0.0:
             goal_dir = unit(v_n) if norm(v_n) else np.array([1.0, 0, 0])
         d = unit(goal_dir)
-        fan = np.vstack((d, _fan_vectors(d, params.das_angle_step)))
-        r_det = params.r_det
+        fan = np.vstack((d, _fan_vectors(d)))
         rel2 = np.einsum("ij,ij->i", rel, rel)
-        score = _fan_clearance(fan / row_norms(fan)[:, None], rel, rel2,
-                               r_det).tolist()
+        score = _fan_clearance(fan / row_norms(fan)[:, None], rel,
+                               rel2).tolist()
         open_rays = [i for i in range(len(fan)) if i not in blocked_rays]
         top = max((score[i] for i in open_rays if not math.isnan(score[i])),
                   default=math.nan)
-        cut = top - _GUARD * abs(top) - 2.0 * _fan_band(p_n, rel2, r_det)
+        cut = top - _GUARD * abs(top) - 2.0 * _fan_band(p_n, rel2, R_DET)
         best_ray, best_clear = None, -1.0
         for i in open_rays:
             if score[i] < cut:
                 continue
             ray = unit(fan[i]) if i else d
             clear = (float(np.min(segment_point_distances(
-                p_n, p_n + r_det * ray, pts)))
+                p_n, p_n + R_DET * ray, pts)))
                      if len(pts) else math.inf)
             if clear > best_clear:
                 best_ray, best_clear = ray, clear
         if best_ray is not None:
-            w = p_n + params.waypoint_dist * best_ray
+            w = p_n + WAYPOINT_DIST * best_ray
             cmd = plan_motion(p_n, v_n, w, t_avs, params)
             cmd.mode = "backup_steer"
             return cmd

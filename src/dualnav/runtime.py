@@ -12,9 +12,8 @@ Virtual time leaves out the filter ticks whose frame no loop reads: a frame
 that the next filter tick replaces before any mapping or PCP tick would
 read it is never made (see `virtual_schedule`). The flights are the same to
 the byte, but under this clock the filter's tick count in
-`EpisodeResult.timing` and the `pcl4` version on the `Blackboard` count
-frames made, not filter periods; a frame's age is the reader's time minus
-the time of the filter tick that made it.
+`EpisodeResult.timing` counts frames made, not filter periods; a frame's age
+is the reader's time minus the time of the filter tick that made it.
 
 The mapping tick publishes the map as a snapshot `(pcl_m, p)`: the occupied
 voxel centres and the drone position at that tick. The MP derives the local
@@ -51,14 +50,14 @@ import numpy as np
 from .geometry import norm, path_clears, path_length, row_norms
 from .map_planner import DagsParams, plan_final_path
 from .mapping import LocalMapParams, VoxelMap, cuboid_cut, project_2d
-from .pcl import FilterParams, filter_pipeline
-from .pcp import (R_DEC, PcpParams, compute_goal, das_search, hold,
-                  plan_motion, safety_backup, streamline)
+from .pcl import filter_pipeline
+from .pcp import (KAPPA1, KAPPA2, N_USE, R_DEC, R_DET, WAYPOINT_DIST,
+                  PcpParams, compute_goal, das_search, hold, plan_motion,
+                  safety_backup, streamline)
 from .sim import (DroneState, SensorParams, World, check_collision,
                   scan_world, sense, step_dynamics)
 
 
-FILTER_PARAMS = FilterParams()
 SENSOR = SensorParams()
 
 
@@ -92,7 +91,7 @@ class LoopRates:
 
 
 class Blackboard:
-    """Latest-value snapshot slots with per-slot version counters."""
+    """Latest-value snapshot slots."""
 
     def __init__(self):
         self._slots = {}
@@ -100,16 +99,11 @@ class Blackboard:
 
     def publish(self, name: str, value):
         with self._lock:
-            version = self._slots.get(name, (0, None))[0] + 1
-            self._slots[name] = (version, value)
+            self._slots[name] = value
 
     def read(self, name: str):
         with self._lock:
-            return self._slots.get(name, (0, None))[1]
-
-    def read_versioned(self, name: str):
-        with self._lock:
-            return self._slots.get(name, (0, None))
+            return self._slots.get(name)
 
 
 @dataclass
@@ -241,8 +235,7 @@ class _EpisodeCore:
         if ground is not None:
             # keep the floor out of the map even with range noise on the hits
             ground = ground + 5.0 * SENSOR.noise_coeff * SENSOR.max_range
-        pcl4 = filter_pipeline(cloud_body, st.p, st.yaw, FILTER_PARAMS,
-                               ground_z=ground)
+        pcl4 = filter_pipeline(cloud_body, st.p, st.yaw, ground_z=ground)
         self.bb.publish("pcl4", pcl4)
 
     def mapping_step(self, t):
@@ -339,10 +332,10 @@ class _EpisodeCore:
             self.bb.publish("path", None)
             self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
             return
-        g_n = compute_goal(st.p, st.v, remaining, pp.kappa1, pp.kappa2)
+        g_n = compute_goal(st.p, st.v, remaining, KAPPA1, KAPPA2)
         cloud = self._pcp_cloud(st.p, g_n)
         dist_goal = norm(end - st.p)
-        wd = pp.waypoint_dist * min(1.0, max(dist_goal / R_DEC, 0.1))
+        wd = WAYPOINT_DIST * min(1.0, max(dist_goal / R_DEC, 0.1))
         found = das_search(st.p, g_n, cloud, pp, waypoint_dist=wd,
                            excluded=self.blocked_rays)
         if found is None:
@@ -361,26 +354,24 @@ class _EpisodeCore:
         self.bb.publish("cmd", cmd)
 
     def _pcp_cloud(self, p, g_n):
-        """The PCP's collision-check cloud: the frame's points within r_det,
+        """The PCP's collision-check cloud: the frame's points within R_DET,
         streamlined, and the map's, sorted by distance to p.
 
         Each point's distance is computed once, row-wise; a row's norm does
         not depend on the other rows, so every cut and sort sees the bytes
         it would get from the rows it keeps.
         """
-        sc = self.sc
-        pp = sc.pcp_params
         parts, dists = [], []
         pcl4 = self.bb.read("pcl4")
         if pcl4 is not None and len(pcl4):
             d = row_norms(pcl4 - p)
-            keep = d <= pp.r_det
+            keep = d <= R_DET
             near, d = pcl4[keep], d[keep]
             if len(near):
                 order = np.argsort(d, kind="stable")
                 near, d = near[order], d[order]
-                kept = streamline(near, d, p, g_n, pp.n_use,
-                                  seed=sc.seed + self.pcp_steps)
+                kept = streamline(near, d, p, g_n, N_USE,
+                                  seed=self.sc.seed + self.pcp_steps)
                 parts.append(near[kept])
                 dists.append(d[kept])
         snap = self.bb.read("map")
@@ -388,7 +379,7 @@ class _EpisodeCore:
             pcl_m = snap[0]
             if len(pcl_m):
                 d = row_norms(pcl_m - p)
-                keep = d <= pp.r_det
+                keep = d <= R_DET
                 parts.append(pcl_m[keep])
                 dists.append(d[keep])
         if not parts:

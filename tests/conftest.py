@@ -11,8 +11,13 @@ import dualnav
 from dualnav.bench import bench_flight3d
 
 # Property tests draw the same examples on every run, and a slow example on
-# a loaded host is not a failure.
+# a loaded host is not a failure. `pytest --hypothesis-profile=randomized
+# --hypothesis-seed=N` selects fresh draws from seed N instead, with no
+# example database: Hypothesis's pytest plugin loads that profile after
+# this file.
 settings.register_profile("dualnav", derandomize=True, deadline=None)
+settings.register_profile("randomized", derandomize=False, database=None,
+                          deadline=None)
 settings.load_profile("dualnav")
 
 

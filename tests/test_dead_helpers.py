@@ -23,6 +23,12 @@ A third scan holds the dataclasses of the package to the same rule: each
 defaulted field that `__init__` takes (a `ClassVar` or `field(init=False)`
 is not one) must be set by a call of the class, by Hypothesis's
 `builds(Class, ...)` or by `replace(..., field=...)`.
+
+In the second and third scans a test is a caller only of the test rig,
+`sim.py` and `bench.py`. The tests shrink the rig on purpose: a noise-free
+camera for exact geometry checks, a coarse oracle grid and fewer optimizer
+caps. A value of a planner module that only a test sets is the one value
+the planner ever runs with, so it must be a module constant.
 """
 import ast
 from pathlib import Path
@@ -31,6 +37,11 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/dualnav"
 SCANNED = (PACKAGE, "tests", "demos", "navbench")
+TEST_RIG = (PACKAGE + "/sim.py", PACKAGE + "/bench.py")
+
+
+def _is_test(path: str) -> bool:
+    return "tests" in Path(path).parts
 
 
 def _is_click_command(node) -> bool:
@@ -186,6 +197,16 @@ def resolved_calls(trees) -> list:
     return [resolve(call, forwarder, frozenset()) for call, forwarder in raw]
 
 
+def _callers(trees: dict):
+    """A function of a `src/dualnav` path giving the resolved calls that
+    count as its callers: every call for the test rig, and the calls
+    outside the tests for any other module."""
+    every = resolved_calls(trees.values())
+    own = resolved_calls(tree for path, tree in trees.items()
+                         if not _is_test(path))
+    return lambda path: every if path in TEST_RIG else own
+
+
 def _passes(call, param, pos, shift=0):
     """Whether a call passes a parameter at position pos (None for keyword
     only) when its first `shift` positional arguments go elsewhere."""
@@ -196,13 +217,14 @@ def _passes(call, param, pos, shift=0):
 def unset_parameters(sources: dict) -> list:
     """`path:line: function(parameter)` for each defaulted parameter of a
     `src/dualnav` function or method that no call in {path: source}
-    passes."""
+    passes; a call in a test counts only for the test rig."""
     trees = {path: ast.parse(src) for path, src in sources.items()}
-    calls = resolved_calls(trees.values())
+    callers = _callers(trees)
     found = []
     for path, tree in trees.items():
         if not path.startswith(PACKAGE):
             continue
+        calls = callers(path)
         defs = [(node.name, node, False) for node in tree.body
                 if isinstance(node, ast.FunctionDef)]
         for cls in tree.body:
@@ -247,13 +269,15 @@ def unset_fields(sources: dict) -> list:
     """`path:line: Class.field` for each defaulted `__init__` field of a
     `src/dualnav` dataclass that no call in {path: source} sets. A field is
     set by a call of the class, by `builds(Class, ...)` (Hypothesis), or by
-    `replace(..., field=...)`, which the scan cannot tie to one class."""
+    `replace(..., field=...)`, which the scan cannot tie to one class; a
+    call in a test counts only for the test rig."""
     trees = {path: ast.parse(src) for path, src in sources.items()}
-    calls = resolved_calls(trees.values())
+    callers = _callers(trees)
     found = []
     for path, tree in trees.items():
         if not path.startswith(PACKAGE):
             continue
+        calls = callers(path)
         for cls in tree.body:
             if not (isinstance(cls, ast.ClassDef) and any(
                     _name(d.func if isinstance(d, ast.Call) else d)
@@ -279,13 +303,23 @@ def test_scan_finds_an_unset_parameter():
                   "class Box:\n"
                   "    def __init__(self, size=1.0, name=None):\n"
                   "        self.size = size\n"
-                  "    def grow(self, by=1.0):\n        return by\n"),
-        "tests/test_m.py": ("from dualnav.m import Box, f, g\n"
+                  "    def grow(self, by=1.0):\n        return by\n"
+                  "def h(x, step=0.1):\n    return x\n"),
+        "demos/m_demo.py": ("from dualnav.m import Box, f, g\n"
                             "f(0, 5, d=6)\nbox = Box(2.0)\n"
                             "g(*[1, 2])\nbox.grow()\n"),
+        # only tests pass h's step, so it is a knob with one value in use
+        "tests/test_m.py": "from dualnav.m import h\nh(1.0, step=0.2)\n",
+        "navbench/tests/test_m.py": "from dualnav.m import h\nh(2.0, 0.3)\n",
+        # the test rig's noise is set by a test alone, and that counts
+        PACKAGE + "/sim.py": ("def sense(world, noise=0.01):\n"
+                              "    return world\n"),
+        "tests/test_sim.py": ("from dualnav.sim import sense\n"
+                              "sense(None, noise=0.0)\n"),
     }
     assert unset_parameters(sources) == [f"{package}:1: f(c)",
                                          f"{package}:1: f(e)",
+                                         f"{package}:10: h(step)",
                                          f"{package}:6: Box(name)",
                                          f"{package}:8: grow(by)"]
 
@@ -362,8 +396,11 @@ def test_scan_finds_an_unset_field():
                   "    radius: ClassVar[float] = 0.15\n"
                   "    cache: dict = field(default_factory=dict, init=False)\n"
                   "def make(name, **overrides):\n"
-                  "    return Params(name, **overrides)\n"),
-        "tests/test_m.py": ("import dataclasses\n"
+                  "    return Params(name, **overrides)\n"
+                  "@dataclass(frozen=True)\n"
+                  "class Limits:\n"
+                  "    step: float = 0.1\n"),
+        "demos/m_demo.py": ("import dataclasses\n"
                             "from hypothesis import strategies as st\n"
                             "from dualnav.m import Params, make\n"
                             "Params('a', 2.0)\n"
@@ -371,8 +408,18 @@ def test_scan_finds_an_unset_field():
                             " rate=st.just(1.0))\n"
                             "params = make(name='c', gain=1.0)\n"
                             "dataclasses.replace(params, width=1.0)\n"),
+        # only a test sets Limits.step, so it is a knob with one value in use
+        "tests/test_m.py": "from dualnav.m import Limits\nLimits(step=0.2)\n",
+        # the test rig's noise is set by a test alone, and that counts
+        PACKAGE + "/sim.py": ("from dataclasses import dataclass\n"
+                              "@dataclass\n"
+                              "class Camera:\n"
+                              "    noise: float = 0.01\n"),
+        "tests/test_sim.py": ("from dualnav.sim import Camera\n"
+                              "Camera(noise=0.0)\n"),
     }
-    assert unset_fields(sources) == [f"{package}:4: Params.tol"]
+    assert unset_fields(sources) == [f"{package}:4: Params.tol",
+                                     f"{package}:16: Limits.step"]
 
 
 def test_no_unset_fields():

@@ -58,7 +58,7 @@ import dualnav.bench, dualnav.cli, dualnav.map_planner, dualnav.runtime
 from dualnav.bench import scenario
 from dualnav.map_planner import DagsParams, plan_final_path
 from dualnav.mapping import LocalMapParams, VoxelMap, local_map, project_2d
-from dualnav.pcl import FilterParams, filter_pipeline, outlier_filter
+from dualnav.pcl import filter_pipeline, outlier_filter
 from dualnav.runtime import run_episode
 from dualnav.sim import Box, SensorParams, World, scan_world, sense
 
@@ -72,7 +72,7 @@ assert result.metrics["duration"] > 0
 world = World(static=[Box((-0.1, -3.0, 0.0), (0.1, 3.0, 2.0))], ground_z=0.0)
 p_0 = np.array([-2.0, 0.0, 1.0])
 cloud = sense(world, p_0, 0.0, SensorParams(), 0.0, 0)
-assert len(filter_pipeline(cloud, p_0, 0.0, FilterParams(), ground_z=0.0)) > 0
+assert len(filter_pipeline(cloud, p_0, 0.0, ground_z=0.0)) > 0
 vmap = VoxelMap(0.2)
 vmap.integrate(scan_world(world, 0.2))
 p_n = np.array([-4.0, 0.0, 1.1])

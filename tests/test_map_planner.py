@@ -11,11 +11,11 @@ from dualnav.geometry import (direction_from_angles, min_clearance,
                               path_length, segment_point_distances,
                               spherical_angles)
 from dualnav.jps import JpsGrid, jps_search, line_is_free
-from dualnav.map_planner import (ALPHA_RES_MIN, DagsParams, MapPlanResult,
-                                 PlanPath, angular_cells, cast_local_goal,
-                                 dags_search, lift_path, plan_final_path,
-                                 select_final_path, shortcut_cells,
-                                 snapshot_grids, stitched_plan)
+from dualnav.map_planner import (ALPHA_RES, R_SAFE, DagsParams,
+                                 MapPlanResult, PlanPath, angular_cells,
+                                 cast_local_goal, dags_search, lift_path,
+                                 plan_final_path, select_final_path,
+                                 shortcut_cells, snapshot_grids, stitched_plan)
 from dualnav.mapping import (H_MS, GridMap2D, LocalMapParams, VoxelMap,
                              cut_center, downsample, inflate, local_map,
                              project_2d)
@@ -386,10 +386,11 @@ def angular_scenes(draw, max_points=40):
     free = st.tuples(coord, coord, coord).map(np.array)
     pts = draw(st.lists(st.one_of(free, special, st.just(origin)),
                         min_size=1, max_size=max_points))
+    # down to pi/512, where the grid reaches 1028 x 1028 cells
     alpha_res = draw(st.one_of(
-        st.sampled_from([math.radians(10.0), math.radians(5.0), math.pi / 4,
-                         ALPHA_RES_MIN]),
-        st.floats(ALPHA_RES_MIN, math.pi / 4)))
+        st.sampled_from([ALPHA_RES, math.radians(5.0), math.pi / 4,
+                         math.pi / 512]),
+        st.floats(math.pi / 512, math.pi / 4)))
     return np.array(pts), origin, goal, alpha_res
 
 
@@ -436,7 +437,7 @@ def test_dags_goes_over_wall():
     assert len(path.waypoints) >= 3
     # the elevation tie-break sends the detour over the wall, not under
     assert float(np.max(path.waypoints[:, 2])) > 1.3
-    assert min_clearance(path.waypoints, pts) >= params.r_safe - 1e-9
+    assert min_clearance(path.waypoints, pts) >= R_SAFE - 1e-9
 
 
 def test_dags_skips_non_blocking_round():
@@ -461,26 +462,16 @@ def test_dags_z_min_rejects_underground():
 
 
 @pytest.mark.parametrize("bad", [
-    {"r_safe": 0.0}, {"r_safe": -0.5}, {"r_safe": math.nan},
-    {"r_safe": math.inf}, {"z_min": math.nan}, {"z_min": math.inf},
-    {"z_min": -math.inf}, {"alpha_res": 0.0}, {"alpha_res": math.nan},
-    {"alpha_res": 1e-9}, {"alpha_res": 1e-12},
-    {"alpha_res": math.nextafter(ALPHA_RES_MIN, 0.0)},
-    {"alpha_res": math.nextafter(math.pi / 4, 1.0)}])
+    {"z_min": math.nan}, {"z_min": math.inf}, {"z_min": -math.inf}])
 def test_dags_params_reject_limits_that_turn_checks_off(bad):
-    # a NaN r_safe lets `path_clears` pass every path and an infinite one
-    # fails every path, so DAGS never runs; a NaN z_min passes every altitude;
-    # below ALPHA_RES_MIN the angular grid outgrows its bound (the packed
-    # cell keys of the old graph overflowed int64 near 1e-9 rad)
+    # a NaN z_min passes every altitude
     with pytest.raises(ValueError):
         DagsParams(**bad)
 
 
 def test_dags_params_accept_finite_limits():
-    assert DagsParams(r_safe=0.3, z_min=-1.0).z_min == -1.0
+    assert DagsParams(z_min=-1.0).z_min == -1.0
     assert DagsParams(z_min=None).z_min is None
-    for alpha_res in (ALPHA_RES_MIN, math.pi / 4):
-        assert DagsParams(alpha_res=alpha_res).alpha_res == alpha_res
 
 
 def test_lift_and_select():
@@ -764,12 +755,12 @@ def oracle_dags_search(pcl_lm, p_n, g_l, improved_2d, params, rounds=None):
         if len(subset) == 0:
             log.append("empty")
             continue
-        if np.min(segment_point_distances(origin, g_l, subset)) >= params.r_safe:
+        if np.min(segment_point_distances(origin, g_l, subset)) >= R_SAFE:
             log.append("clear")
             continue
         log.append("graph from " + ("p_n" if origin is p_n
                                     else "a turning point"))
-        graph = _PerPointGraph(subset, origin, g_l, params.alpha_res)
+        graph = _PerPointGraph(subset, origin, g_l, ALPHA_RES)
         cell = graph.min_norm_edge_cell()
         if cell is None:
             continue
@@ -777,9 +768,9 @@ def oracle_dags_search(pcl_lm, p_n, g_l, improved_2d, params, rounds=None):
         d_seg = segment_point_distances(origin, g_l, members)
         p_eg = members[int(np.argmax(d_seg))]
         l_tp = float(np.linalg.norm(p_n - p_eg))
-        if params.r_safe > l_tp:
+        if R_SAFE > l_tp:
             return None
-        alpha_safe = math.asin(params.r_safe / l_tp)
+        alpha_safe = math.asin(R_SAFE / l_tp)
         ca, cb = graph.cell_center_angles(cell)
         norm = math.hypot(ca, cb)
         scale = (norm + alpha_safe) / norm if norm > 0 else 0.0
@@ -789,7 +780,7 @@ def oracle_dags_search(pcl_lm, p_n, g_l, improved_2d, params, rounds=None):
         tps.append(tp)
         origin = tp
     path = PlanPath(np.array([p_n] + tps + [g_l]), kind="3D")
-    if min_clearance(path.waypoints, pts) < params.r_safe:
+    if min_clearance(path.waypoints, pts) < R_SAFE:
         return None
     if params.z_min is not None and np.any(path.waypoints[:, 2] < params.z_min):
         return None
@@ -828,10 +819,7 @@ def pillar_scenes(draw):
         obstacles.append([base[0], base[1], 0.0] + ga[:, None] * along
                          + gb[:, None] * side + gh[:, None] * [0.0, 0.0, 1.0])
     cloud = np.unique((np.floor(np.vstack(obstacles) / vs) + 0.5) * vs, axis=0)
-    params = DagsParams(
-        alpha_res=math.radians(draw(st.sampled_from([5.0, 10.0, 15.0]))),
-        r_safe=draw(st.sampled_from([0.3, 0.5])),
-        z_min=draw(st.sampled_from([None, 0.3])))
+    params = DagsParams(z_min=draw(st.sampled_from([None, 0.3])))
     return cloud, p_n, g_l, improved, params
 
 
@@ -898,7 +886,7 @@ def test_dags_paths_clear_the_cloud_and_stay_above_z_min(scene):
     cloud, p_n, g_l, improved, params = scene
     path = dags_search(cloud, p_n, g_l, improved, params)
     if path is not None:
-        assert min_clearance(path.waypoints, cloud) >= params.r_safe
+        assert min_clearance(path.waypoints, cloud) >= R_SAFE
         if params.z_min is not None:
             assert np.all(path.waypoints[:, 2] >= params.z_min)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +23,24 @@ def test_params_validation():
     # one Map_1 cell per voxel, so the side follows from i and the voxel
     assert p.resolution == 0.2 and p.l_ms == 20.0
     assert LocalMapParams(i=40, m=20, voxel_size=1.0).l_ms == 40.0
+
+
+@pytest.mark.parametrize("make", [
+    VoxelMap, lambda size: LocalMapParams(voxel_size=size)],
+    ids=["VoxelMap", "LocalMapParams"])
+@pytest.mark.parametrize("size", [0.0, -0.2, math.nan, math.inf, -math.inf])
+def test_unusable_voxel_sizes_are_rejected(make, size):
+    # a size of 0 or NaN floors every point into one voxel, and a NaN size
+    # marks no cell of Map_1, so obstacles vanish from it
+    with pytest.raises(ValueError):
+        make(size)
+
+
+@pytest.mark.parametrize("bad", [{"i": 0}, {"i": -100}, {"i": -100, "m": 50}])
+def test_map_sizes_below_one_cell_are_rejected(bad):
+    # i = -100 passes i*j > 3*m*n and failed only later, in np.zeros
+    with pytest.raises(ValueError):
+        LocalMapParams(**bad)
 
 
 def test_voxel_map_integrate_and_centers():

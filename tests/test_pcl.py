@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dualnav.pcl import (D_PASS, VOXEL_SIZE, FilterParams, body_to_earth,
-                         distance_filter, filter_pipeline, outlier_filter,
-                         voxel_downsample)
+from dualnav.pcl import (D_PASS, OUTLIER_MIN_NEIGHBORS, OUTLIER_RADIUS,
+                         VOXEL_SIZE, body_to_earth, distance_filter,
+                         filter_pipeline, outlier_filter, voxel_downsample)
 from dualnav.sim import Box, SensorParams, World, sense
 
 
@@ -35,14 +35,6 @@ def test_voxel_downsample_validates():
 def test_outlier_filter_validates(radius):
     with pytest.raises(ValueError):
         outlier_filter(np.zeros((1, 3)), radius, 3)
-
-
-@pytest.mark.parametrize("bad", [
-    {"outlier_radius": 0.0}, {"outlier_radius": -0.4},
-    {"outlier_radius": math.nan}, {"outlier_min_neighbors": 0}])
-def test_filter_params_validation(bad):
-    with pytest.raises(ValueError):
-        FilterParams(**bad)
 
 
 def test_voxel_downsample_keeps_far_apart_voxels_apart():
@@ -114,35 +106,33 @@ def test_sensed_points_land_on_the_world():
 
 
 def test_filter_pipeline_ground_removal():
-    # two wall returns that vouch for each other and one floor return,
-    # noise-free: only the floor cut removes the floor return
-    cloud_body = np.array([[2.0, 0.0, 0.0], [2.0, 0.0, 0.5], [1.0, 0.0, -1.0]])
-    params = FilterParams(outlier_min_neighbors=1, outlier_radius=3.0)
-    out = filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, params,
-                          ground_z=0.05)
-    assert len(out) == 2
-    assert np.all(out[:, 2] > 0.5)
-    assert len(filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, params)) == 3
+    # a 2 x 2 patch of wall returns 0.25 m apart, which vouch for each
+    # other, and two floor returns below it, each with three neighbours,
+    # noise-free: only the floor cut removes the floor returns
+    cloud_body = np.array([[2.0, y, z] for z in (-0.75, -0.5, -1.0)
+                           for y in (0.0, 0.25)])
+    out = filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, ground_z=0.05)
+    assert len(out) == 4
+    assert np.all(out[:, 2] > 0.2)
+    assert len(filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0)) == 6
 
 
 def test_filter_pipeline_floor_returns_do_not_vouch_for_obstacles():
-    # a lone wall return whose only neighbour is a floor return: the floor
-    # goes before the outlier filter, which then drops the wall return too
-    cloud_body = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
-    params = FilterParams(outlier_min_neighbors=1, outlier_radius=3.0)
-    out = filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, params,
-                          ground_z=0.05)
+    # three wall returns whose third neighbour is a floor return: the floor
+    # goes before the outlier filter, which then drops the wall returns too
+    cloud_body = np.array([[2.0, 0.05, -0.75], [2.0, 0.3, -0.75],
+                           [2.25, 0.15, -0.75], [2.1, 0.15, -1.0]])
+    out = filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, ground_z=0.05)
     assert out.shape == (0, 3)
-    assert len(filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0, params)) == 2
+    assert len(filter_pipeline(cloud_body, (0.0, 0.0, 1.0), 0.0)) == 4
 
 
-def _stage_chain(cloud_body, position, yaw, params, ground_z=None):
+def _stage_chain(cloud_body, position, yaw, ground_z=None):
     """The filter stages in their order before the floor cut moved to the
     head of the chain: distance, voxel, outlier, Earth frame, then the cut."""
     pcl_1 = distance_filter(cloud_body, D_PASS)
     pcl_2 = voxel_downsample(pcl_1, VOXEL_SIZE)
-    pcl_3 = outlier_filter(pcl_2, params.outlier_radius,
-                           params.outlier_min_neighbors)
+    pcl_3 = outlier_filter(pcl_2, OUTLIER_RADIUS, OUTLIER_MIN_NEIGHBORS)
     pcl_4 = body_to_earth(pcl_3, position, yaw)
     if ground_z is not None:
         pcl_4 = pcl_4[pcl_4[:, 2] > ground_z]
@@ -177,39 +167,36 @@ def floor_scenes(draw):
             # ground_z - pz is the body z of the cut, up to one rounding
             points.append((x, y, ground_z - pz + draw(offsets)))
     cloud = np.array(points, dtype=float).reshape(-1, 3)
-    params = FilterParams(
-        outlier_radius=draw(st.sampled_from([0.2, 0.4, 1.0])),
-        outlier_min_neighbors=draw(st.integers(1, 4)))
-    return cloud, position, yaw, params, ground_z
+    return cloud, position, yaw, ground_z
 
 
 @given(floor_scenes())
 @example((np.array([[2.0, 0.0, 0.0], [2.0, 0.1, -1.0], [2.0, 0.05, -1.0]]),
-          (0.0, 0.0, 1.0), 0.3, FilterParams(outlier_min_neighbors=1), 0.0))
-# three returns just above the cut whose centroid rounds onto it, and a
-# neighbour: only the final cut drops that centroid
+          (0.0, 0.0, 1.0), 0.3, 0.0))
+# three returns just above the cut whose centroid rounds onto it, and three
+# neighbours: only the final cut drops that centroid
 @example((np.array([[1.0, 0.5, -2.719059361077343]] * 3
-                   + [[1.0, 0.7, -2.719059361077343]]),
-          (0.0, 0.0, 2.8440593610773433), 0.0,
-          FilterParams(outlier_min_neighbors=1), 0.125))
+                   + [[1.0, 0.7, -2.719059361077343],
+                      [1.0, 0.3, -2.719059361077343],
+                      [1.3, 0.5, -2.719059361077343]]),
+          (0.0, 0.0, 2.8440593610773433), 0.0, 0.125))
 def test_filter_pipeline_is_the_stage_chain_on_the_returns_above_the_cut(
         scene):
-    cloud, position, yaw, params, ground_z = scene
-    out = filter_pipeline(cloud, position, yaw, params, ground_z=ground_z)
+    cloud, position, yaw, ground_z = scene
+    out = filter_pipeline(cloud, position, yaw, ground_z=ground_z)
     assert out.shape[1] == 3
     assert np.all(out[:, 2] > ground_z)
     above = body_to_earth(cloud, position, yaw)[:, 2] > ground_z
-    want = _stage_chain(cloud[above], position, yaw, params, ground_z)
+    want = _stage_chain(cloud[above], position, yaw, ground_z)
     assert out.tobytes() == want.tobytes()
     if above.all():
         # no return at or below the cut: the old order's bytes
-        old = _stage_chain(cloud, position, yaw, params, ground_z)
+        old = _stage_chain(cloud, position, yaw, ground_z)
         assert out.tobytes() == old.tobytes()
-    no_cut = filter_pipeline(cloud, position, yaw, params)
-    assert no_cut.tobytes() == _stage_chain(cloud, position, yaw,
-                                            params).tobytes()
+    no_cut = filter_pipeline(cloud, position, yaw)
+    assert no_cut.tobytes() == _stage_chain(cloud, position, yaw).tobytes()
 
 
 def test_filter_pipeline_empty():
-    out = filter_pipeline(np.zeros((0, 3)), (0, 0, 0), 0.0, FilterParams())
+    out = filter_pipeline(np.zeros((0, 3)), (0, 0, 0), 0.0)
     assert out.shape == (0, 3)

@@ -6,9 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dualnav.geometry import unit
-from dualnav.pcp import (PcpParams, _fan_vectors, braking_distance,
-                         compute_goal, das_search, fermat_point, hold,
-                         plan_motion, safety_backup, streamline)
+from dualnav.pcp import (R_DET, WAYPOINT_DIST, PcpParams, _fan_vectors,
+                         braking_distance, compute_goal, das_search,
+                         fermat_point, hold, plan_motion, safety_backup,
+                         streamline)
 
 VELOCITY = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(
     np.array)
@@ -20,40 +21,20 @@ def brute_median_cost(V, point):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        PcpParams(kappa1=1.0, kappa2=2.0)
+    # the braking distance v_max^2 / (2 a_max) must stay within r_safe
     with pytest.raises(ValueError):
         PcpParams(v_max=2.0, a_max=2.0, r_safe=0.5)
-    with pytest.raises(ValueError):
-        PcpParams(waypoint_dist=3.0, r_det=2.0)
-    # a DAS ray needs a length
-    with pytest.raises(ValueError):
-        PcpParams(waypoint_dist=-1.0, r_det=0.0)
 
 
 @pytest.mark.parametrize("bad", [
     {"a_max": -2.0}, {"a_max": 0.0}, {"a_max": math.nan},
     {"v_max": 0.0}, {"v_max": -1.0}, {"v_max": math.nan},
-    {"r_safe": 0.0}, {"r_safe": math.nan},
-    {"n_use": 0}, {"max_opt_iters": 0},
-    {"waypoint_dist": 0.0}, {"waypoint_dist": -0.3},
-    {"waypoint_dist": math.nan}])
+    {"r_safe": 0.0}, {"r_safe": math.nan}, {"max_opt_iters": 0}])
 def test_params_reject_limits_that_break_the_pcp(bad):
     # a_max < 0 makes `hold` speed up, a_max = 0 and v_max = 0 divide by
-    # zero, n_use = 0 drops the whole cloud and max_opt_iters = 0 returns
-    # a = 0 unsolved; waypoint_dist = 0 puts every DAS waypoint on the
-    # drone, so it brakes on every tick, and below 0 the drone flies away
-    # from the free ray it chose
+    # zero and max_opt_iters = 0 returns a = 0 unsolved
     with pytest.raises(ValueError):
         PcpParams(**bad)
-
-
-@pytest.mark.parametrize("step", [0.0, -0.0, -math.radians(10.0), math.nan])
-def test_params_reject_an_angle_step_that_never_widens_the_fan(step):
-    # the fan adds rounds until the step passes 90 degrees, which a step of
-    # 0, below 0 or NaN never does; only the constructor runs here
-    with pytest.raises(ValueError):
-        PcpParams(das_angle_step=step)
 
 
 def test_fermat_equilateral_centroid():
@@ -147,7 +128,7 @@ def test_streamline_short_input_passthrough():
 
 def test_candidate_rays_structure():
     d = unit([1.0, 0.0, 0.0])
-    rays = [d] + [unit(f) for f in _fan_vectors(d, math.radians(10.0))]
+    rays = [d] + [unit(f) for f in _fan_vectors(d)]
     assert np.allclose(rays[0], [1, 0, 0])
     # 9 rounds of 4 rays plus the center ray
     assert len(rays) == 1 + 4 * 9
@@ -166,7 +147,7 @@ def test_das_search_direct_free():
     assert out is not None
     w, idx = out
     assert idx == 0
-    assert np.allclose(w, [p.waypoint_dist, 0, 0])
+    assert np.allclose(w, [WAYPOINT_DIST, 0, 0])
 
 
 def test_das_search_deviates_when_blocked():
@@ -192,7 +173,7 @@ def test_plan_motion_constraints_and_progress():
         v = rng.normal(size=3)
         v = v / np.linalg.norm(v) * rng.uniform(0, p.v_max)
         w = rng.normal(size=3)
-        w = w / np.linalg.norm(w) * rng.uniform(0.05, p.r_det)
+        w = w / np.linalg.norm(w) * rng.uniform(0.05, R_DET)
         cmd = plan_motion(np.zeros(3), v, w, 0.05, p)
         assert np.linalg.norm(cmd.a_n) <= p.a_max + 1e-9
         assert np.linalg.norm(v + cmd.a_n * 0.05) <= p.v_max + 1e-9
@@ -228,7 +209,7 @@ def test_safety_backup_brakes_when_every_ray_is_blocked():
     p = PcpParams(v_max=1.0, a_max=2.0)
     # the braking distance fits, as in the steer branch, but no ray is left
     cloud = np.array([[0.4, 0.0, 0.0]])
-    fan = _fan_vectors(np.array([1.0, 0, 0]), p.das_angle_step)
+    fan = _fan_vectors(np.array([1.0, 0, 0]))
     every_ray = set(range(1 + len(fan)))
     cmd = safety_backup([0, 0, 0], [0.1, 0, 0], [-0.1, 0, 0], cloud, p,
                         every_ray)

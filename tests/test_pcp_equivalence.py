@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from dualnav import pcp
 from dualnav.geometry import norm, segment_point_distances, unit
-from dualnav.pcp import (ETA1, ETA2, OPT_TOL, PcpParams, _fan_vectors,
-                         _feasible, compute_goal, das_search, plan_motion,
-                         safety_backup)
+from dualnav.pcp import (DAS_ANGLE_STEP, ETA1, ETA2, N_USE, OPT_TOL, R_DET,
+                         WAYPOINT_DIST, PcpParams, _fan_vectors, _feasible,
+                         compute_goal, das_search, plan_motion, safety_backup)
 from dualnav.runtime import Scenario, _EpisodeCore
 from dualnav.sim import World
 
@@ -136,21 +136,20 @@ def oracle_rays(direction, angle_step):
     return rays
 
 
-def oracle_das_search(p_n, g_n, cloud_sorted, params, waypoint_dist=None,
-                      excluded=None):
+def oracle_das_search(p_n, g_n, cloud_sorted, params,
+                      waypoint_dist=WAYPOINT_DIST, excluded=None):
     p_n = np.asarray(p_n, dtype=float)
     g_n = np.asarray(g_n, dtype=float)
     d = g_n - p_n
     if np.linalg.norm(d) == 0.0:
         return None
-    wd = params.waypoint_dist if waypoint_dist is None else waypoint_dist
-    for idx, ray in enumerate(oracle_rays(d, params.das_angle_step)):
+    for idx, ray in enumerate(oracle_rays(d, DAS_ANGLE_STEP)):
         if excluded and idx in excluded:
             continue
-        end = p_n + params.r_det * ray
+        end = p_n + R_DET * ray
         if _oracle_collision_check_segment(p_n, end, cloud_sorted,
                                            params.r_safe) is None:
-            return p_n + wd * ray, idx
+            return p_n + waypoint_dist * ray, idx
     return None
 
 
@@ -249,18 +248,18 @@ def oracle_safety_backup(p_n, v_n, p_prev, cloud_sorted, params, blocked_rays):
     d_bkd = float(np.linalg.norm(v_n) ** 2 / (2.0 * params.a_max))
     min_obs = (float(np.min(np.linalg.norm(pts - p_n, axis=1)))
                if len(pts) else math.inf)
-    horizon = max(params.waypoint_dist / params.v_max, 1e-3)
+    horizon = max(WAYPOINT_DIST / params.v_max, 1e-3)
     if min_obs > d_bkd:
         goal_dir = _oracle_unit(np.asarray(p_prev, dtype=float) - p_n)
         if np.linalg.norm(goal_dir) == 0.0:
             goal_dir = (_oracle_unit(v_n) if np.linalg.norm(v_n)
                         else np.array([1.0, 0, 0]))
         best_ray, best_clear = None, -1.0
-        rays = oracle_rays(goal_dir, params.das_angle_step)
+        rays = oracle_rays(goal_dir, DAS_ANGLE_STEP)
         for idx, ray in enumerate(rays):
             if idx in blocked_rays:
                 continue
-            end = p_n + params.r_det * ray
+            end = p_n + R_DET * ray
             clear = (float(np.min(segment_point_distances(p_n, end, pts)))
                      if len(pts) else math.inf)
             if clear > best_clear:
@@ -268,7 +267,7 @@ def oracle_safety_backup(p_n, v_n, p_prev, cloud_sorted, params, blocked_rays):
         # no ray to steer along (all blocked, or every clearance NaN):
         # brake or retreat as below
         if best_ray is not None:
-            w = p_n + params.waypoint_dist * best_ray
+            w = p_n + WAYPOINT_DIST * best_ray
             return oracle_plan_motion(p_n, v_n, w, horizon, params)[:2] + (
                 "backup_steer",)
     if np.linalg.norm(v_n) > 1e-6:
@@ -304,24 +303,24 @@ def oracle_streamline(pcl_sorted, p_n, g_n, n_use, d_ft, seed=0):
     return pts[np.sort(chosen)]
 
 
-def oracle_pcp_cloud(pcl4, snap, p, g_n, pp, seed):
+def oracle_pcp_cloud(pcl4, snap, p, g_n, seed):
     """`_EpisodeCore._pcp_cloud` with the frame, the map snapshot and the
     streamline seed passed in."""
     parts = []
     if pcl4 is not None and len(pcl4):
         d = np.linalg.norm(pcl4 - p, axis=1)
-        near = pcl4[d <= pp.r_det]
+        near = pcl4[d <= R_DET]
         if len(near):
             near = near[np.argsort(np.linalg.norm(near - p, axis=1),
                                    kind="stable")]
             d_ft = float(np.linalg.norm(near[-1] - p))
-            near = oracle_streamline(near, p, g_n, pp.n_use, d_ft, seed=seed)
+            near = oracle_streamline(near, p, g_n, N_USE, d_ft, seed=seed)
             parts.append(near)
     if snap is not None:
         pcl_m = snap[0]
         if len(pcl_m):
             d = np.linalg.norm(pcl_m - p, axis=1)
-            parts.append(pcl_m[d <= pp.r_det])
+            parts.append(pcl_m[d <= R_DET])
     if not parts:
         return np.zeros((0, 3))
     cloud = np.vstack(parts)
@@ -478,19 +477,15 @@ def test_plan_motion_same_bytes(case):
 
 # -- DAS rays and search -----------------------------------------------------
 
-angle_steps = (st.sampled_from([math.radians(10.0), math.radians(15.0),
-                                math.pi / 2.0]) | st.floats(0.1, 1.6))
-
-
 @settings(max_examples=200)
-@given(vec3(-2.0, 2.0), angle_steps)
-@example(np.array([0.0, 0.0, 1.0]), math.radians(10.0))
-@example(np.array([0.0, -0.0, -2.0]), math.radians(10.0))
-@example(np.zeros(3), math.radians(10.0))
-def test_candidate_rays_same_bytes(direction, angle_step):
+@given(vec3(-2.0, 2.0))
+@example(np.array([0.0, 0.0, 1.0]))
+@example(np.array([0.0, -0.0, -2.0]))
+@example(np.zeros(3))
+def test_candidate_rays_same_bytes(direction):
     d = unit(direction)
-    got = [d] + [unit(f) for f in _fan_vectors(d, angle_step)]
-    want = oracle_rays(direction, angle_step)
+    got = [d] + [unit(f) for f in _fan_vectors(d)]
+    want = oracle_rays(direction, DAS_ANGLE_STEP)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_same_bytes(g, w)
@@ -507,20 +502,20 @@ def clouds(draw, p):
 
 @st.composite
 def das_cases(draw):
-    params = PcpParams(das_angle_step=draw(angle_steps),
-                       r_safe=draw(st.sampled_from([0.5, 0.7])))
+    params = PcpParams(r_safe=draw(st.sampled_from([0.5, 0.7])))
     p = draw(vec3(-5.0, 5.0))
     g = p + draw(vec3(-3.0, 3.0))
     excluded = draw(st.sets(st.integers(0, 40), max_size=6))
-    wd = draw(st.none() | st.floats(0.03, 0.3))
+    wd = draw(st.just(WAYPOINT_DIST) | st.floats(0.03, 0.3))
     return p, g, draw(clouds(p)), params, wd, excluded
 
 
 @settings(max_examples=200)
 @given(das_cases())
-@example((np.zeros(3), np.zeros(3), np.zeros((0, 3)), PcpParams(), None, set()))
+@example((np.zeros(3), np.zeros(3), np.zeros((0, 3)), PcpParams(),
+          WAYPOINT_DIST, set()))
 @example((np.zeros(3), np.array([2.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0]]),
-          PcpParams(), None, {0, 1}))
+          PcpParams(), WAYPOINT_DIST, {0, 1}))
 def test_das_search_same_bytes(case):
     p, g, cloud, params, wd, excluded = case
     got = das_search(p, g, cloud, params, waypoint_dist=wd, excluded=excluded)
@@ -545,7 +540,7 @@ def assert_same_search(got, want):
 # across the fan past walls and exclusions, and fly far from the origin, where
 # the band is widest.
 
-FAN_STEP = math.radians(10.0)   # 37 rays: 0, then rounds of four up to 36
+# the fan has 37 rays: 0, then rounds of four up to 36
 CHUNK_EDGES = [0, 12, 13, 24, 25, 36]   # ray 0, rounds 3|4 and 6|7, ray 36
 
 
@@ -566,11 +561,11 @@ def boundary_cases(draw):
     before it or they are excluded; more exclusions fall on CHUNK_EDGES."""
     walled = draw(st.booleans())
     r_safe = 0.1 if walled else draw(st.sampled_from([0.5, 0.1]))
-    params = PcpParams(r_safe=r_safe, v_max=0.3, das_angle_step=FAN_STEP)
+    params = PcpParams(r_safe=r_safe, v_max=0.3)
     p = draw(vec3(-5.0, 5.0) | vec3(-1e3, 1e3))
     g = p + draw(vec3(-3.0, 3.0))
     assume(norm(g - p) > 1e-3)
-    rays = oracle_rays(g - p, FAN_STEP)
+    rays = oracle_rays(g - p, DAS_ANGLE_STEP)
     target = draw(st.sampled_from(CHUNK_EDGES) | st.integers(0, 36))
     excluded = draw(st.sets(st.sampled_from(CHUNK_EDGES), max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -583,7 +578,7 @@ def boundary_cases(draw):
     assume(norm(normal) > 1e-3)
     t = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
     k = draw(st.integers(-4, 4))
-    point = (p + (t * params.r_det) * rays[target]
+    point = (p + (t * R_DET) * rays[target]
              + (r_safe * (1.0 + k * 2.0 ** -52)) * unit(normal))
     return p, g, np.vstack([cloud, point]), params, excluded, target
 
@@ -612,9 +607,9 @@ def test_das_fan_boundary_same_bytes(case):
 def test_das_fan_decides_walls_without_the_exact_path(p, first_free):
     """Dense walls whose first free ray lies past ray 12, or that leave no
     ray free; every ray lies far outside the band."""
-    params = PcpParams(r_safe=0.1, v_max=0.3, das_angle_step=FAN_STEP)
+    params = PcpParams(r_safe=0.1, v_max=0.3)
     g = p + np.array([1.0, 2.0, -0.5])
-    rays = oracle_rays(g - p, FAN_STEP)
+    rays = oracle_rays(g - p, DAS_ANGLE_STEP)
     stop = len(rays) if first_free is None else first_free
     blocked = [j for j in range(len(rays)) if j != stop]
     cloud = wall(p, rays, blocked, np.random.default_rng(stop))
@@ -634,10 +629,13 @@ def test_das_fan_decides_walls_without_the_exact_path(p, first_free):
 @st.composite
 def scattered(draw, p, max_points):
     """Points around p: uniform ones, some on a 0.1 m lattice (equal
-    distances and duplicates), some at exactly r_det along an axis."""
+    distances and duplicates), some at exactly R_DET along an axis. The
+    uniform ones fill a cube of half side 3 m, or of 1.2 m, which puts
+    nearly all of them within R_DET, so more than N_USE can be in reach."""
     n = draw(st.integers(0, max_points))
+    half = draw(st.sampled_from([3.0, 1.2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rel = rng.uniform(-3.0, 3.0, size=(n, 3))
+    rel = rng.uniform(-half, half, size=(n, 3))
     if draw(st.booleans()):
         rel = np.round(rel, 1)
     extra = draw(st.lists(st.sampled_from(
@@ -648,8 +646,6 @@ def scattered(draw, p, max_points):
 
 @st.composite
 def pcp_cloud_cases(draw):
-    pp = PcpParams(r_det=draw(st.sampled_from([2.0, 1.0])),
-                   n_use=draw(st.sampled_from([70, 1]) | st.integers(2, 40)))
     p = draw(vec3(-3.0, 3.0))
     g = p + draw(vec3(-3.0, 3.0))
     pcl4 = draw(st.none() | scattered(p, 150))
@@ -667,7 +663,7 @@ def pcp_cloud_cases(draw):
         # read-only, as `VoxelMap.occupied_centers` gives them
         centers.flags.writeable = False
         snap = (centers, p)
-    return pcl4, snap, p, g, pp, draw(st.integers(0, 10_000))
+    return pcl4, snap, p, g, draw(st.integers(0, 10_000))
 
 
 # points on the axes at five radii: many equal distances, so an unstable
@@ -678,18 +674,17 @@ _SHELLS = np.array([np.eye(3)[k % 3] * (1 - 2 * (k % 6 // 3)) * 0.5 * (1 + k % 5
 
 @settings(max_examples=300)
 @given(pcp_cloud_cases())
-@example((_SHELLS, (_SHELLS[::2], np.zeros(3)), np.zeros(3), np.ones(3),
-          PcpParams(), 0))
-@example((None, None, np.zeros(3), np.ones(3), PcpParams(), 0))
+@example((_SHELLS, (_SHELLS[::2], np.zeros(3)), np.zeros(3), np.ones(3), 0))
+@example((None, None, np.zeros(3), np.ones(3), 0))
 @example((np.zeros((0, 3)), (np.zeros((0, 3)), np.zeros(3)), np.zeros(3),
-          np.ones(3), PcpParams(), 0))
+          np.ones(3), 0))
 @example((np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [3.0, 0.0, 0.0]]),
           (np.array([[0.0, 0.0, 2.0]]), np.zeros(3)), np.zeros(3),
-          np.array([1.0, 0.0, 0.0]), PcpParams(n_use=1), 5))
+          np.array([1.0, 0.0, 0.0]), 5))
 def test_pcp_cloud_same_bytes(case):
-    pcl4, snap, p, g, pp, steps = case
+    pcl4, snap, p, g, steps = case
     sc = Scenario(world=World(), start=(0.0, 0.0, 1.0), goal=(1.0, 0.0, 1.0),
-                  seed=3, pcp_params=pp)
+                  seed=3)
     core = _EpisodeCore(sc)
     core.pcp_steps = steps
     if pcl4 is not None:
@@ -697,7 +692,7 @@ def test_pcp_cloud_same_bytes(case):
     if snap is not None:
         core.bb.publish("map", snap)
     assert_same_bytes(core._pcp_cloud(p, g),
-                      oracle_pcp_cloud(pcl4, snap, p, g, pp, sc.seed + steps))
+                      oracle_pcp_cloud(pcl4, snap, p, g, sc.seed + steps))
 
 
 # -- safety backup -----------------------------------------------------------
@@ -768,7 +763,7 @@ def backup_cases(draw):
     if branch in ("behind", "near-tie"):
         assume(norm(prev - p) > 1e-3)
         # the backup's fan, which points at the previous position
-        rays = oracle_rays(_oracle_unit(prev - p), params.das_angle_step)
+        rays = oracle_rays(_oracle_unit(prev - p), DAS_ANGLE_STEP)
     if branch == "behind":
         cloud = wall_behind(p, rays[0], draw(st.floats(0.3, 1.5)))
     elif branch == "near-tie":
@@ -801,7 +796,7 @@ def backup_cases(draw):
 def near_tie_case(p, prev, i, j, k, seed, blocked=()):
     """A `backup_cases` draw at rest with a `near_tie` cloud."""
     p, prev = np.array(p, dtype=float), np.array(prev, dtype=float)
-    rays = oracle_rays(_oracle_unit(prev - p), FAN_STEP)
+    rays = oracle_rays(_oracle_unit(prev - p), DAS_ANGLE_STEP)
     cloud = near_tie(p, rays, i, j, k, np.random.default_rng(seed))
     return p, np.zeros(3), prev, cloud, PcpParams(), set(blocked)
 
@@ -864,13 +859,13 @@ def test_safety_backup_scans_only_the_rays_tied_with_the_best(p, free):
     """Dense walls that leave a few rays free, whose clearances differ by
     far more than the guard band: the exact path runs on at most the open
     rays whose exact clearance ties with the best one."""
-    params = PcpParams(r_safe=0.1, v_max=0.3, das_angle_step=FAN_STEP)
+    params = PcpParams(r_safe=0.1, v_max=0.3)
     prev = p + np.array([-0.1, 0.2, 0.05])
-    rays = oracle_rays(_oracle_unit(prev - p), FAN_STEP)
+    rays = oracle_rays(_oracle_unit(prev - p), DAS_ANGLE_STEP)
     cloud = wall(p, rays, [j for j in range(len(rays)) if j not in free],
                  np.random.default_rng(len(free)))
-    clear = [float(np.min(segment_point_distances(p, p + params.r_det * r,
-                                                  cloud))) for r in rays]
+    clear = [float(np.min(segment_point_distances(p, p + R_DET * r, cloud)))
+             for r in rays]
     for blocked in (set(), {0}, {13, 24}):
         best = max(c for j, c in enumerate(clear) if j not in blocked)
         tied = sum(c == best for j, c in enumerate(clear) if j not in blocked)

@@ -42,13 +42,14 @@ def test_loop_rates_validation():
         LoopRates(pcp_hz=float("inf"))
 
 
-def test_blackboard_versioning():
+def test_blackboard_keeps_the_latest_value():
     bb = Blackboard()
     assert bb.read("x") is None
     bb.publish("x", 1)
     bb.publish("x", 2)
-    version, value = bb.read_versioned("x")
-    assert version == 2 and value == 2
+    bb.publish("y", None)
+    assert bb.read("x") == 2
+    assert bb.read("y") is None
 
 
 def test_virtual_schedule_counts_and_order():
