@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.internal.conjecture import providers
+from hypothesis.internal.constants_ast import Constants
 
 import dualnav
 from dualnav.bench import bench_flight3d
@@ -19,6 +21,24 @@ settings.register_profile("dualnav", derandomize=True, deadline=None)
 settings.register_profile("randomized", derandomize=False, database=None,
                           deadline=None)
 settings.load_profile("dualnav")
+
+# Hypothesis also draws constants that it reads from the source of every
+# loaded module outside the tests (`_get_local_constants`, a private name of
+# the pinned hypothesis==6.155.2), so a literal added or removed anywhere in
+# the package would reshuffle unrelated properties. A derandomized run draws
+# from an empty local pool instead, so its draws depend on the test alone;
+# the randomized profile keeps Hypothesis's own pool, which probes the
+# code's thresholds.
+_NO_CONSTANTS = Constants()
+_local_constants = providers._get_local_constants
+
+
+def _constant_pool():
+    return _NO_CONSTANTS if settings.default.derandomize else \
+        _local_constants()
+
+
+providers._get_local_constants = _constant_pool
 
 
 @pytest.fixture(scope="session")
@@ -46,12 +66,11 @@ def navbench_module():
     return _load_navbench
 
 
-# Hypothesis also draws constants that it reads from the source of every
-# loaded module outside the tests, adding a module's constants when it first
-# loads, so a property's draws depend on the modules a run has loaded (the
-# CLI and the benchmark's modules load only with their tests). Loading every
-# module of both packages here, before the first test, gives every run the
-# same pool; the benchmark's modules import each other as `navbench`.
+# A randomized run's pool grows as modules load, so its draws depend on the
+# modules a run has loaded (the CLI and the benchmark's modules load only
+# with their tests). Loading every module of both packages here, before the
+# first test, gives a seed the same draws in a single-file and a full run;
+# the benchmark's modules import each other as `navbench`.
 if str(NAVBENCH.parent) not in sys.path:
     sys.path.append(str(NAVBENCH.parent))
 for _info in [*pkgutil.iter_modules(dualnav.__path__, "dualnav."),
