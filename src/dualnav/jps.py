@@ -153,11 +153,6 @@ class JpsGrid:
                (x == gx and 0 <= (gy - c) * dy < run):
                 return x, y
 
-    def jump(self, x, y, dx, dy, gx, gy):
-        if dx != 0 and dy != 0:
-            return self.jump_diagonal(x, y, dx, dy, gx, gy)
-        return self.jump_cardinal(x, y, dx, dy, gx, gy)
-
 
 def jps_search(grid: JpsGrid, start, goal):
     """Optimal 8-connected path as a jump-point sequence on the grid whose
@@ -244,8 +239,10 @@ def jps_search(grid: JpsGrid, start, goal):
     return None
 
 
-def _supercover(a, b):
-    """The cells of traversed_cells(a, b), in its order, one at a time."""
+def traversed_cells(a, b):
+    """Supercover traversal: every cell whose closed unit square the segment
+    between the centers of cells a and b touches, in order from a, one at a
+    time."""
     x0, y0 = a[0] + 0.5, a[1] + 0.5
     x1, y1 = b[0] + 0.5, b[1] + 0.5
     cx, cy = int(a[0]), int(a[1])
@@ -280,12 +277,6 @@ def _supercover(a, b):
             return
 
 
-def traversed_cells(a, b):
-    """Supercover traversal: every cell whose closed unit square the segment
-    between the centers of cells a and b touches."""
-    return list(_supercover(a, b))
-
-
 def line_is_free(cells_grid: np.ndarray, a, b) -> bool:
     """True when the chord between cell centers a and b touches no occupied
     cell. The walk reads each cell of traversed_cells(a, b) as it reaches it
@@ -294,7 +285,7 @@ def line_is_free(cells_grid: np.ndarray, a, b) -> bool:
     if occ.format not in _NUMERIC:
         occ = memoryview(np.asarray(cells_grid) != 0)
     I, J = occ.shape
-    for x, y in _supercover(a, b):
+    for x, y in traversed_cells(a, b):
         if 0 <= x < I and 0 <= y < J and occ[x, y]:
             return False
     return True

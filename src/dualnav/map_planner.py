@@ -77,13 +77,14 @@ def cast_local_goal(p_n, global_goal, params: LocalMapParams,
         # a NaN offset gives a NaN t, as np.min would
         t = math.nan if any(f != f for f in faces) else min(faces)
         g_l = [pi + t * di for pi, di in zip(p, d)]
-    # the cell of g_l, as GridMap2D.world_to_cell gives it, clamped
+    # the cell of g_l, floor((g_l - origin) / resolution) on each axis,
+    # clamped to that axis's size
     ox, oy = map_1_inflated.origin.tolist()
     res = map_1_inflated.resolution
-    n = map_1_inflated.cells.shape[0]
-    cell = (min(max(math.floor((g_l[0] - ox) / res), 0), n - 1),
-            min(max(math.floor((g_l[1] - oy) / res), 0), n - 1))
-    if not map_1_inflated.is_free(cell):
+    nx, ny = map_1_inflated.cells.shape
+    cell = (min(max(math.floor((g_l[0] - ox) / res), 0), nx - 1),
+            min(max(math.floor((g_l[1] - oy) / res), 0), ny - 1))
+    if map_1_inflated.cells[cell]:
         cell = _nearest_free_edge_cell(map_1_inflated, cell) or cell
     return np.array(g_l), cell
 
@@ -235,7 +236,7 @@ def stitched_plan(map_1b: GridMap2D, map_c_inflated: GridMap2D,
 
     fine = np.array(fine_sc + goal_end, dtype=float)
     coarse = np.array(coarse_sc, dtype=float).reshape(-1, 2)
-    # each grid's cell centres, as GridMap2D.cell_center gives them
+    # each grid's cell centres, origin + (cell + 0.5) * resolution
     xy = np.concatenate([
         map_c_inflated.origin + (fine + 0.5) * map_c_inflated.resolution,
         map_1b.origin + (coarse + 0.5) * map_1b.resolution])

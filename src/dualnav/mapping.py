@@ -66,19 +66,6 @@ class GridMap2D:
     resolution: float
     cells: np.ndarray           # uint8, indexed [ix, iy], 1 = occupied
 
-    def world_to_cell(self, xy) -> tuple[int, int]:
-        rel = (np.asarray(xy, dtype=float) - self.origin) / self.resolution
-        return int(np.floor(rel[0])), int(np.floor(rel[1]))
-
-    def cell_center(self, cell) -> np.ndarray:
-        return self.origin + (np.asarray(cell, dtype=float) + 0.5) * self.resolution
-
-    def in_bounds(self, cell) -> bool:
-        return 0 <= cell[0] < self.cells.shape[0] and 0 <= cell[1] < self.cells.shape[1]
-
-    def is_free(self, cell) -> bool:
-        return self.in_bounds(cell) and self.cells[cell[0], cell[1]] == 0
-
     @functools.cached_property
     def jump_tables(self) -> JpsGrid:
         """The JPS jump tables of the cells, built on first use. The cells

@@ -3,12 +3,12 @@ so is every default it offers.
 
 A stdlib `ast` scan: each top-level function and class of `src/dualnav`,
 and each method of its top-level classes, must be referenced by name
-outside its own definition, in the package, the tests, the demos or the
-benchmark. A reference is a name, an attribute or a string equal to it
-(the runtime dispatches its loop bodies by name). Dunder methods, which
-Python calls, and click commands, which click calls, are exempt. Each
-module-level constant of `src/dualnav` must likewise be referenced outside
-its own assignment.
+outside its own definition, in the package, the demos or the benchmark. A
+reference is a name, an attribute or a string equal to it (the runtime
+dispatches its loop bodies by name). Dunder methods, which Python calls,
+and click commands, which click calls, are exempt. Each module-level
+constant of `src/dualnav` must likewise be referenced outside its own
+assignment.
 
 A second scan checks that each defaulted parameter of those functions and
 methods (`__init__` included, called by its class's name) is passed, by
@@ -24,11 +24,12 @@ defaulted field that `__init__` takes (a `ClassVar` or `field(init=False)`
 is not one) must be set by a call of the class, by Hypothesis's
 `builds(Class, ...)` or by `replace(..., field=...)`.
 
-In the second and third scans a test is a caller only of the test rig,
-`sim.py` and `bench.py`. The tests shrink the rig on purpose: a noise-free
-camera for exact geometry checks, a coarse oracle grid and fewer optimizer
-caps. A value of a planner module that only a test sets is the one value
-the planner ever runs with, so it must be a module constant.
+All four scans share one caller rule: a test counts as a caller only of
+the test rig, `sim.py` and `bench.py`, which the tests shrink on purpose (a
+noise-free camera for exact geometry checks, a coarse oracle grid, fewer
+optimizer caps). Code of a planner module that only a test reaches is not
+code the loop runs, and a value of one that only a test sets is the one
+value the planner ever runs with, so it must be a module constant.
 """
 import ast
 from pathlib import Path
@@ -98,18 +99,21 @@ def constants(tree):
 def unreferenced(sources: dict, named) -> list:
     """`path:line: name` for each (name, node) that `named` finds in a
     `src/dualnav` module of {path: source} and that nothing outside the
-    node references."""
+    node references; a reference in a test counts only for the test rig."""
     trees = {path: ast.parse(src) for path, src in sources.items()}
-    refs = {path: references(tree) for path, tree in trees.items()}
+    referrers = _callers(trees, lambda ts: [
+        (path, ref, line) for path, tree in ts.items()
+        for ref, line in references(tree)])
     found = []
     for path, tree in trees.items():
         if not path.startswith(PACKAGE):
             continue
+        refs = referrers(path)
         for name, node in named(tree):
             used = any(
                 ref == name and not (other == path
                                      and node.lineno <= line <= node.end_lineno)
-                for other, rs in refs.items() for ref, line in rs)
+                for other, ref, line in refs)
             if not used:
                 found.append(f"{path}:{node.lineno}: {name}")
     return found
@@ -174,11 +178,11 @@ def _calls(tree):
     return out
 
 
-def resolved_calls(trees) -> list:
-    """Every CallSite in the trees, with the keywords that each forwarded
-    `**kwargs` carries: those the forwarder's callers pass beyond its named
-    parameters, followed through further forwarding."""
-    raw = [c for tree in trees for c in _calls(tree)]
+def resolved_calls(trees: dict) -> list:
+    """Every CallSite in the {path: tree}, with the keywords that each
+    forwarded `**kwargs` carries: those the forwarder's callers pass beyond
+    its named parameters, followed through further forwarding."""
+    raw = [c for tree in trees.values() for c in _calls(tree)]
 
     def resolve(call, forwarder, seen):
         if forwarder is None or forwarder.name in seen:
@@ -197,13 +201,13 @@ def resolved_calls(trees) -> list:
     return [resolve(call, forwarder, frozenset()) for call, forwarder in raw]
 
 
-def _callers(trees: dict):
-    """A function of a `src/dualnav` path giving the resolved calls that
-    count as its callers: every call for the test rig, and the calls
-    outside the tests for any other module."""
-    every = resolved_calls(trees.values())
-    own = resolved_calls(tree for path, tree in trees.items()
-                         if not _is_test(path))
+def _callers(trees: dict, collect):
+    """A function of a `src/dualnav` path giving what `collect` finds in the
+    {path: tree} that count as its callers: every file for the test rig,
+    and the files outside the tests for any other module."""
+    every = collect(trees)
+    own = collect({path: tree for path, tree in trees.items()
+                   if not _is_test(path)})
     return lambda path: every if path in TEST_RIG else own
 
 
@@ -219,7 +223,7 @@ def unset_parameters(sources: dict) -> list:
     `src/dualnav` function or method that no call in {path: source}
     passes; a call in a test counts only for the test rig."""
     trees = {path: ast.parse(src) for path, src in sources.items()}
-    callers = _callers(trees)
+    callers = _callers(trees, resolved_calls)
     found = []
     for path, tree in trees.items():
         if not path.startswith(PACKAGE):
@@ -272,7 +276,7 @@ def unset_fields(sources: dict) -> list:
     `replace(..., field=...)`, which the scan cannot tie to one class; a
     call in a test counts only for the test rig."""
     trees = {path: ast.parse(src) for path, src in sources.items()}
-    callers = _callers(trees)
+    callers = _callers(trees, resolved_calls)
     found = []
     for path, tree in trees.items():
         if not path.startswith(PACKAGE):
@@ -341,11 +345,18 @@ def test_scan_finds_a_dead_helper():
                   "    def __init__(self):\n        pass\n"
                   "    def read(self):\n        return used()\n"
                   "    def unread(self):\n        return 0\n"
-                  "@click.command()\ndef cmd():\n    pass\n"),
-        "tests/test_m.py": "from dualnav.m import Box\nBox().read()\n",
+                  "@click.command()\ndef cmd():\n    pass\n"
+                  "def only_tested():\n    return 2\n"),
+        "demos/m_demo.py": "from dualnav.m import Box\nBox().read()\n",
+        # only a test calls only_tested, so the loop never runs it
+        "tests/test_m.py": "from dualnav.m import only_tested\nonly_tested()\n",
+        # a test calling the test rig counts
+        PACKAGE + "/sim.py": "def camera():\n    return 0\n",
+        "tests/test_sim.py": "from dualnav.sim import camera\ncamera()\n",
     }
     assert unreferenced(sources, definitions) == [
-        f"{package}:4: recursive", f"{package}:11: unread"]
+        f"{package}:4: recursive", f"{package}:11: unread",
+        f"{package}:16: only_tested"]
 
 
 def test_no_dead_helpers():
@@ -366,11 +377,17 @@ def test_scan_finds_a_dead_constant():
                   "_LIMIT: int = 3\n"
                   "_A, _B = 1, 2\n"
                   "_ROUNDS = (\n    _A,\n)\n"
-                  "def f(x):\n    return np.clip(x, 0, _LIMIT)\n"),
-        "tests/test_m.py": "from dualnav import m\nm.STEP\n",
+                  "def f(x):\n    return np.clip(x, 0, _LIMIT)\n"
+                  "ONLY_TESTED = 7\n"),
+        # only a test reads ONLY_TESTED, so the loop never does
+        "tests/test_m.py": "from dualnav import m\nm.STEP, m.ONLY_TESTED\n",
+        # a test reading the test rig counts
+        PACKAGE + "/sim.py": "NOISE = 0.01\n",
+        "tests/test_sim.py": "from dualnav import sim\nsim.NOISE\n",
     }
     assert unreferenced(sources, constants) == [
-        f"{package}:4: _CHUNK", f"{package}:6: _B", f"{package}:7: _ROUNDS"]
+        f"{package}:4: _CHUNK", f"{package}:6: _B", f"{package}:7: _ROUNDS",
+        f"{package}:12: ONLY_TESTED"]
 
 
 def test_no_dead_constants():

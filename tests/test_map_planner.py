@@ -170,7 +170,20 @@ def test_cast_local_goal_inside_and_outside():
     assert np.allclose(g_l, [2.0, 0.0, 1.0])
     g_l, cell = cast_local_goal((0, 0, 1.0), (100.0, 0.0, 1.0), params, grid)
     assert g_l[0] == pytest.approx(params.l_ms / 2.0)
-    assert grid.is_free(cell)
+    assert grid.cells[cell] == 0
+
+
+@pytest.mark.parametrize("shape, goal, want", [
+    ((4, 10), (1.5, 8.5), (1, 8)),      # inside the cuboid
+    ((4, 10), (1.5, 30.0), (0, 9)),     # cast to y = 10, one past the grid
+    ((10, 4), (8.5, 1.5), (8, 1)),
+])
+def test_cast_local_goal_clamps_each_axis_by_its_own_size(shape, goal, want):
+    grid = GridMap2D(origin=np.zeros(2), resolution=1.0,
+                     cells=np.zeros(shape, dtype=np.uint8))
+    _, cell = cast_local_goal((0.0, 0.0, 1.0), (*goal, 1.0),
+                              LocalMapParams(), grid)
+    assert cell == want
 
 
 def oracle_cast_local_goal(p_n, global_goal, params, map_1_inflated):
@@ -186,10 +199,12 @@ def oracle_cast_local_goal(p_n, global_goal, params, map_1_inflated):
             t_faces = np.where(d != 0.0, half / np.abs(d), np.inf)
         t = float(np.min(t_faces))
         g_l = p + t * d
-    cell = map_1_inflated.world_to_cell(g_l[:2])
-    n = map_1_inflated.cells.shape[0]
-    cell = (min(max(cell[0], 0), n - 1), min(max(cell[1], 0), n - 1))
-    if not map_1_inflated.is_free(cell):
+    cell = np.floor((g_l[:2] - map_1_inflated.origin)
+                    / map_1_inflated.resolution)
+    nx, ny = map_1_inflated.cells.shape
+    cell = (min(max(int(cell[0]), 0), nx - 1),
+            min(max(int(cell[1]), 0), ny - 1))
+    if map_1_inflated.cells[cell] != 0:
         cell = map_planner._nearest_free_edge_cell(map_1_inflated,
                                                    cell) or cell
     return g_l, cell
@@ -539,11 +554,13 @@ def test_stitched_plan_ends_at_the_goal_cell_inside_the_drone_coarse_cell():
     map_1 = project_2d(np.zeros((0, 3)), p_n, params)
     map_1_infl, map_c, map_1b = snapshot_grids(map_1, params.k, params.m,
                                                params.h)
-    g_cell = map_1_infl.world_to_cell([8.0, 0.0])
+    g_cell = tuple(np.floor(([8.0, 0.0] - map_1_infl.origin)
+                            / map_1_infl.resolution).astype(int))
     path = stitched_plan(map_1b, map_c, g_cell, params)
     assert path is not None
     wp = path.waypoints
-    assert np.allclose(wp[-1, :2], map_1.cell_center(g_cell), atol=1e-9)
+    centre = map_1.origin + (np.array(g_cell) + 0.5) * map_1.resolution
+    assert np.allclose(wp[-1, :2], centre, atol=1e-9)
     assert np.all(np.abs(wp[:, 1]) <= 0.3)
     assert path.length() <= 1.01 * float(np.linalg.norm(wp[-1] - wp[0]))
 
@@ -721,7 +738,8 @@ def test_walled_in_start_gives_no_plan():
     path_2d = stitched_plan(downsample(map_1, params.h), map_c,
                             (lo + c + 3, lo + c), params)
     assert len(path_2d.waypoints) == 1
-    assert map_c.world_to_cell(path_2d.waypoints[0, :2]) == (c, c)
+    assert tuple(np.floor((path_2d.waypoints[0, :2] - map_c.origin)
+                          / map_c.resolution)) == (c, c)
     for goal in ((1.0, 0.0, 1.1), (15.0, 2.0, 1.1)):
         for use_dags in (True, False):
             assert plan_final_path(p_n, goal, cloud, map_1, params,

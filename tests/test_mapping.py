@@ -80,7 +80,8 @@ def test_local_map_cuboid():
 def test_project_2d_centers_drone():
     params = LocalMapParams()
     g = project_2d(np.array([[0.0, 0.0, 1.0]]), (0.0, 0.0, 1.0), params)
-    cell = g.world_to_cell((0.0, 0.0))
+    # the drone's cell: floor((xy - origin) / resolution)
+    cell = tuple(np.floor(-g.origin / g.resolution).astype(int))
     assert cell == (params.i // 2, params.i // 2)
     assert g.cells[cell] == 1
     assert g.cells.sum() == 1
@@ -90,7 +91,8 @@ def test_cut_center_alignment():
     params = LocalMapParams()
     g = project_2d(np.array([[0.0, 0.0, 1.0]]), (0.0, 0.0, 1.0), params)
     c = cut_center(g, params.m)
-    cell = c.world_to_cell((0.0, 0.0))
+    # the drone's cell: floor((xy - origin) / resolution)
+    cell = tuple(np.floor(-c.origin / c.resolution).astype(int))
     assert cell == (params.m // 2, params.m // 2)
     assert c.cells[cell] == 1
 
