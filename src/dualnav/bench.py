@@ -39,7 +39,7 @@ MAP2D_MAX_DRAWS = 1000      # 2D-study draws in a row that keep no trial
 
 # -- shortest-path oracle ----------------------------------------------------
 
-def _world_grid(world: World, start, goal, resolution, clearance):
+def _world_grid(world: World, start, goal, resolution):
     pts = [np.asarray(start, dtype=float), np.asarray(goal, dtype=float)]
     for b in world.static:
         lo, hi = b.arrays()
@@ -47,7 +47,7 @@ def _world_grid(world: World, start, goal, resolution, clearance):
     lo = np.min(pts, axis=0) - 1.0
     hi = np.max(pts, axis=0) + 1.0
     if world.ground_z is not None:
-        lo[2] = max(lo[2], world.ground_z + clearance + resolution)
+        lo[2] = max(lo[2], world.ground_z + ORACLE_CLEARANCE + resolution)
     shape = np.maximum(np.ceil((hi - lo) / resolution).astype(int), 1)
     centers_axes = [lo[k] + (np.arange(shape[k]) + 0.5) * resolution
                     for k in range(3)]
@@ -56,20 +56,20 @@ def _world_grid(world: World, start, goal, resolution, clearance):
         blo, bhi = b.arrays()
         sel = []
         for k in range(3):
-            sel.append((centers_axes[k] > blo[k] - clearance)
-                       & (centers_axes[k] < bhi[k] + clearance))
+            sel.append((centers_axes[k] > blo[k] - ORACLE_CLEARANCE)
+                       & (centers_axes[k] < bhi[k] + ORACLE_CLEARANCE))
         occ |= sel[0][:, None, None] & sel[1][None, :, None] & sel[2][None, None, :]
     return lo, shape, occ
 
 
-def _segment_clear_of_boxes(a, b, boxes, clearance, step):
+def _segment_clear_of_boxes(a, b, boxes, step):
     n = max(int(np.ceil(np.linalg.norm(b - a) / step)), 1)
     t = np.linspace(0.0, 1.0, n + 1)
     samples = a + t[:, None] * (b - a)
     for box in boxes:
         lo, hi = box.arrays()
         nearest = np.clip(samples, lo, hi)
-        if np.min(row_norms(samples - nearest)) < clearance:
+        if np.min(row_norms(samples - nearest)) < ORACLE_CLEARANCE:
             return False
     return True
 
@@ -90,8 +90,7 @@ def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1):
 
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    lo, shape, occ = _world_grid(world, start, goal, resolution,
-                                 ORACLE_CLEARANCE)
+    lo, shape, occ = _world_grid(world, start, goal, resolution)
     free = ~occ
     nid = -np.ones(shape, dtype=np.int64)
     nid[free] = np.arange(int(free.sum()))
@@ -142,7 +141,7 @@ def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1):
     while i < len(pts) - 1:
         j = len(pts) - 1
         while j > i + 1 and not _segment_clear_of_boxes(
-                pts[i], pts[j], boxes, ORACLE_CLEARANCE, resolution / 2.0):
+                pts[i], pts[j], boxes, resolution / 2.0):
             j -= 1
         keep.append(j)
         i = j

@@ -344,16 +344,16 @@ def _nearest_reachable(cells: np.ndarray, start, ref, boundary_only=False):
     return nearest_free_in_grid(~mask, ref)
 
 
-def angular_cells(offsets, az_g, el_g, alpha_res):
+def angular_cells(offsets, az_g, el_g):
     """Goal-relative direction cells of the points at `offsets` (the columns
     dx, dy, dz from the search origin), and the edge cell DAGS steers by.
 
     A point's azimuth relative to the goal direction (az_g, el_g), wrapped
     to [-pi, pi], and its relative elevation are floored in units of
-    alpha_res to the integer cell (a, b). The occupied cells are marked on
+    ALPHA_RES to the integer cell (a, b). The occupied cells are marked on
     a dense grid over the keys' range with a free border: both relative
-    angles lie in [-pi, pi], so an axis spans at most 2 pi / alpha_res + 2
-    keys, and the grid at ALPHA_RES has at most 40 x 40 cells. An occupied
+    angles lie in [-pi, pi], so an axis spans at most 2 pi / ALPHA_RES + 2
+    = 38 keys, and the grid has at most 40 x 40 cells. An occupied
     cell is an edge cell when one of its four neighbours is free. The
     chosen cell is the edge cell of least (hypot(ca, cb), -cb, (a, b)),
     where (ca, cb) is its centre: the nearest to the goal direction, and of
@@ -365,8 +365,8 @@ def angular_cells(offsets, az_g, el_g, alpha_res):
     dx, dy, dz = offsets
     az = np.arctan2(dy, dx)
     el = np.arctan2(dz, np.hypot(dx, dy))
-    ka = np.floor(wrap_angle(az - az_g) / alpha_res).astype(np.int64)
-    kb = np.floor((el - el_g) / alpha_res).astype(np.int64)
+    ka = np.floor(wrap_angle(az - az_g) / ALPHA_RES).astype(np.int64)
+    kb = np.floor((el - el_g) / ALPHA_RES).astype(np.int64)
     a0, b0 = int(ka.min()) - 1, int(kb.min()) - 1
     nb = int(kb.max()) - b0 + 2
     keys = (ka - a0) * nb + (kb - b0)
@@ -377,7 +377,7 @@ def angular_cells(offsets, az_g, el_g, alpha_res):
                  & grid[occ - 1] & grid[occ + 1])]
 
     def rank(cell):
-        ca, cb = (cell[0] + 0.5) * alpha_res, (cell[1] + 0.5) * alpha_res
+        ca, cb = (cell[0] + 0.5) * ALPHA_RES, (cell[1] + 0.5) * ALPHA_RES
         return math.hypot(ca, cb), -cb, cell
 
     cell = min(zip((edge // nb + a0).tolist(), (edge % nb + b0).tolist()),
@@ -420,7 +420,7 @@ def dags_search(pcl_lm: np.ndarray, p_n, g_l, improved_2d: PlanPath,
         az_g, el_g = spherical_angles(g_l - origin)
         offsets = (np.take(rel, sel, axis=1) if origin is p_n
                    else subset - origin[:, None])
-        keys, key, (a, b) = angular_cells(offsets, az_g, el_g, ALPHA_RES)
+        keys, key, (a, b) = angular_cells(offsets, az_g, el_g)
         members = pts[sel[keys == key]]
         d_seg = segment_point_distances(origin, g_l, members)
         p_eg = members[int(np.argmax(d_seg))]

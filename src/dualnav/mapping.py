@@ -188,7 +188,8 @@ def inflate(grid: GridMap2D, k: int) -> GridMap2D:
 
 
 def downsample(grid: GridMap2D, h: int) -> GridMap2D:
-    """Map_1b: h x h mean pooling with round-half-away-from-zero.
+    """Map_1b: a block of h x h cells is occupied when at least half of its
+    cells are (a tie counts as occupied, which is conservative).
 
     The input is first zero-padded at the high-index side of each axis to
     the next multiple of h.
@@ -197,10 +198,7 @@ def downsample(grid: GridMap2D, h: int) -> GridMap2D:
     ni, nj = -(-i // h), -(-j // h)
     padded = np.zeros((ni * h, nj * h), dtype=np.uint8)
     padded[:i, :j] = grid.cells
-    blocks = padded.reshape(ni, h, nj, h).astype(float)
-    means = blocks.mean(axis=(1, 3))
-    # half away from zero: a block with exactly half its cells occupied counts
-    # as occupied (conservative)
-    cells = (means >= 0.5 - 1e-12).astype(np.uint8)
+    counts = padded.reshape(ni, h, nj, h).sum(axis=(1, 3))
+    cells = (2 * counts >= h * h).astype(np.uint8)
     return GridMap2D(origin=grid.origin.copy(), resolution=grid.resolution * h,
                      cells=cells)

@@ -24,12 +24,12 @@ OUTLIER_MIN_NEIGHBORS = 3   # neighbours a point needs to pass the filter
 PAIRS_AT_ONCE = 96
 
 
-def distance_filter(cloud: np.ndarray, d_pass: float) -> np.ndarray:
-    """Keep points with Euclidean norm <= d_pass, preserving order."""
+def distance_filter(cloud: np.ndarray) -> np.ndarray:
+    """Keep points with Euclidean norm <= D_PASS, preserving order."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     if len(cloud) == 0:
         return cloud
-    keep = row_norms(cloud) <= d_pass
+    keep = row_norms(cloud) <= D_PASS
     return cloud[keep]
 
 
@@ -175,7 +175,7 @@ def filter_pipeline(cloud_body: np.ndarray, position, yaw: float,
         # the frame is yaw-only, so body z plus the position's z is the
         # Earth z that body_to_earth computes, bit for bit
         cloud = cloud[cloud[:, 2] + position[2] > ground_z]
-    pcl_1 = distance_filter(cloud, D_PASS)
+    pcl_1 = distance_filter(cloud)
     pcl_2 = voxel_downsample(pcl_1, VOXEL_SIZE)
     pcl_3 = outlier_filter(pcl_2, OUTLIER_RADIUS, OUTLIER_MIN_NEIGHBORS)
     pcl_4 = body_to_earth(pcl_3, position, yaw)

@@ -203,7 +203,7 @@ def _any_orthogonal(u):
     return [x / n for x in w]
 
 
-def compute_goal(p_n, v_0, path_waypoints, kappa1: float, kappa2: float):
+def compute_goal(p_n, v_0, path_waypoints):
     """Current PCP goal: Fermat point of the weighted waypoint triangle."""
     wp = np.asarray(path_waypoints, dtype=float).reshape(-1, 3)
     if len(wp) == 0:
@@ -213,8 +213,8 @@ def compute_goal(p_n, v_0, path_waypoints, kappa1: float, kappa2: float):
     pt1 = wp[0].tolist()
     pt2 = wp[1].tolist() if len(wp) > 1 else pt1
     return fermat_point([
-        [kappa1 * (a - b) + b for a, b in zip(pt1, p)],
-        [kappa2 * (a - b) + b for a, b in zip(pt2, p)],
+        [KAPPA1 * (a - b) + b for a, b in zip(pt1, p)],
+        [KAPPA2 * (a - b) + b for a, b in zip(pt2, p)],
         [a + b for a, b in zip(v, p)],
     ])
 
@@ -222,8 +222,8 @@ def compute_goal(p_n, v_0, path_waypoints, kappa1: float, kappa2: float):
 # -- point-cloud streamlining ------------------------------------------------
 
 def streamline(pcl_sorted: np.ndarray, dist: np.ndarray, p_n, g_n,
-               n_use: int, seed: int = 0) -> np.ndarray:
-    """Cap the sorted collision-check cloud at n_use points: the ascending
+               seed: int = 0) -> np.ndarray:
+    """Cap the sorted collision-check cloud at N_USE points: the ascending
     indices of the points kept. `dist` holds the points' distances to p_n.
 
     Priority points lie within half the far distance (that of the last
@@ -232,7 +232,7 @@ def streamline(pcl_sorted: np.ndarray, dist: np.ndarray, p_n, g_n,
     complement.
     """
     pts = np.asarray(pcl_sorted, dtype=float).reshape(-1, 3)
-    if len(pts) <= n_use:
+    if len(pts) <= N_USE:
         return np.arange(len(pts))
     p_n = np.asarray(p_n, dtype=float)
     # a single 3-vector's norm is a dot product, whose last bit can differ
@@ -243,14 +243,14 @@ def streamline(pcl_sorted: np.ndarray, dist: np.ndarray, p_n, g_n,
     ahead = rel @ g_dir >= 0.0          # angle to goal direction <= 90 deg
     priority = (dist <= 0.5 * d_ft) | ahead
     pri_idx = np.flatnonzero(priority)
-    if len(pri_idx) > n_use:
-        # picks (L - 1) / (n_use - 1) > 1 apart round to n_use distinct
+    if len(pri_idx) > N_USE:
+        # picks (L - 1) / (N_USE - 1) > 1 apart round to N_USE distinct
         # ascending indices into the ascending pri_idx
-        pick = np.linspace(0, len(pri_idx) - 1, n_use).round().astype(int)
+        pick = np.linspace(0, len(pri_idx) - 1, N_USE).round().astype(int)
         return pri_idx[pick]
     rest = np.flatnonzero(~priority)
     rng = np.random.default_rng(seed)
-    extra = rng.choice(rest, size=n_use - len(pri_idx), replace=False)
+    extra = rng.choice(rest, size=N_USE - len(pri_idx), replace=False)
     return np.sort(np.concatenate([pri_idx, extra]))
 
 

@@ -51,9 +51,8 @@ from .geometry import norm, path_clears, path_length, row_norms
 from .map_planner import DagsParams, plan_final_path
 from .mapping import LocalMapParams, VoxelMap, cuboid_cut, project_2d
 from .pcl import filter_pipeline
-from .pcp import (KAPPA1, KAPPA2, N_USE, R_DEC, R_DET, WAYPOINT_DIST,
-                  PcpParams, compute_goal, das_search, hold, plan_motion,
-                  safety_backup, streamline)
+from .pcp import (R_DEC, R_DET, WAYPOINT_DIST, PcpParams, compute_goal,
+                  das_search, hold, plan_motion, safety_backup, streamline)
 from .sim import (DroneState, SensorParams, World, check_collision,
                   scan_world, sense, step_dynamics)
 
@@ -332,7 +331,7 @@ class _EpisodeCore:
             self.bb.publish("path", None)
             self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
             return
-        g_n = compute_goal(st.p, st.v, remaining, KAPPA1, KAPPA2)
+        g_n = compute_goal(st.p, st.v, remaining)
         cloud = self._pcp_cloud(st.p, g_n)
         dist_goal = norm(end - st.p)
         wd = WAYPOINT_DIST * min(1.0, max(dist_goal / R_DEC, 0.1))
@@ -370,7 +369,7 @@ class _EpisodeCore:
             if len(near):
                 order = np.argsort(d, kind="stable")
                 near, d = near[order], d[order]
-                kept = streamline(near, d, p, g_n, N_USE,
+                kept = streamline(near, d, p, g_n,
                                   seed=self.sc.seed + self.pcp_steps)
                 parts.append(near[kept])
                 dists.append(d[kept])

@@ -1,5 +1,5 @@
-"""Every function, class and method in the package is used somewhere, and
-so is every default it offers.
+"""Every function, class and method in the package is used somewhere, so
+is every default it offers, and no parameter always gets one constant.
 
 A stdlib `ast` scan: each top-level function and class of `src/dualnav`,
 and each method of its top-level classes, must be referenced by name
@@ -24,7 +24,14 @@ defaulted field that `__init__` takes (a `ClassVar` or `field(init=False)`
 is not one) must be set by a call of the class, by Hypothesis's
 `builds(Class, ...)` or by `replace(..., field=...)`.
 
-All four scans share one caller rule: a test counts as a caller only of
+A fifth scan reports a parameter, defaulted or not, that every call gives
+one and the same module constant of the package (a call that leaves it out
+gives its default): it too is a knob with one value in use, and the
+function should read the constant itself. A parameter that a `*` or `**`
+hides in some call is not reported, nor are the TRACER_PINNED ones, which
+the benchmark's tracer counters take.
+
+All five scans share one caller rule: a test counts as a caller only of
 the test rig, `sim.py` and `bench.py`, which the tests shrink on purpose (a
 noise-free camera for exact geometry checks, a coarse oracle grid, fewer
 optimizer caps). Code of a planner module that only a test reaches is not
@@ -119,30 +126,33 @@ def unreferenced(sources: dict, named) -> list:
     return found
 
 
-def _defaulted_params(node, is_method):
-    """(name, position) of each defaulted parameter of a def; position is
-    the index among the arguments a call passes, None for keyword-only."""
+def _params(node, is_method):
+    """(name, position, default) of each parameter of a def that a call can
+    pass; position is the index among the arguments a call passes, None for
+    keyword-only, and default is the default's node or None."""
     a = node.args
     positional = a.posonlyargs + a.args
     skip = int(is_method and not any(
         isinstance(d, ast.Name) and d.id == "staticmethod"
         for d in node.decorator_list))
-    first = len(positional) - len(a.defaults)
-    out = [(p.arg, idx - skip)
-           for idx, p in enumerate(positional) if idx >= first]
-    out += [(p.arg, None)
-            for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+    out = [(p.arg, idx - skip, d)
+           for idx, (p, d) in enumerate(zip(positional, defaults))
+           if idx >= skip]
+    out += [(p.arg, None, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)]
     return out
 
 
 class CallSite(NamedTuple):
     callee: str
-    first: str | None       # name of the first positional argument
     n_pos: int              # positional arguments, a `*` one left out
     keywords: frozenset
     star: bool              # has a `*args`: passes every positional parameter
     double_star: bool       # has a `**` the scan cannot follow: passes every
                             # keyword parameter
+    names: dict             # position (before any `*`) or keyword -> the
+                            # name or attribute passed there, None for any
+                            # other expression
 
 
 def _name(node):
@@ -164,12 +174,16 @@ def _calls(tree):
             forwards = [v for v in spread
                         if isinstance(v, ast.Name) and v.id == own]
             star = any(isinstance(arg, ast.Starred) for arg in node.args)
+            names = {k.arg: _name(k.value) for k in node.keywords
+                     if k.arg is not None}
+            for idx, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                names[idx] = _name(arg)
             out.append((CallSite(
-                _name(node.func),
-                _name(node.args[0]) if node.args else None,
-                len(node.args) - star,
+                _name(node.func), len(node.args) - star,
                 frozenset(k.arg for k in node.keywords if k.arg is not None),
-                star, len(forwards) < len(spread)),
+                star, len(forwards) < len(spread), names),
                 fn if forwards else None))
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
@@ -218,17 +232,15 @@ def _passes(call, param, pos, shift=0):
             or (pos is not None and (call.n_pos - shift > pos or call.star)))
 
 
-def unset_parameters(sources: dict) -> list:
-    """`path:line: function(parameter)` for each defaulted parameter of a
-    `src/dualnav` function or method that no call in {path: source}
-    passes; a call in a test counts only for the test rig."""
-    trees = {path: ast.parse(src) for path, src in sources.items()}
+def _package_params(trees: dict):
+    """(path, def node, name, parameter, position, default, calls) for each
+    parameter of a `src/dualnav` function or method in the {path: tree}
+    (`__init__` goes by its class's name), with the calls of a function of
+    that name that count as its callers."""
     callers = _callers(trees, resolved_calls)
-    found = []
     for path, tree in trees.items():
         if not path.startswith(PACKAGE):
             continue
-        calls = callers(path)
         defs = [(node.name, node, False) for node in tree.body
                 if isinstance(node, ast.FunctionDef)]
         for cls in tree.body:
@@ -237,10 +249,59 @@ def unset_parameters(sources: dict) -> list:
                           item, True) for item in cls.body
                          if isinstance(item, ast.FunctionDef)]
         for name, node, is_method in defs:
-            for param, pos in _defaulted_params(node, is_method):
-                if not any(call.callee == name and _passes(call, param, pos)
-                           for call in calls):
-                    found.append(f"{path}:{node.lineno}: {name}({param})")
+            calls = [call for call in callers(path) if call.callee == name]
+            for param, pos, default in _params(node, is_method):
+                yield path, node, name, param, pos, default, calls
+
+
+def unset_parameters(sources: dict) -> list:
+    """`path:line: function(parameter)` for each defaulted parameter of a
+    `src/dualnav` function or method that no call in {path: source}
+    passes; a call in a test counts only for the test rig."""
+    trees = {path: ast.parse(src) for path, src in sources.items()}
+    return [f"{path}:{node.lineno}: {name}({param})"
+            for path, node, name, param, pos, default, calls
+            in _package_params(trees)
+            if default is not None
+            and not any(_passes(call, param, pos) for call in calls)]
+
+
+def _given(call, param, pos, default):
+    """The name or attribute that a call gives a parameter, its default's
+    when the call leaves it out; None for any other expression or where a
+    `*` or `**` hides it."""
+    if param in call.keywords:
+        return call.names.get(param)
+    if pos is not None and pos < call.n_pos:
+        return call.names.get(pos)
+    if call.star or call.double_star or default is None:
+        return None
+    return _name(default)
+
+
+# navbench/tracer.py's counters `_voxel` and `_outlier` take these arguments
+# of the filters it wraps, so the filters keep them while the counters do
+TRACER_PINNED = {"voxel_downsample(voxel_size)", "outlier_filter(radius)",
+                 "outlier_filter(min_neighbors)"}
+
+
+def constant_parameters(sources: dict) -> list:
+    """`path:line: function(parameter)` for each parameter of a
+    `src/dualnav` function or method, TRACER_PINNED left out, that every
+    call in {path: source} gives one and the same module constant of the
+    package, by name or as an attribute; a call in a test counts only for
+    the test rig."""
+    trees = {path: ast.parse(src) for path, src in sources.items()}
+    package_constants = {name for path, tree in trees.items()
+                         if path.startswith(PACKAGE)
+                         for name, _ in constants(tree)}
+    found = []
+    for path, node, name, param, pos, default, calls in _package_params(
+            trees):
+        given = {_given(call, param, pos, default) for call in calls}
+        if (len(given) == 1 and given <= package_constants
+                and f"{name}({param})" not in TRACER_PINNED):
+            found.append(f"{path}:{node.lineno}: {name}({param})")
     return found
 
 
@@ -289,7 +350,7 @@ def unset_fields(sources: dict) -> list:
                 continue
             sites = ([(c, 0) for c in calls if c.callee == cls.name]
                      + [(c, 1) for c in calls
-                        if c.callee == "builds" and c.first == cls.name]
+                        if c.callee == "builds" and c.names.get(0) == cls.name]
                      + [(c._replace(n_pos=0, star=False), 0) for c in calls
                         if c.callee == "replace"])
             for name, pos, defaulted in _init_fields(cls):
@@ -333,6 +394,51 @@ def test_no_unset_parameters():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in files}
     found = unset_parameters(sources)
     assert not found, "parameters no call passes:\n" + "\n".join(found)
+
+
+def test_scan_finds_a_constant_parameter():
+    package = PACKAGE + "/m.py"
+    sources = {
+        package: ("STEP = 0.5\nLIMIT = 3\n"
+                  "def clip(x, limit):\n    return x\n"
+                  "def walk(x, step=STEP, *, rate=1.0):\n    return x\n"
+                  "class Box:\n"
+                  "    def grow(self, by):\n        return by\n"
+                  "def scale(x, factor):\n    return x\n"
+                  "def voxel_downsample(cloud, voxel_size):\n"
+                  "    return cloud\n"),
+        "demos/m_demo.py": (
+            "from dualnav import m\nfrom dualnav.m import LIMIT, STEP\n"
+            # every call gives clip's limit and grow's by one constant
+            "m.clip(0, LIMIT)\nm.clip(1, limit=m.LIMIT)\n"
+            "m.Box().grow(STEP)\n"
+            # walk's step is STEP by default and by argument
+            "m.walk(0)\nm.walk(1, STEP, rate=2.0)\n"
+            # one call scales by another value
+            "m.scale(0, STEP)\nm.scale(1, 2 * STEP)\n"
+            # the tracer's counter takes voxel_size
+            "m.voxel_downsample([], STEP)\n"),
+        # a test's other value counts for the test rig alone
+        "tests/test_m.py": "from dualnav.m import clip\nclip(0, 7)\n",
+        PACKAGE + "/sim.py": ("NOISE = 0.01\n"
+                              "def sense(world, noise):\n"
+                              "    return world\n"
+                              "def run(world):\n"
+                              "    return sense(world, NOISE)\n"),
+        "tests/test_sim.py": ("from dualnav.sim import sense\n"
+                              "sense(None, 0.0)\n"),
+    }
+    assert constant_parameters(sources) == [
+        f"{package}:3: clip(limit)", f"{package}:5: walk(step)",
+        f"{package}:8: grow(by)"]
+
+
+def test_no_constant_parameters():
+    files = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in files}
+    found = constant_parameters(sources)
+    assert not found, ("parameters every call gives one module constant:\n"
+                       + "\n".join(found))
 
 
 def test_scan_finds_a_dead_helper():

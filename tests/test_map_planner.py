@@ -401,30 +401,24 @@ def angular_scenes(draw, max_points=40):
     free = st.tuples(coord, coord, coord).map(np.array)
     pts = draw(st.lists(st.one_of(free, special, st.just(origin)),
                         min_size=1, max_size=max_points))
-    # down to pi/512, where the grid reaches 1028 x 1028 cells
-    alpha_res = draw(st.one_of(
-        st.sampled_from([ALPHA_RES, math.radians(5.0), math.pi / 4,
-                         math.pi / 512]),
-        st.floats(math.pi / 512, math.pi / 4)))
-    return np.array(pts), origin, goal, alpha_res
+    return np.array(pts), origin, goal
 
 
 @settings(max_examples=300)
 @given(angular_scenes())
 # a relative azimuth of exactly -pi (y = -0.0 behind the goal) and of pi
 @example((np.array([[-1.0, -0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
-          np.zeros(3), np.array([1.0, 0.0, 0.0]), math.radians(10.0)))
+          np.zeros(3), np.array([1.0, 0.0, 0.0])))
 # goal at azimuth pi, points at azimuth -pi and pi
 @example((np.array([[-2.0, -0.0, 0.5], [-2.0, 0.0, -0.5]]),
-          np.zeros(3), np.array([-1.0, 0.0, 0.0]), math.radians(10.0)))
+          np.zeros(3), np.array([-1.0, 0.0, 0.0])))
 # one point, on the origin, with the goal on the origin too
-@example((np.zeros((1, 3)), np.zeros(3), np.zeros(3), math.radians(10.0)))
+@example((np.zeros((1, 3)), np.zeros(3), np.zeros(3)))
 def test_angular_graph_matches_per_point_loop(scene):
-    points, origin, goal, alpha_res = scene
-    oracle = _PerPointGraph(points, origin, goal, alpha_res)
+    points, origin, goal = scene
+    oracle = _PerPointGraph(points, origin, goal, ALPHA_RES)
     offsets = np.ascontiguousarray((points - origin).T)
-    keys, key, cell = angular_cells(offsets, oracle.az_g, oracle.el_g,
-                                    alpha_res)
+    keys, key, cell = angular_cells(offsets, oracle.az_g, oracle.el_g)
     # one key per cell, and a different key for each cell
     assert len(set(keys.tolist())) == len(oracle.cells)
     for idx in oracle.cells.values():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter
 
@@ -157,6 +157,36 @@ def test_downsample_padding():
     assert out.cells[0, 0] == 1
     # the padded corner block holds a single occupied cell out of four
     assert out.cells[1, 1] == 0
+
+
+def _float_mean_downsample(cells, h):
+    """downsample's block rule before it counted cells: the float mean of
+    each zero-padded h x h block against 0.5 - 1e-12."""
+    i, j = cells.shape
+    ni, nj = -(-i // h), -(-j // h)
+    padded = np.zeros((ni * h, nj * h), dtype=np.uint8)
+    padded[:i, :j] = cells
+    means = padded.reshape(ni, h, nj, h).astype(float).mean(axis=(1, 3))
+    return (means >= 0.5 - 1e-12).astype(np.uint8)
+
+
+@given(st.integers(1, 39), st.integers(1, 119), st.integers(1, 119),
+       st.sampled_from(["random", "checker"]), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+# blocks of exactly half their cells, and sides no multiple of h
+@example(2, 6, 6, "checker", 0.0, 0)
+@example(3, 7, 5, "random", 0.5, 0)
+def test_downsample_matches_float_mean(h, rows, cols, pattern, density, seed):
+    if pattern == "checker":
+        cells = np.add.outer(np.arange(rows), np.arange(cols)) % 2
+    else:
+        rng = np.random.default_rng(seed)
+        cells = rng.random((rows, cols)) < density
+    grid = GridMap2D(origin=np.zeros(2), resolution=0.2,
+                     cells=cells.astype(np.uint8))
+    out = downsample(grid, h).cells
+    want = _float_mean_downsample(grid.cells, h)
+    assert out.dtype == want.dtype and np.array_equal(out, want)
 
 
 def test_jump_tables_built_once_and_freeze_the_cells(monkeypatch):

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dualnav.pcl import (D_PASS, OUTLIER_MIN_NEIGHBORS, OUTLIER_RADIUS,
-                         VOXEL_SIZE, body_to_earth, distance_filter,
-                         filter_pipeline, outlier_filter, voxel_downsample)
+from dualnav.pcl import (OUTLIER_MIN_NEIGHBORS, OUTLIER_RADIUS, VOXEL_SIZE,
+                         body_to_earth, distance_filter, filter_pipeline,
+                         outlier_filter, voxel_downsample)
 from dualnav.sim import Box, SensorParams, World, sense
 
 
 def test_distance_filter_keeps_order():
     cloud = np.array([[0.1, 0, 0], [9, 0, 0], [0, 0.2, 0]])
-    out = distance_filter(cloud, 4.5)
+    out = distance_filter(cloud)
     assert np.allclose(out, [[0.1, 0, 0], [0, 0.2, 0]])
 
 
@@ -130,7 +130,7 @@ def test_filter_pipeline_floor_returns_do_not_vouch_for_obstacles():
 def _stage_chain(cloud_body, position, yaw, ground_z=None):
     """The filter stages in their order before the floor cut moved to the
     head of the chain: distance, voxel, outlier, Earth frame, then the cut."""
-    pcl_1 = distance_filter(cloud_body, D_PASS)
+    pcl_1 = distance_filter(cloud_body)
     pcl_2 = voxel_downsample(pcl_1, VOXEL_SIZE)
     pcl_3 = outlier_filter(pcl_2, OUTLIER_RADIUS, OUTLIER_MIN_NEIGHBORS)
     pcl_4 = body_to_earth(pcl_3, position, yaw)

@@ -6,10 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dualnav.geometry import unit
-from dualnav.pcp import (R_DET, WAYPOINT_DIST, PcpParams, _fan_vectors,
-                         braking_distance, compute_goal, das_search,
-                         fermat_point, hold, plan_motion, safety_backup,
-                         streamline)
+from dualnav.pcp import (KAPPA2, N_USE, R_DET, WAYPOINT_DIST, PcpParams,
+                         _fan_vectors, braking_distance, compute_goal,
+                         das_search, fermat_point, hold, plan_motion,
+                         safety_backup, streamline)
 
 VELOCITY = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(
     np.array)
@@ -70,8 +70,8 @@ def test_fermat_collinear_vertices_with_rounding_noise():
     for k in (2.1, 1.5):
         V = np.array([4.2 * d, k * d, np.zeros(3)])
         assert np.allclose(fermat_point(V), k * d, atol=1e-12)
-        assert np.allclose(compute_goal(np.zeros(3), np.zeros(3), [d], 4.2, k),
-                           k * d, atol=1e-12)
+    assert np.allclose(compute_goal(np.zeros(3), np.zeros(3), [d]),
+                       KAPPA2 * d, atol=1e-12)
 
 
 def test_fermat_3d_plane_invariance():
@@ -85,7 +85,7 @@ def test_fermat_3d_plane_invariance():
 
 
 def test_compute_goal_single_waypoint():
-    g = compute_goal([0, 0, 0], [0, 0, 0], [[1.0, 0, 0]], 4.2, 1.5)
+    g = compute_goal([0, 0, 0], [0, 0, 0], [[1.0, 0, 0]])
     # all three triangle vertices lie on the x axis; goal stays on it
     assert abs(g[1]) < 1e-9 and abs(g[2]) < 1e-9
     assert g[0] > 0
@@ -97,32 +97,31 @@ def test_streamline_caps_and_sorts():
     pts = rng.uniform(-2, 2, size=(300, 3))
     pts = pts[np.argsort(np.linalg.norm(pts, axis=1))]
     out = pts[streamline(pts, np.linalg.norm(pts - p, axis=1), p, [2.0, 0, 0],
-                          70, seed=1)]
-    assert len(out) == 70
+                          seed=1)]
+    assert len(out) == N_USE
     d = np.linalg.norm(out - p, axis=1)
     assert np.all(np.diff(d) >= -1e-12)
 
 
-@given(st.integers(1, 3000), st.integers(1, 3000))
-@example(1, 1)
-@example(2, 1)
-@example(3000, 1)
-def test_streamline_thins_priority_points_evenly(n_use, surplus):
+@given(st.integers(1, 3000))
+@example(1)
+@example(3000)
+def test_streamline_thins_priority_points_evenly(surplus):
     # every point lies ahead of the goal direction, so all L are priority
-    # points; picks (L - 1) / (n_use - 1) > 1 apart never round together
-    L = n_use + surplus
+    # points; picks (L - 1) / (N_USE - 1) > 1 apart never round together
+    L = N_USE + surplus
     pts = np.zeros((L, 3))
     pts[:, 0] = np.arange(1.0, L + 1.0)
-    out = streamline(pts, pts[:, 0].copy(), np.zeros(3), [1.0, 0, 0], n_use)
-    assert len(out) == n_use
+    out = streamline(pts, pts[:, 0].copy(), np.zeros(3), [1.0, 0, 0])
+    assert len(out) == N_USE
     assert np.all(np.diff(out) > 0)
-    assert np.array_equal(out, np.round(np.linspace(0, L - 1, n_use)))
+    assert np.array_equal(out, np.round(np.linspace(0, L - 1, N_USE)))
 
 
 def test_streamline_short_input_passthrough():
     pts = np.ones((5, 3))
     out = pts[streamline(pts, np.full(5, math.sqrt(3.0)), np.zeros(3),
-                          np.ones(3), 70)]
+                          np.ones(3))]
     assert len(out) == 5
 
 

@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 
 from dualnav import pcp
 from dualnav.geometry import norm, segment_point_distances, unit
-from dualnav.pcp import (DAS_ANGLE_STEP, ETA1, ETA2, N_USE, OPT_TOL, R_DET,
-                         WAYPOINT_DIST, PcpParams, _fan_vectors, _feasible,
-                         compute_goal, das_search, plan_motion, safety_backup)
+from dualnav.pcp import (DAS_ANGLE_STEP, ETA1, ETA2, KAPPA1, KAPPA2, N_USE,
+                         OPT_TOL, R_DET, WAYPOINT_DIST, PcpParams,
+                         _fan_vectors, _feasible, compute_goal, das_search,
+                         fermat_point, plan_motion, safety_backup)
 from dualnav.runtime import Scenario, _EpisodeCore
 from dualnav.sim import World
 
@@ -892,23 +893,38 @@ def goal_cases(draw):
         d = wps[0] - p
         wps = [p + d * k for k in (1.0, 2.0, 3.0)][:n]
         v = d * 0.25
-    kappa1 = draw(st.sampled_from([4.2]) | st.floats(1.0, 6.0))
-    kappa2 = draw(st.sampled_from([1.5]) | st.floats(0.1, 0.99)) * kappa1
-    return p, v, np.array(wps), kappa1, kappa2
+    return p, v, np.array(wps)
 
 
 @settings(max_examples=300)
 @given(goal_cases())
-@example((np.zeros(3), np.zeros(3), np.array([[1.0, 0.0, 0.0]]), 4.2, 1.5))
-@example((np.zeros(3), np.zeros(3), np.zeros((2, 3)), 4.2, 1.5))
+@example((np.zeros(3), np.zeros(3), np.array([[1.0, 0.0, 0.0]])))
+@example((np.zeros(3), np.zeros(3), np.zeros((2, 3))))
 @example((np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0, 0.0]),
-          np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]), 4.2, 1.5))
-# collinear, with an e2p of pure rounding error
-@example((np.zeros(3), np.zeros(3), np.array([[0.0, 1.0, 1.0]]), 4.2, 2.1))
+          np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])))
 def test_compute_goal_same_bytes(case):
-    p, v, wps, kappa1, kappa2 = case
-    assert_same_bytes(compute_goal(p, v, wps, kappa1, kappa2),
-                      oracle_compute_goal(p, v, wps, kappa1, kappa2))
+    p, v, wps = case
+    assert_same_bytes(compute_goal(p, v, wps),
+                      oracle_compute_goal(p, v, wps, KAPPA1, KAPPA2))
+
+
+@st.composite
+def weighted_triangles(draw):
+    """compute_goal's triangles under other waypoint weights than its own."""
+    p, v, wps = draw(goal_cases())
+    kappa1 = draw(st.floats(1.0, 6.0))
+    kappa2 = draw(st.floats(0.1, 0.99)) * kappa1
+    pt2 = wps[1] if len(wps) > 1 else wps[0]
+    return np.array([kappa1 * (wps[0] - p) + p, kappa2 * (pt2 - p) + p, v + p])
+
+
+@settings(max_examples=300)
+@given(weighted_triangles())
+# collinear, with an e2p of pure rounding error: compute_goal's triangle
+# for the one waypoint (0, 1, 1) at the weights 4.2 and 2.1
+@example(np.array([[0.0, 4.2, 4.2], [0.0, 2.1, 2.1], [0.0, 0.0, 0.0]]))
+def test_fermat_point_same_bytes(V):
+    assert_same_bytes(fermat_point(V), oracle_fermat_point(V))
 
 
 # -- the shared norm ---------------------------------------------------------
