@@ -30,7 +30,6 @@ _OFFSETS_3D = np.array([(dx, dy, dz)
                         for dz in (-1, 0, 1)
                         if (dx, dy, dz) > (0, 0, 0)])
 
-ORACLE_CLEARANCE = 0.15     # obstacle inflation of the oracle's grid, m
 FEATURE_MAX = 30            # obstacle size bound of a random 2D map, cells
 INTRUDER_X = 2.9            # where the intruder crosses the flight line, m
 INTRUDER_SPAWN = 10.0       # when the intruder appears, s
@@ -46,8 +45,9 @@ def _world_grid(world: World, start, goal, resolution):
         pts += [lo, hi]
     lo = np.min(pts, axis=0) - 1.0
     hi = np.max(pts, axis=0) + 1.0
+    r = Scenario.drone_radius
     if world.ground_z is not None:
-        lo[2] = max(lo[2], world.ground_z + ORACLE_CLEARANCE + resolution)
+        lo[2] = max(lo[2], world.ground_z + r + resolution)
     shape = np.maximum(np.ceil((hi - lo) / resolution).astype(int), 1)
     centers_axes = [lo[k] + (np.arange(shape[k]) + 0.5) * resolution
                     for k in range(3)]
@@ -56,8 +56,8 @@ def _world_grid(world: World, start, goal, resolution):
         blo, bhi = b.arrays()
         sel = []
         for k in range(3):
-            sel.append((centers_axes[k] > blo[k] - ORACLE_CLEARANCE)
-                       & (centers_axes[k] < bhi[k] + ORACLE_CLEARANCE))
+            sel.append((centers_axes[k] > blo[k] - r)
+                       & (centers_axes[k] < bhi[k] + r))
         occ |= sel[0][:, None, None] & sel[1][None, :, None] & sel[2][None, None, :]
     return lo, shape, occ
 
@@ -69,14 +69,14 @@ def _segment_clear_of_boxes(a, b, boxes, step):
     for box in boxes:
         lo, hi = box.arrays()
         nearest = np.clip(samples, lo, hi)
-        if np.min(row_norms(samples - nearest)) < ORACLE_CLEARANCE:
+        if np.min(row_norms(samples - nearest)) < Scenario.drone_radius:
             return False
     return True
 
 
 def oracle_shortest_path(world: World, start, goal, resolution: float = 0.1):
-    """Globally shortest path length on a fine voxel grid inflated by
-    ORACLE_CLEARANCE.
+    """Globally shortest path length for the drone's sphere: on a fine
+    voxel grid inflated by `Scenario.drone_radius`.
 
     26-connected Dijkstra followed by line-of-sight shortcutting; the result
     upper-bounds the true optimum by at most the grid discretization error.

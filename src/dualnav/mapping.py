@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jps import JpsGrid
+from .pcl import VOXEL_SIZE
 
 
 H_MS = 6.0      # local map height, meters
@@ -30,7 +31,7 @@ class LocalMapParams:
     i: int = 100            # Map_1 cells per side (i == j)
     m: int = 50             # Map_c cells per side (m == n)
     k: int = 3              # inflation kernel, cells (odd)
-    voxel_size: float = 0.2
+    voxel_size: float = VOXEL_SIZE
 
     def __post_init__(self):
         _check_voxel_size(self.voxel_size)
@@ -77,7 +78,7 @@ class GridMap2D:
 
 @dataclass
 class VoxelMap:
-    voxel_size: float = 0.2
+    voxel_size: float
     # the occupied index tuples, in insertion order (the values are None)
     occupied: dict = field(default_factory=dict, init=False)
     _centers: np.ndarray | None = field(default=None, init=False, repr=False,

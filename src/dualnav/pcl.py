@@ -14,7 +14,7 @@ from .geometry import row_norms
 
 D_PASS = 4.5        # the distance filter's range, m
 VOXEL_SIZE = 0.2    # the voxel filter's cell side, m
-OUTLIER_RADIUS = 0.4        # the outlier filter's radius, 2 * VOXEL_SIZE, m
+OUTLIER_RADIUS = 2 * VOXEL_SIZE    # the outlier filter's radius, m
 OUTLIER_MIN_NEIGHBORS = 3   # neighbours a point needs to pass the filter
 # clouds up to this size compare all pairs at once. Each kernel wins on its
 # own side: over the clouds of a seed-0 flight-known run (one thread, 2-vCPU

@@ -9,16 +9,15 @@ for the acceleration command. A safety backup covers the no-ray case, and
 The planner runs at the framework's highest rate, so its 3-vector arithmetic
 runs on Python floats wherever that gives the bits of the numpy expression it
 stands for: an elementwise +, -, * or / and a comparison are the same IEEE
-operation either way. Four rules keep every command byte-equal. A 3-vector
-norm is sqrt(x.dot(x)), which is what `np.linalg.norm` computes. A float
-shortcut decides a comparison of a norm with a bound only outside a guard
-band around the squared bound: 4e-15 relative, about 36 times the unit
-roundoff 2**-53, where rounding needs about 10 (`_norm_bound`); numpy
-decides the rest, which lie within a few ulps of the bound. A batched
-clearance decides a DAS ray only outside a guard band (`_fan_clearance`).
-The safety backup's widest ray is chosen by exact clearances, but only
-among the rays whose batched score lies within two guard bands of the best
-score; every other ray is provably narrower (`safety_backup`).
+operation either way. Three rules say what a command is. A 3-vector norm is
+sqrt(x.dot(x)), which is what `np.linalg.norm` computes. A float shortcut
+decides a comparison of a norm with a bound only outside a guard band around
+the squared bound: 4e-15 relative, about 36 times the unit roundoff 2**-53,
+where rounding needs about 10 (`_norm_bound`); numpy decides the rest, which
+lie within a few ulps of the bound. One batched clearance score per ray
+decides the DAS fan (`_fan_clearance`): `das_search` takes the first open
+ray that scores at least r_safe**2, and `safety_backup` the first open ray
+of the largest score.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import norm, row_norms, segment_point_distances, unit
+from .geometry import norm, row_norms, unit
 
 
 R_DEC = 3.0         # goal-approach deceleration radius, m
@@ -70,7 +69,6 @@ class MotionCommand:
 
 _GUARD = 4e-15   # relative half-width of the guard band around a squared bound
 _TINY = 1e-300   # absolute slack for squares that round in the subnormal range
-_FAN_GUARD = 1e-12  # guard band of `_fan_clearance`, relative to its scale**2
 
 
 def _dot(a, b) -> float:
@@ -261,36 +259,14 @@ def _fan_clearance(rays, rel, rel2):
     rel2 - t (2P - t), with P = rays @ rel.T and t = clip(P, 0, R_DET).
 
     The rays have norms of about 1, rel = pts - p_n and rel2 holds its
-    squared row norms; inf with no points. Let u = 2**-53, S =
-    max|p_n| + max|rel| + R_DET or more (`_fan_band`) and D <= |rel| <= S
-    the real distance to the segment along the exact ray e = unit(fan[i]).
-    Then:
-    - the exact path, `segment_point_distances`, rounds in world coordinates,
-      (p_n + R_DET e) - p_n, then pts - (p_n + t ab): within about 16u S of D;
-    - the rays here divide by `row_norms`, e by the dot of `norm`; each is
-      within 2u of the true norm, which moves a segment end by 9u R_DET;
-    - gemm here and gemv there each lie within 3u |rel| of the true dot,
-      so t is off by about 10u |rel|, the value by 24u S D;
-    - rel2 - t (2P - t) cancels terms up to (|rel| + R_DET)**2: 25u S**2.
-    So near r_safe the value is within about 81u S**2 of the exact squared
-    distance. `das_search` calls a ray blocked below r_safe**2 - b and free
-    above r_safe**2 + b, b = _FAN_GUARD S**2 + _TINY, and leaves the band and
-    NaN to the exact path; `safety_backup` skips the rays scored more than
-    2b below its best. _FAN_GUARD = 1e-12, about 9,000u, leaves a wide
-    margin for these rough constants; _TINY covers the subnormals.
+    squared row norms; inf with no points. With u = 2**-53 and S =
+    max|p_n| + max|rel| + R_DET, a score near r_safe**2 lies within about
+    81u S**2 of the exact squared distance from the points to the segment
+    along the exact unit ray.
     """
     p = rays @ rel.T
     t = np.minimum(np.maximum(p, 0.0), R_DET)
     return (rel2 - t * (2.0 * p - t)).min(axis=1, initial=math.inf)
-
-
-def _fan_band(p_n, rel2, reach):
-    """The guard band b = _FAN_GUARD S**2 + _TINY of `_fan_clearance` around
-    a squared clearance, S = max|p_n| + max|rel| + reach, reach >= R_DET;
-    inf or NaN when a point is not finite."""
-    scale = (max(map(abs, p_n.tolist())) + math.sqrt(rel2.max(initial=0.0))
-             + reach)
-    return _FAN_GUARD * scale * scale + _TINY
 
 
 # (cos, sin) of the offset angle of each DAS round after round 0: rounds 1
@@ -320,8 +296,9 @@ def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
                excluded: set | None = None):
     """First collision-free candidate ray; returns (w_pn, ray_index) or None.
 
+    A ray is free when its `_fan_clearance` score is at least r_safe**2.
     Ray 0 is scored alone. The rest of the fan is built only when ray 0 is
-    blocked or excluded, and scored in one `_fan_clearance` call.
+    blocked or excluded, and scored in one call.
     """
     p_n = np.asarray(p_n, dtype=float)
     g_n = np.asarray(g_n, dtype=float)
@@ -331,25 +308,16 @@ def das_search(p_n, g_n, cloud_sorted: np.ndarray, params: PcpParams,
         return None
     ray = d / nd                                        # unit(d): ray 0
     excluded = excluded or ()
-    r_safe = params.r_safe
+    r2 = params.r_safe * params.r_safe
     pts = np.asarray(cloud_sorted, dtype=float).reshape(-1, 3)
     rel = pts - p_n
     rel2 = np.einsum("ij,ij->i", rel, rel)
-    band = _fan_band(p_n, rel2, R_DET + abs(r_safe))
-    lo, hi = r_safe * r_safe - band, r_safe * r_safe + band
-
-    def free(m, ray):   # a ray whose `_fan_clearance` m is not below the band
-        return m > hi or not (segment_point_distances(
-            p_n, p_n + R_DET * ray, pts) < r_safe).any()
-
-    if 0 not in excluded:
-        m = _fan_clearance(ray[None], rel, rel2)[0]
-        if not m < lo and free(m, ray):
-            return p_n + waypoint_dist * ray, 0
+    if 0 not in excluded and _fan_clearance(ray[None], rel, rel2)[0] >= r2:
+        return p_n + waypoint_dist * ray, 0
     fan = _fan_vectors(ray)
     clear = _fan_clearance(fan / row_norms(fan)[:, None], rel, rel2)
     for i, m in enumerate(clear.tolist(), 1):
-        if i not in excluded and not m < lo and free(m, unit(fan[i - 1])):
+        if i not in excluded and m >= r2:
             return p_n + waypoint_dist * unit(fan[i - 1]), i
     return None
 
@@ -501,29 +469,10 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
                   params: PcpParams, blocked_rays: set) -> MotionCommand:
     """Fallback when no candidate ray is collision-free.
 
-    Steers along the max-clearance ray not in blocked_rays while the braking
-    distance still fits; otherwise, or when blocked_rays holds every ray,
+    Steers along the widest ray not in blocked_rays, the first open ray of
+    the largest `_fan_clearance` score, while the braking distance still
+    fits. A NaN score never wins. Otherwise, or with no ray to steer along,
     brakes and retreats toward the previous position.
-
-    The clearance c_i of ray i is the least exact distance
-    (`segment_point_distances`) from the points to its segment, and the
-    first ray of the largest one wins: a loop over the fan in order, with a
-    strict >, that skips NaN. One `_fan_clearance` call scores the fan, and
-    only the rays that can still win get the exact scan. Why the winner is
-    the same: c_i is the rounded root of s_i, the exact path's least squared
-    distance, and the score m_i lies within e ~ 81u S**2 of s_i, with u, S
-    and b = `_fan_band(p_n, rel2, R_DET)` as in `_fan_clearance`, so
-    b > 100e. Let ray k score M, the largest score that is not NaN among the
-    open rays, and skip the open rays with m_i < M - g|M| - 2b, g = _GUARD.
-    A skipped ray has s_i < M - g|M| - 2b + e and s_k > M - e, so
-    s_i < s_k (1 - 4u), and the root of s_i rounds strictly below that of
-    s_k: c_i < c_k. (Two squares less than 4u apart can round to one
-    distance; the margin g|M| ~ 36u |M| keeps such a pair together even
-    without the band's slack.) So every skipped ray has a clearance strictly
-    below the winner's, the first ray of the largest clearance is scanned,
-    and so is every ray before it that ties with it. A NaN score is
-    scanned, and with b or M inf or NaN the cut is NaN or -inf and skips
-    nothing.
     """
     p_n = np.asarray(p_n, dtype=float)
     v_n = np.asarray(v_n, dtype=float)
@@ -541,22 +490,11 @@ def safety_backup(p_n, v_n, p_prev, cloud_sorted: np.ndarray,
         rel2 = np.einsum("ij,ij->i", rel, rel)
         score = _fan_clearance(fan / row_norms(fan)[:, None], rel,
                                rel2).tolist()
-        open_rays = [i for i in range(len(fan)) if i not in blocked_rays]
-        top = max((score[i] for i in open_rays if not math.isnan(score[i])),
-                  default=math.nan)
-        cut = top - _GUARD * abs(top) - 2.0 * _fan_band(p_n, rel2, R_DET)
-        best_ray, best_clear = None, -1.0
-        for i in open_rays:
-            if score[i] < cut:
-                continue
-            ray = unit(fan[i]) if i else d
-            clear = (float(np.min(segment_point_distances(
-                p_n, p_n + R_DET * ray, pts)))
-                     if len(pts) else math.inf)
-            if clear > best_clear:
-                best_ray, best_clear = ray, clear
-        if best_ray is not None:
-            w = p_n + WAYPOINT_DIST * best_ray
+        open_rays = [i for i in range(len(fan))
+                     if i not in blocked_rays and not math.isnan(score[i])]
+        if open_rays:
+            i = max(open_rays, key=score.__getitem__)
+            w = p_n + WAYPOINT_DIST * (unit(fan[i]) if i else d)
             cmd = plan_motion(p_n, v_n, w, t_avs, params)
             cmd.mode = "backup_steer"
             return cmd

@@ -293,7 +293,7 @@ class _EpisodeCore:
         with self._lock:
             self.wp_index = 1
             self.blocked_rays = set()
-        self.bb.publish("path", result.path)
+            self.bb.publish("path", result.path)
         self.bb.publish("g_l", result.g_l)
         self.log(t, "mp_replan", {"reason": reason, "ok": True,
                                   "kind": result.path.kind})
@@ -302,13 +302,15 @@ class _EpisodeCore:
         sc = self.sc
         pp = sc.pcp_params
         st = self.bb.read("state")
-        path = self.bb.read("path")
         self.pcp_steps += 1
-        if path is None:
-            self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
-            return
-        wp = path.waypoints
+        # the path, wp_index and blocked_rays are read together, so a replan
+        # that lands during this tick leaves its new path's state untouched
         with self._lock:
+            path = self.bb.read("path")
+            if path is None:
+                self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
+                return
+            wp = path.waypoints
             while self.wp_index < len(wp) - 1:
                 cur = wp[self.wp_index]
                 seg = cur - wp[self.wp_index - 1]
@@ -323,6 +325,7 @@ class _EpisodeCore:
                     break
             # a one-waypoint path starts with wp_index past its end
             idx = min(self.wp_index, len(wp) - 1)
+            blocked = self.blocked_rays
         remaining = wp[idx:]
         end = wp[-1]
         if (norm(st.p - end) < sc.goal_tol
@@ -336,14 +339,13 @@ class _EpisodeCore:
         dist_goal = norm(end - st.p)
         wd = WAYPOINT_DIST * min(1.0, max(dist_goal / R_DEC, 0.1))
         found = das_search(st.p, g_n, cloud, pp, waypoint_dist=wd,
-                           excluded=self.blocked_rays)
+                           excluded=blocked)
         if found is None:
-            cmd = safety_backup(st.p, st.v, self.prev_p, cloud, pp,
-                                self.blocked_rays)
+            cmd = safety_backup(st.p, st.v, self.prev_p, cloud, pp, blocked)
             self.backup_count += 1
             self.log(t, "backup_triggered", {"mode": cmd.mode})
             if cmd.mode == "backup_brake":
-                self.blocked_rays.add(0)
+                blocked.add(0)
         else:
             w_pn, ray_idx = found
             cmd = plan_motion(st.p, st.v, w_pn, self.t_avs, pp)

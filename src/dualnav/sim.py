@@ -331,7 +331,7 @@ def check_collision(world: World, position, radius: float, time: float) -> bool:
     return False
 
 
-def scan_world(world: World, voxel_size: float = 0.2) -> np.ndarray:
+def scan_world(world: World, voxel_size: float) -> np.ndarray:
     """Surface-voxel centers of the static boxes (known-world map seeding).
 
     Emits the center of every voxel on the shell of each box's covered voxel

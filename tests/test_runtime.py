@@ -13,7 +13,7 @@ from dualnav.bench import scenario
 from dualnav.geometry import min_clearance, path_clears
 from dualnav.map_planner import PlanPath, plan_final_path
 from dualnav.mapping import cuboid_cut, local_map, project_2d
-from dualnav.pcp import PcpParams
+from dualnav.pcp import MotionCommand, PcpParams
 from dualnav.runtime import (Blackboard, LoopRates, Scenario, run_episode,
                              virtual_schedule)
 from dualnav.sim import Box, World
@@ -357,6 +357,29 @@ def test_pcp_heads_for_a_one_waypoint_path():
     core.pcp_step(0.0)
     cmd = core.bb.read("cmd")
     assert cmd is not None and cmd.a_n[0] > 0.0
+
+
+def test_a_replan_during_a_pcp_tick_leaves_the_new_path_unblocked(
+        monkeypatch):
+    # under the wall clock an MP tick can land while a PCP tick runs; here
+    # it replans inside the tick's safety backup, which then brakes. The
+    # brake blocks ray 0 of the path the tick read, not of the new path
+    core = runtime._EpisodeCore(empty_scenario())
+    old = PlanPath(np.array([[0.0, 0.0, 1.0], [1.5, 0.0, 1.0]]))
+    core.bb.publish("path", old)
+    core.bb.publish("map", (np.zeros((0, 3)), core.state.p))
+
+    def replan_then_brake(*args):
+        core.bb.publish("path", None)
+        core.mp_step(0.0)
+        return MotionCommand(np.zeros(3), mode="backup_brake")
+
+    monkeypatch.setattr(runtime, "das_search", lambda *args, **kw: None)
+    monkeypatch.setattr(runtime, "safety_backup", replan_then_brake)
+    core.pcp_step(0.0)
+    new = core.bb.read("path")
+    assert new is not None and new is not old
+    assert core.wp_index == 1 and core.blocked_rays == set()
 
 
 def test_scenario_timeout_default():
