@@ -20,6 +20,15 @@ voxel centres and the drone position at that tick. The MP derives the local
 map Pcl_lm and its projection Map_1 from the snapshot only when it replans,
 so a snapshot that no replan reads costs nothing beyond the integration.
 
+Each Blackboard slot and core field has one writer loop, and the loops
+take no lock beyond the Blackboard's. The filter writes `pcl4`; mapping,
+`vmap` and `map`; the MP, `path`, `g_l`, `mp_replans` and `mp_cleared`; the
+PCP, `cmd`, `progress`, `prev_p`, `pcp_steps` and `backup_count`; the sim,
+`state`, `status` and `trajectory`. `events` and `timing` are append-only
+records that no loop reads. `progress` is one tuple `(path, wp_index,
+blocked)` keyed by the path object the PCP read: a new path starts at index
+1 with no blocked ray, and a given-up one has index None; the MP replans it.
+
 The MP's validity gate keeps the (path, Pcl_m) pair it last found clear,
 both references held, and skips `path_clears` when a tick reads the same
 two objects (compared with `is`). The kept verdict is the one a new check
@@ -28,8 +37,9 @@ would give, because:
 - `VoxelMap.occupied_centers` returns the same read-only array until the
   voxel set changes, and a new one after; a map that forgets voxels must
   keep this, publishing a new read-only array whenever it changes;
-- between replans `wp_index` only grows, so each later remaining path is
-  the one checked or a suffix of it with at least two waypoints;
+- the PCP's index on a path only grows, so each later remaining path is
+  the one checked or a suffix of it with at least two waypoints, until the
+  PCP gives the path up, which the MP checks before the memo;
 - `path_clears` answers `min_clearance >= margin`, and over a suffix that
   is a minimum over a subset of the same per-segment distances.
 A blocked verdict always replans, so only clear verdicts are kept.
@@ -200,15 +210,13 @@ class _EpisodeCore:
         self.events = []
         self.trajectory = []
         self.status = None
-        self.wp_index = 1
+        self.progress = (None, 1, frozenset())  # (path, wp_index, blocked)
         self.prev_p = self.state.p.copy()
-        self.blocked_rays = set()
         self.pcp_steps = 0
         self.mp_replans = 0
         self.mp_cleared = (None, None)   # (path, pcl_m) last found clear
         self.backup_count = 0
         self.timing = {name: [] for name, _ in scenario.rates.periods()}
-        self._lock = threading.Lock()
         self.bb.publish("state", self.state)
 
     def _initial_yaw(self):
@@ -258,28 +266,23 @@ class _EpisodeCore:
         pcl_m, p_map = snap
         st = self.bb.read("state")
         current = self.bb.read("path")
-        if current is not None:
-            # replan only when the path actually intersects the map within the
-            # drone's own footprint; the grid planner guarantees roughly half
-            # a voxel of chord clearance, so gating on r_safe here would force
-            # a replan on every cycle. path_clears reads only the voxels near
-            # each remaining segment and answers as the full min_clearance
-            # scan would. A path found clear against this very Pcl_m array
-            # stays clear: its remaining part only shrinks to a suffix, whose
-            # clearance is a minimum over a subset of the same segments, and
-            # the map publishes a new array whenever its voxels change (see
-            # the module docstring).
+        wp_index, _ = self._progress_on(current)
+        reason = "absent"               # no path, or the PCP gave it up
+        if current is not None and wp_index is not None:
+            # replan only when the path intersects the map within the drone's
+            # own footprint: the grid planner guarantees about half a voxel of
+            # chord clearance, so an r_safe gate would replan on every cycle.
+            # path_clears answers as the full min_clearance scan would; the
+            # module docstring says why a clear verdict on a pair is kept.
             cleared_path, cleared_map = self.mp_cleared
             if current is cleared_path and pcl_m is cleared_map:
                 return                      # suspended: path still valid
             margin = self.sc.drone_radius + self.sc.map_params.voxel_size / 2.0
-            remaining = current.waypoints[max(self.wp_index - 1, 0):]
+            remaining = current.waypoints[max(wp_index - 1, 0):]
             if path_clears(remaining, pcl_m, margin):
                 self.mp_cleared = (current, pcl_m)
                 return                      # suspended: path still valid
             reason = "collided"
-        else:
-            reason = "absent"
         pcl_lm = cuboid_cut(pcl_m, p_map, self.sc.map_params)
         map_1 = project_2d(pcl_lm, p_map, self.sc.map_params)
         result = plan_final_path(st.p, self.goal, pcl_lm, map_1,
@@ -290,48 +293,44 @@ class _EpisodeCore:
             self.bb.publish("path", None)
             self.log(t, "mp_replan", {"reason": reason, "ok": False})
             return
-        with self._lock:
-            self.wp_index = 1
-            self.blocked_rays = set()
-            self.bb.publish("path", result.path)
+        self.bb.publish("path", result.path)
         self.bb.publish("g_l", result.g_l)
         self.log(t, "mp_replan", {"reason": reason, "ok": True,
                                   "kind": result.path.kind})
+
+    def _progress_on(self, path):
+        """The PCP's progress on `path`: (wp_index, blocked rays)."""
+        seen, wp_index, blocked = self.progress
+        return (wp_index, blocked) if path is seen else (1, frozenset())
 
     def pcp_step(self, t):
         sc = self.sc
         pp = sc.pcp_params
         st = self.bb.read("state")
         self.pcp_steps += 1
-        # the path, wp_index and blocked_rays are read together, so a replan
-        # that lands during this tick leaves its new path's state untouched
-        with self._lock:
-            path = self.bb.read("path")
-            if path is None:
-                self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
-                return
-            wp = path.waypoints
-            while self.wp_index < len(wp) - 1:
-                cur = wp[self.wp_index]
-                seg = cur - wp[self.wp_index - 1]
-                # a waypoint counts as reached when the drone is close or has
-                # crossed the plane through it, so an avoidance swing past a
-                # corner never drags the drone back to the corner itself
-                if (norm(st.p - cur) < 0.35
-                        or float(np.dot(st.p - cur, seg)) > 0.0):
-                    self.wp_index += 1
-                    self.blocked_rays = set()
-                else:
-                    break
-            # a one-waypoint path starts with wp_index past its end
-            idx = min(self.wp_index, len(wp) - 1)
-            blocked = self.blocked_rays
-        remaining = wp[idx:]
+        path = self.bb.read("path")
+        wp_index, blocked = self._progress_on(path)
+        if path is None or wp_index is None:
+            self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
+            return
+        wp = path.waypoints
+        while wp_index < len(wp) - 1:
+            cur = wp[wp_index]
+            seg = cur - wp[wp_index - 1]
+            # a waypoint counts as reached when the drone is close or has
+            # crossed the plane through it, so an avoidance swing past a
+            # corner never drags the drone back to the corner itself
+            if not (norm(st.p - cur) < 0.35
+                    or float(np.dot(st.p - cur, seg)) > 0.0):
+                break
+            wp_index, blocked = wp_index + 1, frozenset()
+        # a one-waypoint path starts with wp_index past its end
+        remaining = wp[min(wp_index, len(wp) - 1):]
         end = wp[-1]
         if (norm(st.p - end) < sc.goal_tol
                 and norm(end - self.goal) > sc.goal_tol):
-            # local goal reached but not the global one: force a replan
-            self.bb.publish("path", None)
+            # local goal reached but not the global one: give the path up
+            self.progress = (path, None, blocked)
             self.bb.publish("cmd", hold(st.v, self.t_avs, pp.a_max))
             return
         g_n = compute_goal(st.p, st.v, remaining)
@@ -345,12 +344,13 @@ class _EpisodeCore:
             self.backup_count += 1
             self.log(t, "backup_triggered", {"mode": cmd.mode})
             if cmd.mode == "backup_brake":
-                blocked.add(0)
+                blocked = blocked | {0}
         else:
             w_pn, ray_idx = found
             cmd = plan_motion(st.p, st.v, w_pn, self.t_avs, pp)
             if ray_idx:     # ray 0 heads straight for the goal point
                 self.log(t, "pcp_ray", {"ray": ray_idx})
+        self.progress = (path, wp_index, blocked)
         self.prev_p = st.p.copy()
         self.bb.publish("cmd", cmd)
 

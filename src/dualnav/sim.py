@@ -227,7 +227,8 @@ def _first_hits(origin, dirs, boxes, sensor: SensorParams,
     if not slabs:
         return t_hit
     first = min(s[0] for s in slabs)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero component gives inf, and a subnormal one overflows to it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = 1.0 / dirs[:, first:max(s[1] for s in slabs)]
         for r0, r1, rel in slabs:
             t0, t1 = np.array(rel)[:, :, None] * inv[:, r0 - first:r1 - first]

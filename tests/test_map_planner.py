@@ -195,7 +195,7 @@ def oracle_cast_local_goal(p_n, global_goal, params, map_1_inflated):
     if np.all(np.abs(d) <= half + 1e-12):
         g_l = g.copy()
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t_faces = np.where(d != 0.0, half / np.abs(d), np.inf)
         t = float(np.min(t_faces))
         g_l = p + t * d
@@ -221,6 +221,7 @@ _coord = st.floats(-40.0, 40.0, allow_nan=False)
 @example((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 0.0, 0)        # at the drone
 @example((0.5, -0.5, 1.0), (0.5, -0.5, 30.0), 0.3, 1)     # straight up
 @example((0.0, 0.0, 1.0), (30.0, 30.0, 1.0), 1.0, 2)      # all occupied
+@example((0.0, 0.0, 0.0), (0.0, 2.2250738585e-313, 4.0), 0.0, 0)  # subnormal
 def test_cast_local_goal_matches_oracle(p_n, goal, density, seed):
     """Same g_l bits and cell as the numpy version, inside and outside the
     cuboid, on its faces, and with occupied cells to fall back from."""

@@ -20,7 +20,7 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -45,7 +45,7 @@ def _oracle_ray_directions(sensor, yaw):
 
 def _oracle_ray_box_hits(origin, dirs, box):
     lo, hi = box.arrays()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = 1.0 / dirs
         t0 = (lo - origin) * inv
         t1 = (hi - origin) * inv
@@ -360,6 +360,13 @@ def culling_scenes(draw):
 
 @settings(max_examples=500)
 @given(culling_scenes())
+# randomized seed 3 drew a yaw of 2.2e-311, which makes the middle ray's
+# y component subnormal: its reciprocal overflows to inf, in the oracle
+# and, with a box in front, in `sense`
+@example((World(static=[Box((1.0, -1.0, -1.0), (2.0, 1.0, 1.0))]),
+          (0.0, 0.0, 0.0), 5e-324,
+          SensorParams(h_fov=1.5, v_fov=1.0, max_range=3.0, h_rays=3,
+                       v_rays=1, noise_coeff=0.0), 0.0, 0))
 def test_sense_culling_edges_match_oracle(scene):
     assert_same_bytes(sense(*scene), oracle_sense(*scene))
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dualnav import runtime
 from dualnav.bench import scenario
 from dualnav.geometry import min_clearance, path_clears
-from dualnav.map_planner import PlanPath, plan_final_path
+from dualnav.map_planner import MapPlanResult, PlanPath, plan_final_path
 from dualnav.mapping import cuboid_cut, local_map, project_2d
 from dualnav.pcp import MotionCommand, PcpParams
 from dualnav.runtime import (Blackboard, LoopRates, Scenario, run_episode,
@@ -183,9 +183,10 @@ def oracle_mp_step(self, t):
     pcl_m, pcl_lm, map_1 = snap
     st = self.bb.read("state")
     current = self.bb.read("path")
-    if current is not None:
+    wp_index, _ = self._progress_on(current)
+    if current is not None and wp_index is not None:
         margin = self.sc.drone_radius + self.sc.map_params.voxel_size / 2.0
-        remaining = current.waypoints[max(self.wp_index - 1, 0):]
+        remaining = current.waypoints[max(wp_index - 1, 0):]
         clear = min_clearance(remaining, pcl_m) if len(pcl_m) else np.inf
         if clear >= margin:
             return
@@ -200,9 +201,6 @@ def oracle_mp_step(self, t):
         self.bb.publish("path", None)
         self.log(t, "mp_replan", {"reason": reason, "ok": False})
         return
-    with self._lock:
-        self.wp_index = 1
-        self.blocked_rays = set()
     self.bb.publish("path", result.path)
     self.bb.publish("g_l", result.g_l)
     self.log(t, "mp_replan", {"reason": reason, "ok": True,
@@ -264,9 +262,10 @@ def unmemoized_mp_step(self, t):
     pcl_m, p_map = snap
     st = self.bb.read("state")
     current = self.bb.read("path")
-    if current is not None:
+    wp_index, _ = self._progress_on(current)
+    if current is not None and wp_index is not None:
         margin = self.sc.drone_radius + self.sc.map_params.voxel_size / 2.0
-        remaining = current.waypoints[max(self.wp_index - 1, 0):]
+        remaining = current.waypoints[max(wp_index - 1, 0):]
         if path_clears(remaining, pcl_m, margin):
             return
         reason = "collided"
@@ -282,9 +281,6 @@ def unmemoized_mp_step(self, t):
         self.bb.publish("path", None)
         self.log(t, "mp_replan", {"reason": reason, "ok": False})
         return
-    with self._lock:
-        self.wp_index = 1
-        self.blocked_rays = set()
     self.bb.publish("path", result.path)
     self.bb.publish("g_l", result.g_l)
     self.log(t, "mp_replan", {"reason": reason, "ok": True,
@@ -368,18 +364,171 @@ def test_a_replan_during_a_pcp_tick_leaves_the_new_path_unblocked(
     old = PlanPath(np.array([[0.0, 0.0, 1.0], [1.5, 0.0, 1.0]]))
     core.bb.publish("path", old)
     core.bb.publish("map", (np.zeros((0, 3)), core.state.p))
+    seen = []
+
+    def no_ray(*args, excluded, **kw):
+        seen.append(set(excluded))
+        return None
 
     def replan_then_brake(*args):
         core.bb.publish("path", None)
         core.mp_step(0.0)
         return MotionCommand(np.zeros(3), mode="backup_brake")
 
-    monkeypatch.setattr(runtime, "das_search", lambda *args, **kw: None)
+    monkeypatch.setattr(runtime, "das_search", no_ray)
     monkeypatch.setattr(runtime, "safety_backup", replan_then_brake)
     core.pcp_step(0.0)
     new = core.bb.read("path")
     assert new is not None and new is not old
-    assert core.wp_index == 1 and core.blocked_rays == set()
+    core.pcp_step(0.0)
+    # the first tick read the old path, and the next reads the new one
+    assert seen == [set(), set()]
+
+
+class InterleavedCore(runtime._EpisodeCore):
+    """An `_EpisodeCore` whose Blackboard reads and publishes and whose
+    `progress` reads and writes are preemption points. Just before the
+    ticking body's k-th point, the other loop's body runs inline, once: a
+    thread-free schedule with one preemption, as in CHESS (Musuvathi et
+    al., OSDI 2008). It records the MP's last `path` publish and the path
+    the PCP last read; `braked` collects the paths that braking ticks read."""
+
+    def __init__(self, sc, path):
+        self.other, self.points, self.running = None, 0, "mp"  # set-up: MP
+        super().__init__(sc)
+        self.bb = YieldingBoard(self)
+        self.bb.publish("state", self.state)
+        self.bb.publish("map", (np.zeros((0, 3)), self.state.p))
+        self.bb.publish("path", path)
+        self.pcp_read, self.braked = None, []
+
+    @property
+    def progress(self):
+        self.point()
+        return self._progress
+
+    @progress.setter
+    def progress(self, value):
+        self.point()
+        self._progress = value
+
+    def arm(self, k, other):
+        self.k, self.points, self.other = k, 0, other
+
+    def point(self):
+        if self.other is not None and self.points == self.k:
+            other, self.other = self.other, None
+            self.run(other)
+        self.points += 1
+
+    def run(self, name):
+        """Run loop `name`'s body at t = 0."""
+        outer, self.running = self.running, name
+        getattr(self, name + "_step")(0.0)
+        self.running = outer
+
+
+class YieldingBoard(Blackboard):
+    def __init__(self, core):
+        super().__init__()
+        self.core = core
+
+    def read(self, name):
+        self.core.point()
+        value = super().read(name)
+        if name == "path" and self.core.running == "pcp":
+            self.core.pcp_read = value
+        return value
+
+    def publish(self, name, value):
+        self.core.point()
+        if name == "path" and self.core.running == "mp":
+            self.core.mp_path = value
+        super().publish(name, value)
+
+
+DRONE = (0.0, 0.0, 1.0)
+# (waypoints of the path the PCP flies, whether a brake blocked ray 0 on
+# it at waypoint 1, what its backup does, whether the MP's replan finds a
+# path)
+INTERLEAVING_CASES = {
+    # the path ends at the drone, short of the goal: the PCP gives it up
+    "give-up": ([[-1.0, 0.0, 1.0], DRONE], False, "backup_steer", True),
+    "backup brake": ([DRONE, [1.5, 0.0, 1.0]], False, "backup_brake", True),
+    # the drone has crossed waypoint 1's plane
+    "waypoint advance": ([[-1.0, 0.0, 1.0], [-0.5, 0.0, 1.0],
+                          [1.5, 0.0, 1.0]], True, "backup_steer", True),
+    "failed replan": ([DRONE, [1.5, 0.0, 1.0]], False, "backup_brake", False),
+}
+
+
+@pytest.mark.parametrize("ticking, other", [("pcp", "mp"), ("mp", "pcp")])
+@pytest.mark.parametrize("case", sorted(INTERLEAVING_CASES))
+def test_mp_and_pcp_interleavings_keep_one_writer_per_value(
+        monkeypatch, case, ticking, other):
+    waypoints, blocked, backup, plan_ok = INTERLEAVING_CASES[case]
+    seen = []
+
+    def no_ray(*args, excluded, **kw):
+        seen.append(frozenset(excluded))
+        return None
+
+    def backup_of(core):
+        def safety_backup(*args):
+            if backup == "backup_brake":
+                core.braked.append(core.pcp_read)
+            return MotionCommand(np.zeros(3), mode=backup)
+        return safety_backup
+
+    def replan(p_n, goal, *args, **kw):
+        if not plan_ok:
+            return None
+        return MapPlanResult(PlanPath(np.array([p_n, goal])), goal)
+
+    monkeypatch.setattr(runtime, "das_search", no_ray)
+    monkeypatch.setattr(runtime, "path_clears", lambda *args: False)
+    monkeypatch.setattr(runtime, "plan_final_path", replan)
+    k, preempted = 0, True
+    while preempted:
+        old = PlanPath(np.array(waypoints))
+        core = InterleavedCore(empty_scenario(), old)
+        if blocked:
+            core.progress = (old, 1, frozenset({0}))
+        monkeypatch.setattr(runtime, "safety_backup", backup_of(core))
+        core.arm(k, other)
+        core.run(ticking)
+        preempted, core.other = core.other is None, None
+        if not preempted:               # k past the last point: run after
+            core.run(other)
+        where = (case, ticking, k)
+        # only the MP writes the path slot, so its last publish stands
+        assert core.bb.read("path") is core.mp_path, where
+        # no ray blocked on one path carries over to another
+        braked = list(core.braked)
+        seen.clear()
+        core.run("pcp")
+        new = core.pcp_read is not old
+        if new and seen and not any(p is core.pcp_read for p in braked):
+            assert seen == [frozenset()], where
+        k += 1
+    assert k > 3                        # each body has more than 3 points
+
+
+def test_a_path_the_pcp_gave_up_is_replanned_past_the_gate_memo():
+    # the path ends at the drone, short of the goal, and the empty map
+    # clears it: the gate keeps that verdict until the PCP gives it up
+    core = runtime._EpisodeCore(empty_scenario())
+    old = PlanPath(np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+    core.bb.publish("path", old)
+    core.bb.publish("map", (np.zeros((0, 3)), core.state.p))
+    core.mp_step(0.0)
+    assert core.mp_cleared[0] is old and not core.events
+    core.pcp_step(0.0)
+    assert core.bb.read("path") is old
+    core.mp_step(0.1)
+    assert core.events == [(0.1, "mp_replan", {"reason": "absent", "ok": True,
+                                               "kind": "2D-lifted"})]
+    assert core.bb.read("path") is not old
 
 
 def test_scenario_timeout_default():
